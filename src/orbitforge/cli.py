@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import __version__
 from .ball import CBall, set_precision
 from .config import DEFAULTS, Settings, load_settings
-from .errors import OrbitforgeError
+from .errors import DomainError, OrbitforgeError
 from .exact import BiPoly, Poly, rat, rat_str
 from .dynamics import (PolyDS, Preperiodic, classify_orbit,
                        detect_exceptional, find_place_of_good_reduction_escape,
@@ -56,19 +56,40 @@ def emit(data, out=None) -> None:
     (out or sys.stdout).write(text + "\n")
 
 
-def parse_poly(text: str) -> Poly:
+def _parse_json_list(text: str, what: str) -> list:
+    """A JSON array argument; malformed input is a DomainError."""
     cleaned = text
     for ch in ("−", "–"):
         cleaned = cleaned.replace(ch, "-")
-    return Poly.from_json(json.loads(cleaned))
+    try:
+        data = json.loads(cleaned)
+    except ValueError:
+        data = None
+    if not isinstance(data, list):
+        raise DomainError(f"{what} must be a JSON array with \"num/den\" "
+                          f"strings for fractions, got {text!r}")
+    return data
+
+
+def _parse_terms(text: str, what: str, n_exponents: int) -> list:
+    """A JSON list of [exponent, ..., "num/den"] terms, integer exponents."""
+    data = _parse_json_list(text, what)
+    for term in data:
+        if not (isinstance(term, list) and len(term) == n_exponents + 1
+                and all(type(e) is int for e in term[:-1])):
+            raise DomainError(f"{what} is a list of terms [{n_exponents} integer "
+                              f"exponent(s), \"num/den\"], got {text!r}")
+    return data
+
+
+def parse_poly(text: str) -> Poly:
+    return Poly.from_json(_parse_json_list(text, "a polynomial"))
 
 
 def parse_curve(text: str) -> "PlaneCurve":
     from .curves import PlaneCurve
-    cleaned = text
-    for ch in ("−", "–"):
-        cleaned = cleaned.replace(ch, "-")
-    return PlaneCurve.from_bipoly(BiPoly.from_json(json.loads(cleaned)))
+    data = _parse_terms(text, "a curve", 2)
+    return PlaneCurve.from_bipoly(BiPoly.from_json(data))
 
 
 def _monic_system(poly: Poly, settings: Settings) -> PolyDS:
@@ -125,8 +146,7 @@ def cmd_green_trace(args, settings: Settings):
     from .green import equipotential_trace
     ds = _monic_system(parse_poly(args.poly), settings)
     n_points = args.n if args.n is not None else settings.trace_points
-    curve = equipotential_trace(ds, rat(args.r), n_points, rat(args.tol),
-                                workers=settings.threads)
+    curve = equipotential_trace(ds, rat(args.r), n_points, rat(args.tol))
     fmt, path = _resolve_out(args.out)
     if fmt == "csv":
         lines = ["theta,re,im,g_residual"]
@@ -196,9 +216,8 @@ def cmd_padic_polygon(args, settings: Settings) -> dict:
                         count_zeros_pj, kappa, newton_polygon, sup_norm,
                         zeros_by_slope)
     p = args.p
-    pairs = json.loads(args.series)
-    series = PadicSeries.from_coeffs(p, [(int(n), rat(c)) for n, c in pairs],
-                                     settings.padic_digits)
+    terms = [(n, rat(c)) for n, c in _parse_terms(args.series, "a series", 1)]
+    series = PadicSeries.from_coeffs(p, terms, settings.padic_digits)
     poly = newton_polygon(series)
     result = {
         "p": p,
@@ -438,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and certified computations for monic polynomial "
                     "dynamics over Q.")
     ap.add_argument("--config", help="key=value settings file")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker cap for parallel point batches")
     ap.add_argument("--manifest", help="write the run manifest JSON here "
                                        "(default: stderr)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -540,21 +557,21 @@ def main(argv=None) -> int:
     started = time.monotonic()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "pj", False) and (args.r1 is None or args.r is None):
+        parser.error("--pj requires --r1 and --r")
     settings = DEFAULTS
     if args.config:
-        settings = load_settings(args.config)
-    if args.threads:
-        settings = settings.replace(threads=args.threads)
+        try:
+            settings = load_settings(args.config)
+        except (OSError, ValueError, ZeroDivisionError) as exc:
+            parser.error(f"--config: {exc}")
     set_precision(settings.precision_bits)
     manifest = RunManifest(
         tool="orbitforge",
         version=__version__,
         argv=[a for a in (argv if argv is not None else sys.argv[1:])],
-        settings={
-            "precision_bits": settings.precision_bits,
-            "series_order": settings.series_order,
-            "padic_digits": settings.padic_digits,
-        },
+        settings={key: rat_str(val) if isinstance(val, Fraction) else val
+                  for key, val in asdict(settings).items()},
     )
     try:
         result = args.handler(args, settings)

@@ -18,8 +18,7 @@ class Settings:
     preperiodic_budget: int = 512    # exact orbit budget before "undecided"
     orbit_degree_cap: int = 4096     # cap on d^n for orbit level sets
     trace_points: int = 512          # default equipotential sample count
-    padic_digits: int = 64           # default p-adic unit digits
-    threads: int = 1                 # worker cap for parallel point batches
+    padic_digits: int = 64           # p-adic digits; escape walks start here
     tolerance: Fraction = Fraction(1, 10**10)
 
     def replace(self, **kw) -> "Settings":
@@ -31,7 +30,6 @@ DEFAULTS = Settings()
 _INT_FIELDS = {
     "precision_bits", "series_order", "max_poly_degree", "max_iterations",
     "preperiodic_budget", "orbit_degree_cap", "trace_points", "padic_digits",
-    "threads",
 }
 
 

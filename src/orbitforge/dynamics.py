@@ -8,6 +8,7 @@ places of good reduction witnessing escape.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,10 +16,12 @@ from typing import Optional, Union
 
 from .ball import CBall, as_ball, eval_poly_ball
 from .config import DEFAULTS, Settings
-from .errors import DomainError, ResourceError, UndecidedError
+from .errors import DomainError, PrecisionError, ResourceError, UndecidedError
 from .exact import Poly, rat
 from .factor import factor_rational
 from .rootcert import certified_roots
+
+_MAX_PADIC_DIGITS = 4096   # the p-adic escape walk gives up beyond this
 
 
 def _v_p(q: Fraction, p: int) -> int:
@@ -112,7 +115,6 @@ class PolyDS:
 
     def height_comparison_constant(self) -> float:
         """Exposed comparison constant sum_i log+|a_i| + log 2 for |h - hhat|."""
-        import math
         total = math.log(2.0)
         for c in self.f.coeffs[:-1]:
             if abs(c) > 1:
@@ -150,6 +152,38 @@ class PolyDS:
             if a != 0 and not _v_p(a, p) > i * v_x:
                 return False
         return True
+
+    def padic_escape(self, alpha: Fraction, p: int,
+                     budget: int) -> Optional[tuple[int, int]]:
+        """The p-adic orbit walk: first certified escape of alpha at p.
+
+        Returns (n, v) for the least n <= budget where v = v_p(f^n(alpha)) < 0
+        and the leading term dominates, so |f^(n+j)(alpha)|_p = p^(-v d^j)
+        for all j; None when no step of the budget certifies escape.  The
+        walk starts at ``settings.padic_digits`` digits and doubles them on
+        precision loss; past 4096 digits the PrecisionError propagates.
+        """
+        from .padic import PadicScalar   # keeps it off the CLI's cold start
+
+        digits = self.settings.padic_digits
+        while True:
+            x = PadicScalar.from_rational(alpha, p, digits)
+            coeffs = [PadicScalar.from_rational(c, p, digits)
+                      for c in self.f.coeffs]
+            try:
+                for n in range(budget + 1):
+                    if n:
+                        acc = coeffs[-1]
+                        for c in reversed(coeffs[:-1]):
+                            acc = acc * x + c
+                        x = acc
+                    if not x.zero and self.padic_dominated(p, x.valuation):
+                        return n, x.valuation
+                return None
+            except PrecisionError:
+                digits *= 2
+                if digits > _MAX_PADIC_DIGITS:
+                    raise
 
     def bad_reduction_primes(self) -> list[int]:
         primes: set[int] = set()
@@ -205,6 +239,18 @@ class LinearConjugacy:
         return f"L(x) = c*x with c in {self.scale!r}"
 
 
+def _integer_kth_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, on integers: isqrt, or Newton from above."""
+    if k == 2 or n < 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // k)      # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _rational_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
     """Exact real k-th root of q over Q, or None.  k >= 1."""
     if k == 1:
@@ -215,18 +261,8 @@ def _rational_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
         return None
     sign = -1 if q < 0 else 1
     num, den = abs(q.numerator), q.denominator
-
-    def iroot(n: int) -> Optional[int]:
-        if n == 0:
-            return 0
-        r = round(n ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** k == n:
-                return cand
-        return None
-
-    rn, rd = iroot(num), iroot(den)
-    if rn is None or rd is None:
+    rn, rd = _integer_kth_root(num, k), _integer_kth_root(den, k)
+    if rn ** k != num or rd ** k != den:
         return None
     return Fraction(sign * rn, rd)
 
@@ -425,15 +461,22 @@ def _arch_escapes(ds: PolyDS, x: Fraction, budget: int, radius: Fraction) -> boo
 
 
 def _ball_escapes(ds: PolyDS, z: CBall, budget: int, radius: Fraction) -> bool:
+    return _ball_escape_step(ds, z, budget, radius) is not None
+
+
+def _ball_escape_step(ds: PolyDS, z: CBall, budget: int,
+                      radius: Fraction) -> Optional[int]:
+    """Least n <= budget with |f^n(z)| certified above radius, or None."""
     from mpmath import mpf
     bound = mpf(radius.numerator) / mpf(radius.denominator)
-    for _ in range(budget):
+    for n in range(budget + 1):
+        if n:
+            z = ds.apply_ball(z)
+            if z.rad > mpf(10) ** 40:   # radius blow-up: no decision possible
+                return None
         if z.abs_lower() > bound:
-            return True
-        z = ds.apply_ball(z)
-        if z.rad > mpf(10) ** 40:   # radius blow-up: no decision possible
-            return False
-    return z.abs_lower() > bound
+            return n
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +554,6 @@ def classify_orbit(ds: PolyDS, alpha: Fraction,
     raise UndecidedError(f"no verdict within the iteration budget {budget}")
 
 
-def is_preperiodic(ds: PolyDS, alpha: Fraction,
-                   budget: Optional[int] = None) -> Union[Preperiodic, Wandering]:
-    """Alias of classify_orbit."""
-    return classify_orbit(ds, alpha, budget)
-
-
 @dataclass(frozen=True)
 class GoodPlaceSearch:
     qualifying: Optional[PlaceReport]       # finite place with all 3 conditions
@@ -537,7 +574,9 @@ def find_place_of_good_reduction_escape(ds: PolyDS, alpha: Fraction,
 
     Wandering input required.  Returns the smallest qualifying prime if one
     certifies escape within the budget; escaping-but-rejected places and the
-    archimedean certificate (when it fires) are reported alongside.
+    archimedean certificate (when it fires) are reported alongside.  A prime
+    whose p-adic walk still loses precision at 4096 digits raises
+    PrecisionError rather than being reported as non-escaping.
     """
     alpha = rat(alpha)
     verdict = classify_orbit(ds, alpha, budget)
@@ -547,52 +586,15 @@ def find_place_of_good_reduction_escape(ds: PolyDS, alpha: Fraction,
     qualifying = None
     rejected = []
     for p in _candidate_primes(ds, alpha):
-        hit = _padic_escape_iterate(ds, alpha, p, budget)
+        hit = ds.padic_escape(alpha, p, budget)
         if hit is None:
             continue
-        report = PlaceReport(p, ds.good_reduction(p), ds.coprime_to_degree(p), hit)
+        report = PlaceReport(p, ds.good_reduction(p), ds.coprime_to_degree(p), hit[0])
         if report.good_reduction and report.coprime_to_d and qualifying is None:
             qualifying = report
         elif not (report.good_reduction and report.coprime_to_d):
             rejected.append(report)
-    arch = None
-    z = as_ball(alpha)
-    from mpmath import mpf
-    bound = mpf(ds.escape_radius.numerator) / mpf(ds.escape_radius.denominator)
-    for n in range(ds.settings.max_iterations + 1):
-        if z.abs_lower() > bound:
-            arch = PlaceReport(None, None, None, n)
-            break
-        z = ds.apply_ball(z)
-        if z.rad > mpf(10) ** 40:
-            break
+    n = _ball_escape_step(ds, as_ball(alpha), ds.settings.max_iterations,
+                          ds.escape_radius)
+    arch = None if n is None else PlaceReport(None, None, None, n)
     return GoodPlaceSearch(qualifying, arch, rejected)
-
-
-def _padic_escape_iterate(ds: PolyDS, alpha: Fraction, p: int,
-                          budget: int) -> Optional[int]:
-    """Least n with v_p(f^n(alpha)) < 0 and the leading term dominant, via a
-    cheap p-adic orbit (valuations only; digits escalate on precision loss)."""
-    from .padic import PadicScalar
-
-    digits = 64
-    while digits <= 4096:
-        try:
-            x = PadicScalar.from_rational(alpha, p, digits)
-            coeffs = [PadicScalar.from_rational(c, p, digits)
-                      for c in ds.f.coeffs]
-            for n in range(budget + 1):
-                if not x.zero and x.valuation < 0 and ds.padic_dominated(p, x.valuation):
-                    return n
-                acc = coeffs[-1]
-                for c in reversed(coeffs[:-1]):
-                    acc = acc * x + c
-                x = acc
-            return None
-        except Exception as exc:  # precision loss: retry with more digits
-            from .errors import PrecisionError
-            if isinstance(exc, PrecisionError):
-                digits *= 2
-                continue
-            raise
-    return None

@@ -38,7 +38,10 @@ def rat(value) -> Fraction:
         text = value.strip()
         for sign in _MINUS_VARIANTS:
             text = text.replace(sign, "-")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise DomainError(f"cannot interpret {value!r} as a rational")
 
 

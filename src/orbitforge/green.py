@@ -10,7 +10,6 @@ budget yield the one-sided enclosure [0, log(2R)/d^n], reported with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -21,7 +20,8 @@ from mpmath import mpf
 from .ball import CBall, as_ball, eval_poly_ball
 from .dynamics import PolyDS
 from .errors import DomainError, PrecisionError
-from .exact import Poly, rat
+from .exact import rat
+from .rootcert import approximate_solutions, certify_solution
 
 
 @dataclass(frozen=True)
@@ -127,43 +127,19 @@ def _psi_point(ds: PolyDS, order: int, radius: mpf, theta: float) -> CBall:
     return val
 
 
-def _newton_refine(F: Poly, target: CBall, guess: CBall, steps: int = 60) -> Optional[CBall]:
-    """Certified solution of F(z) = target near guess via interval Newton."""
-    dF = F.derivative()
-    z = CBall(guess.re_mid, guess.im_mid, mpf(0))
-    for _ in range(steps):
-        fz = eval_poly_ball(F, z) - target
-        dz = eval_poly_ball(dF, z)
-        if dz.contains_zero():
-            return None
-        step = fz / dz
-        z = CBall(z.re_mid - step.re_mid, z.im_mid - step.im_mid, mpf(0))
-        if step.abs_upper() < mpf(2) ** (20 - mpmath.mp.prec) * (1 + z.abs_mid()):
-            break
-    rho = mpf(2) ** (24 - mpmath.mp.prec) * (1 + z.abs_mid()) + 4 * target.rad
-    for _ in range(40):
-        box = CBall(z.re_mid, z.im_mid, rho)
-        dball = eval_poly_ball(dF, box)
-        if not dball.contains_zero():
-            center = CBall(z.re_mid, z.im_mid, mpf(0))
-            newton = center - (eval_poly_ball(F, center) - target) / dball
-            if box.contains(newton):
-                return newton
-        rho *= 4
-    return None
-
-
 def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
                         tol: Fraction = Fraction(1, 10**8),
-                        order: Optional[int] = None,
-                        workers: Optional[int] = None) -> LevelCurve:
+                        order: Optional[int] = None) -> LevelCurve:
     """Sample the level curve g = r, re-certifying every point with green_eval.
 
     Inside the Boettcher disc the curve is Psi(exp(-r) e^{i theta}).  When
     exp(-r) reaches the convergence radius, the level d^k r is traced instead
-    and pulled back through f^k by certified Newton refinement, yielding d^k
-    sheets per base angle (sheets ordered by argument, ties by real part).
-    Point evaluations are independent; ``workers`` caps the thread pool.
+    and pulled back through f^k: each base angle gives d^k solutions of
+    f^k(z) = Psi(...), certified by ``rootcert.certify_solution``, as sheets
+    ordered by argument (ties by real part).  Every sample that fails
+    certification counts in ``dropped``, so certified points plus dropped
+    equal n_points (inside the disc) or d^k times the number of base angles
+    (pulled back, before the list is cut to n_points).
     """
     from .boettcher import radius_archimedean
 
@@ -172,7 +148,6 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
         raise DomainError("the potential level r must be positive")
     n_points = n_points or ds.settings.trace_points
     order = order or ds.settings.series_order
-    workers = workers or ds.settings.threads
     arch = radius_archimedean(ds)
     r_lo = max(arch.ball.re_mid - arch.ball.rad, mpf("0.05"))
     safe = r_lo / 2
@@ -185,9 +160,8 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
     deep_rho = rho ** (ds.d ** k)
 
     points: list[TracePoint] = []
-    dropped = 0
     if k == 0:
-        def sample(j: int) -> Optional[TracePoint]:
+        for j in range(n_points):
             theta = j / n_points
             pt = _psi_point(ds, order, rho, theta)
             accepted = _certify_level(ds, pt, r, tol)
@@ -198,28 +172,25 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
                     kk += 1
                 target = _psi_point(ds, order, rho ** (ds.d ** kk),
                                     (theta * ds.d ** kk) % 1.0)
-                refined = _newton_refine(ds.iterate(kk), target, pt)
+                refined = certify_solution(ds.iterate(kk), pt, target)
                 if refined is not None:
                     accepted = _certify_level(ds, refined, r, tol)
-            if accepted is None:
-                return None
-            return TracePoint(theta, accepted[0], accepted[1], 0)
-
-        results = _map_points(sample, range(n_points), workers)
-        points = [pt for pt in results if pt is not None]
-        dropped = n_points - len(points)
-        return LevelCurve(r, points, True, dropped)
+            if accepted is not None:
+                points.append(TracePoint(theta, accepted[0], accepted[1], 0))
+        return LevelCurve(r, points, True, n_points - len(points))
 
     sheets = ds.d ** k
     n_base = max(1, -(-n_points // sheets))
     F = ds.iterate(k)
+    dF = F.derivative()
+    dropped = 0
     for j in range(n_base):
         theta = j / n_base
         target = _psi_point(ds, order, deep_rho, theta)
-        roots = _complex_roots_shifted(F, target)
         layer = []
-        for root in roots:
-            accepted = _certify_level(ds, root, r, tol)
+        for approx in approximate_solutions(F, target):
+            root = certify_solution(F, CBall.from_complex(approx), target, dF)
+            accepted = None if root is None else _certify_level(ds, root, r, tol)
             if accepted is None:
                 dropped += 1
                 continue
@@ -230,29 +201,6 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
                  for i, tp in enumerate(layer)]
         points.extend(layer)
     return LevelCurve(r, points[:n_points], False, dropped)
-
-
-def _map_points(fn, items, workers: int) -> list:
-    """Order-preserving map, threaded when workers > 1 (pure evaluations)."""
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _complex_roots_shifted(F: Poly, target: CBall) -> list[CBall]:
-    """Certified roots of F(z) = target (simple roots assumed)."""
-    coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-              for c in reversed(F.coeffs)]
-    coeffs[-1] -= target.mid
-    approx = mpmath.polyroots(coeffs, maxsteps=200, extraprec=mpmath.mp.prec)
-    out = []
-    for a in approx:
-        ball = _newton_refine(F, target, CBall.from_complex(a))
-        if ball is not None:
-            out.append(ball)
-    return out
 
 
 def _certify_level(ds: PolyDS, pt: CBall, r: Fraction,

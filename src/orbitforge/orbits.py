@@ -21,11 +21,10 @@ from mpmath import mpf
 
 from .ball import CBall, rball
 from .dynamics import PolyDS, _prime_factors, _v_p
-from .errors import DomainError, PrecisionError, ResourceError
+from .errors import DomainError, ResourceError
 from .exact import BiPoly, Poly, rat
 from .factor import factor_rational
 from .green import green_eval
-from .padic import PadicScalar
 from .rootcert import certified_roots
 
 
@@ -52,7 +51,7 @@ def _log_ball_int(n: int) -> CBall:
 
 
 def _padic_local_height(ds: PolyDS, alpha: Fraction, p: int,
-                        tol: Fraction, digits: int = 64) -> CBall:
+                        tol: Fraction) -> CBall:
     """Certified enclosure of lim log+|f^n(alpha)|_p / d^n at a bad prime."""
     logp = mpmath.log(mpf(p))
     cap_exp = ds.padic_escape_radius_exponent(p)   # log_p of the escape bound
@@ -63,16 +62,11 @@ def _padic_local_height(ds: PolyDS, alpha: Fraction, p: int,
     while float(cap_exp) * float(logp) / d ** budget >= tol_f and budget < 400:
         budget += 1
     budget = max(budget, 4)
-    x = PadicScalar.from_rational(alpha, p, digits)
-    coeffs = [PadicScalar.from_rational(c, p, digits) for c in ds.f.coeffs]
-    for n in range(budget + 1):
-        if not x.zero and x.valuation < 0 and ds.padic_dominated(p, x.valuation):
-            val = mpf(-x.valuation) * logp / mpf(d) ** n
-            return CBall(val, mpf(0), mpf(2) ** (8 - mpmath.mp.prec) * (1 + val))
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = acc * x + c
-        x = acc
+    hit = ds.padic_escape(alpha, p, budget)
+    if hit is not None:
+        n, v = hit
+        val = mpf(-v) * logp / mpf(d) ** n
+        return CBall(val, mpf(0), mpf(2) ** (8 - mpmath.mp.prec) * (1 + val))
     hi = mpf(float(cap_exp)) * logp / mpf(d) ** budget * (1 + mpf(2) ** -40)
     return CBall(hi / 2, mpf(0), hi / 2)
 
@@ -100,15 +94,7 @@ def canonical_height(ds: PolyDS, alpha, tol: Fraction = Fraction(1, 10**10)) -> 
     n_parts = 1 + len(bad)
     part_tol = tol / (2 * n_parts)
     for p in sorted(bad):
-        digits = 64
-        while True:
-            try:
-                total = total + _padic_local_height(ds, alpha, p, part_tol, digits)
-                break
-            except PrecisionError:
-                digits *= 2
-                if digits > 4096:
-                    raise
+        total = total + _padic_local_height(ds, alpha, p, part_tol)
     g = green_eval(ds, CBall.from_rational(alpha), tol / 2)
     total = total + g.value
     return HeightValue(total, "limit")

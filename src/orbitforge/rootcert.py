@@ -1,72 +1,85 @@
-"""Certified complex roots of exact rational polynomials.
+"""Certified complex solutions of p(z) = t for exact rational polynomials p.
 
-Roots are first approximated numerically (mpmath), then certified by one
-interval-Newton step: for a ball B around an approximation z0, if
-``N = z0 - p(z0)/p'(B)`` is contained in B, then B (hence N) contains exactly
-one root of p.  Inputs are expected squarefree; irreducible factors over Q
-always are.
+Solutions are first approximated numerically (mpmath), polished by plain
+Newton steps, then certified by one interval-Newton step (R. E. Moore,
+*Interval Analysis*, 1966): for a ball B around an approximation z0, if
+``N = z0 - (p(z0) - t)/p'(B)`` is contained in B, then B (hence N) contains
+exactly one solution.  The target t is an optional ball; without it the
+equation is p(z) = 0.  Inputs are expected squarefree; irreducible factors
+over Q always are.
 """
 
 from __future__ import annotations
 
-import mpmath
+from typing import Optional
 
-from .ball import CBall, eval_poly_ball, set_precision
+import mpmath
+from mpmath import mpf
+
+from .ball import CBall, eval_poly_ball
 from .errors import PrecisionError
 from .exact import Poly
 
 
-def _newton_certify(p: Poly, dp: Poly, z0: CBall, rho) -> CBall | None:
-    box = CBall(z0.re_mid, z0.im_mid, mpmath.mpf(rho))
-    dball = eval_poly_ball(dp, box)
-    if dball.contains_zero():
-        return None
-    center = CBall(z0.re_mid, z0.im_mid, mpmath.mpf(0))
-    newton = center - eval_poly_ball(p, center) / dball
-    if box.contains(newton):
-        return newton
+def approximate_solutions(p: Poly, target: Optional[CBall] = None) -> list:
+    """All deg p numerical solutions of p(z) = target.mid (no certificate)."""
+    coeffs = [mpf(c.numerator) / mpf(c.denominator) for c in reversed(p.coeffs)]
+    if target is not None:
+        coeffs[-1] -= target.mid
+    return mpmath.polyroots(coeffs, maxsteps=200, extraprec=mpmath.mp.prec)
+
+
+def certify_solution(p: Poly, guess: CBall, target: Optional[CBall] = None,
+                     dp: Optional[Poly] = None) -> Optional[CBall]:
+    """Certified ball holding the unique solution of p(z) = target near guess.
+
+    Polishes for at most 60 Newton steps, stopping once a step is below
+    2^(20-prec)(1+|z|); then tries the interval-Newton box of radius
+    2^(8-prec)(1+|z|) + 4 rad(target), quadrupled up to 40 times.  Returns
+    None when no box certifies.
+    """
+    dp = dp if dp is not None else p.derivative()
+
+    def residual(z: CBall) -> CBall:
+        val = eval_poly_ball(p, z)
+        return val if target is None else val - target
+
+    z = CBall(guess.re_mid, guess.im_mid, mpf(0))
+    for _ in range(60):
+        dz = eval_poly_ball(dp, z)
+        if dz.contains_zero():
+            break
+        step = residual(z) / dz
+        z = CBall(z.re_mid - step.re_mid, z.im_mid - step.im_mid, mpf(0))
+        if step.abs_upper() < mpf(2) ** (20 - mpmath.mp.prec) * (1 + z.abs_mid()):
+            break
+    rho = mpf(2) ** (8 - mpmath.mp.prec) * (1 + z.abs_mid())
+    if target is not None:
+        rho += 4 * target.rad
+    for _ in range(40):
+        box = CBall(z.re_mid, z.im_mid, rho)
+        dball = eval_poly_ball(dp, box)
+        if not dball.contains_zero():
+            newton = z - residual(z) / dball
+            if box.contains(newton):
+                return newton
+        rho *= 4
     return None
 
 
-def certified_roots(p: Poly, extra_bits: int = 0) -> list[CBall]:
+def certified_roots(p: Poly) -> list[CBall]:
     """All complex roots of a squarefree p as certified balls.
 
     Deterministic order: sorted by (real, imaginary) midpoint.
     """
     if p.degree < 1:
         return []
-    if extra_bits:
-        old = mpmath.mp.prec
-        set_precision(old + extra_bits)
-    try:
-        coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                  for c in reversed(p.coeffs)]
-        approx = mpmath.polyroots(coeffs, maxsteps=200, extraprec=mpmath.mp.prec)
-        dp = p.derivative()
-        out = []
-        for r in approx:
-            z = CBall.from_complex(r)
-            # polish with plain Newton at working precision
-            for _ in range(6):
-                fz = eval_poly_ball(p, CBall(z.re_mid, z.im_mid, mpmath.mpf(0)))
-                dz = eval_poly_ball(dp, CBall(z.re_mid, z.im_mid, mpmath.mpf(0)))
-                if dz.contains_zero():
-                    break
-                step = fz / dz
-                z = CBall(z.re_mid - step.re_mid, z.im_mid - step.im_mid, z.rad)
-            rho = mpmath.mpf(2) ** (8 - mpmath.mp.prec) * (1 + z.abs_mid())
-            ball = None
-            for _ in range(40):
-                ball = _newton_certify(p, dp, z, rho)
-                if ball is not None:
-                    break
-                rho *= 4
-            if ball is None:
-                raise PrecisionError(
-                    f"could not certify a root of {p!r} near {z!r}")
-            out.append(ball)
-        out.sort(key=lambda b: (b.re_mid, b.im_mid))
-        return out
-    finally:
-        if extra_bits:
-            set_precision(old)
+    dp = p.derivative()
+    out = []
+    for r in approximate_solutions(p):
+        ball = certify_solution(p, CBall.from_complex(r), dp=dp)
+        if ball is None:
+            raise PrecisionError(f"could not certify a root of {p!r} near {r}")
+        out.append(ball)
+    out.sort(key=lambda b: (b.re_mid, b.im_mid))
+    return out

@@ -160,3 +160,67 @@ def test_config_file(tmp_path):
                             "--poly", "[-1,0,1]"])
     data = json.loads(out)
     assert data["order"] == 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "small", "--poly", "[-1,0,1]", "--alpha", "x", "--level", "1"],
+    ["orbit", "small", "--poly", "[-1,0,1]", "--alpha", "1/0", "--level", "1"],
+    ["orbit", "small", "--poly", "[1,0,1", "--alpha", "1/3", "--level", "1"],
+    ["orbit", "small", "--poly", "[1/2,0,1]", "--alpha", "1/3", "--level", "1"],
+    ["orbit", "small", "--poly", '{"a": 1}', "--alpha", "1/3", "--level", "1"],
+    ["curve", "special", "--poly", "[-1,0,1]", "--curve", '[[1,0]]',
+     "--alpha", "1/3"],
+    ["padic", "polygon", "--p", "3", "--series", '[[0,"3"],[1]]'],
+    ["padic", "polygon", "--p", "3", "--series", '[[1.5,"3"],[2,"1"]]'],
+])
+def test_malformed_values_give_error_json(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out)["error"]["code"] == "domain"
+
+
+@pytest.mark.parametrize("extra", [[], ["--r1", "1/9"], ["--r", "1"]])
+def test_pj_without_radii_is_usage_error(extra):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["padic", "polygon", "--p", "3", "--series", '[[0,"3"],[1,"1"]]',
+                 "--pj"] + extra)
+    assert exc.value.code == 2
+
+
+def test_bad_config_is_usage_error(tmp_path):
+    cfg = tmp_path / "of.cfg"
+    cfg.write_text("threads = 4\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--config", str(cfg), "boettcher", "--poly", "[-1,0,1]"])
+    assert exc.value.code == 2
+
+
+def test_manifest_records_every_setting(tmp_path):
+    from dataclasses import fields
+
+    from orbitforge.ball import set_precision
+    from orbitforge.config import DEFAULTS, Settings
+
+    argv = ["padic", "polygon", "--p", "3", "--series", '[[0,"3"],[1,"1"]]']
+
+    def manifest_settings(config_text: str) -> dict:
+        cfg = tmp_path / "of.cfg"
+        cfg.write_text(config_text)
+        target = tmp_path / "manifest.json"
+        code, _, _ = run_cli(["--config", str(cfg), "--manifest", str(target)]
+                             + argv)
+        assert code == 0
+        return json.loads(target.read_text())["settings"]
+
+    try:
+        base = manifest_settings("")
+        assert set(base) == {f.name for f in fields(Settings)}
+        assert base["tolerance"] == "1/10000000000"
+        for f in fields(Settings):
+            value = getattr(DEFAULTS, f.name)
+            other = value / 10 if f.name == "tolerance" else value + 1
+            changed = manifest_settings(f"{f.name} = {other}\n")
+            assert changed != base, f.name
+            assert changed[f.name] != base[f.name]
+    finally:
+        set_precision(DEFAULTS.precision_bits)

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbitforge.dynamics import (PolyDS, Preperiodic, Wandering, _v_p,
-                                 classify_orbit, depress, detect_exceptional,
+from orbitforge.config import DEFAULTS
+from orbitforge.dynamics import (PolyDS, Preperiodic, Wandering,
+                                 _rational_kth_root, _v_p, classify_orbit,
+                                 depress, detect_exceptional,
                                  escaping_critical_points,
                                  find_place_of_good_reduction_escape,
-                                 is_preperiodic, normalize_monic)
-from orbitforge.errors import DomainError
+                                 normalize_monic)
+from orbitforge.errors import DomainError, PrecisionError
 from orbitforge.exact import Poly, poly_compose, poly_iterate
 
 DS = PolyDS(Poly([-1, 0, 1]))      # X^2 - 1
@@ -44,6 +46,19 @@ def test_normalize_conjugation_commutes_with_iteration():
         lhs = ds.iterate(n)
         rhs = poly_compose(poly_compose(L, poly_iterate(g2, n)), Linv)
         assert lhs == rhs
+
+
+def test_kth_root_is_exact_beyond_float_range():
+    # roots were rounded from floats: wrong above 2^53, OverflowError >1e308
+    c = 10**30 + 7
+    assert _rational_kth_root(F(c**2), 2) == c
+    assert _rational_kth_root(F(c**2 + 1), 2) is None
+    ds, conj = normalize_monic(Poly([1, 1, 0, c**2]))
+    assert conj.rational and conj.scale == c and ds.f.lead == 1
+    assert _rational_kth_root(F(10**400), 2) == 10**200
+    assert _rational_kth_root(F(-(10**399), 7**300), 3) == F(-(10**133), 7**100)
+    ds, conj = normalize_monic(Poly([0, 1, 0, 10**400]))
+    assert conj.scale == 10**200
 
 
 # -- exceptional detection ---------------------------------------------------
@@ -94,15 +109,15 @@ def test_escaping_critical_points_examples():
 # -- preperiodicity ---------------------------------------------------------------
 
 def test_is_preperiodic_examples():
-    out = is_preperiodic(DS, F(0))
+    out = classify_orbit(DS, F(0))
     assert isinstance(out, Preperiodic) and out.period == 2
 
-    out = is_preperiodic(DS, F(1, 3))
+    out = classify_orbit(DS, F(1, 3))
     assert isinstance(out, Wandering)
     assert out.place.place == 3
     assert out.place.good_reduction and out.place.coprime_to_d
 
-    out = is_preperiodic(PolyDS(Poly.monomial(2)), F(1))
+    out = classify_orbit(PolyDS(Poly.monomial(2)), F(1))
     assert isinstance(out, Preperiodic) and out.period == 1
 
 
@@ -187,3 +202,28 @@ def test_place_report_invariants():
     bad = PolyDS(Poly([F(-1, 5), 0, 1]))
     assert not bad.good_reduction(5)
     assert DS.coprime_to_degree(3) and not DS.coprime_to_degree(2)
+
+
+def test_padic_escape_agrees_with_exact_orbit():
+    for c in (F(-1), F(1, 3), F(-2, 9), F(5, 27), F(-1, 9)):
+        ds = PolyDS(Poly([c, 0, 1]))
+        for alpha in (F(0), F(1, 3), F(2, 9), F(4), F(-5, 3)):
+            x, expected = alpha, None
+            for n in range(7):
+                if x != 0 and ds.padic_dominated(3, _v_p(x, 3)):
+                    expected = (n, _v_p(x, 3))
+                    break
+                x = ds.apply(x)
+            assert ds.padic_escape(alpha, 3, 6) == expected, (c, alpha)
+
+
+def test_padic_escape_doubles_digits_then_raises(monkeypatch):
+    # X^2 - 1/9 at 1/3: the 3-adic orbit 1/3, 0, -1/9 escapes at n = 2, but
+    # it passes through zero, so at one digit that step loses every digit
+    ds = PolyDS(Poly([F(-1, 9), 0, 1]), DEFAULTS.replace(padic_digits=1))
+    assert ds.padic_escape(F(1, 3), 3, 10) == (2, -2)
+    # an exhausted prime raises; it is not reported as non-escaping
+    import orbitforge.dynamics as dyn
+    monkeypatch.setattr(dyn, "_MAX_PADIC_DIGITS", 1)
+    with pytest.raises(PrecisionError):
+        find_place_of_good_reduction_escape(ds, F(1, 3))

@@ -106,6 +106,24 @@ def test_trace_pullback_sheets():
         assert pt.g_residual <= 1e-6
 
 
+def test_trace_pullback_counts_uncertified_roots(monkeypatch):
+    # every solution of f^k(z) = Psi(...) that fails certification is dropped
+    # and counted: points + dropped = d^k * n_base (8 sheets x 2 angles here)
+    import orbitforge.green as green_mod
+
+    certify = green_mod.certify_solution
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        calls.append(None)
+        return None if len(calls) == 1 else certify(*args, **kwargs)
+
+    monkeypatch.setattr(green_mod, "certify_solution", first_fails)
+    curve = equipotential_trace(DS6, F(1, 5), n_points=16, tol=F(1, 10**6))
+    assert not curve.closed and len(calls) == 16
+    assert curve.dropped == 1 and len(curve.points) == 15
+
+
 def test_trace_rejects_nonpositive_level():
     with pytest.raises(DomainError):
         equipotential_trace(DS1, F(0), n_points=4)

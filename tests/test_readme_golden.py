@@ -1,0 +1,84 @@
+"""Golden-output guard: every README CLI example keeps its exact stdout.
+
+Each example runs in-process through ``cli.main``; the sha256 of its stdout
+(plus the written file, for the ``--out level.svg`` example) must match the
+digest recorded before the numeric core was consolidated.  Arguments are
+scaled down where the full README command takes seconds: ``--n 16`` for the
+two traces and ``--nmax 20`` for ``combinat verify`` (its exhaustive sweep
+starts at N = 17).  ``python tests/test_readme_golden.py`` prints the
+current digests.
+"""
+
+import hashlib
+import io
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from orbitforge.cli import main
+
+EXAMPLES = {
+    "classify": ["dynamics", "classify", "--poly", "[-1,0,1]", "--alpha", "1/3"],
+    "boettcher": ["boettcher", "--poly", "[-1,0,1]", "--order", "40", "--phi"],
+    "trace_csv": ["green", "trace", "--poly", "[-1,0,1]", "--r", "1",
+                  "--n", "16", "--out", "csv"],
+    "trace_svg": ["green", "trace", "--poly", "[-6,0,1]", "--r", "1/5",
+                  "--n", "16", "--out", "level.svg"],
+    "padic": ["padic", "polygon", "--p", "3",
+              "--series", '[[0,"3"],[1,"1"],[2,"3"]]',
+              "--pj", "--r1", "1/9", "--r", "1"],
+    "small": ["orbit", "small", "--poly", "[-1,0,1]", "--alpha", "1/3",
+              "--level", "2"],
+    "height": ["orbit", "height", "--poly", "[-1,0,1]", "--alpha", "1/3",
+               "--tol", "1/10000000000"],
+    "special": ["curve", "special", "--poly", "[-1,0,1]",
+                "--curve", '[[1,0,"3"],[0,0,"1"]]', "--alpha", "1/3",
+                "--nmax", "4"],
+    "intersect": ["curve", "intersect", "--poly", "[-1,0,1]",
+                  "--curve", '[[1,0,"1"],[0,1,"-1"]]', "--alpha", "1/3",
+                  "--cap", "3"],
+    "nu": ["curve", "nu", "--poly", "[-1,0,1]",
+           "--curve", '[[1,0,"1"],[0,1,"-1"]]', "--p", "3", "--phi", "3",
+           "--k1", "1", "--k2", "-1", "--window", "40"],
+    "combinat": ["combinat", "verify", "--lemma", "box1", "--nmax", "20"],
+}
+
+DIGESTS = {
+    "boettcher": "8c4d20a8ae6f73d91031f2843153ce5ac1705817dee180c9a0f6432a95c95976",
+    "classify": "24c7cc18a21c77d0a374b67814e5a2088a5bb90a84596dc0eef48e21af12bd80",
+    "combinat": "ad09b3470845d2748d10b301799c0b6d4ec7ff13ea47e1581ffd084af4ded88a",
+    "height": "af7ac3cc049d87a0ed8f081cd119eaafb0e701d42cfc0184a1d0b32852653f9b",
+    "intersect": "f3683f73ebc2b3dfddf5a85c07833c44158a53e52c9e7652c50d8e6236a0f772",
+    "nu": "0f08088f89ec40ceb873966f0c564a919adb1cdf992b87c8eefd0894dfd16f48",
+    "padic": "bd756b0b133c4c14d6a27211a982e6db4e3293b63c2014fcc4ae779a7d30ae41",
+    "small": "82a6647f60b08553731621bbe62b3c2ce4ffe4c10f1d87f67e706c676ecf37a8",
+    "special": "48a5b01ab85d540c41382917ca45500904b53b68f5b77aaf446c136ca3045ab0",
+    "trace_csv": "686f700b11d74265f5264db345c34d9d19c207fbeee0605ea76803a8fccbf6aa",
+    "trace_svg": "6146b510e990f2d4560ec7687b08d522066c3ab97df7e630d4ae6f2adff1058d",
+}
+
+
+def _digest(argv) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    data = f"exit {code}\n{out.getvalue()}".encode()
+    if "--out" in argv and os.path.exists(argv[argv.index("--out") + 1]):
+        with open(argv[argv.index("--out") + 1], "rb") as fh:
+            data += fh.read()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_readme_example_stdout_unchanged(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _digest(EXAMPLES[name]) == DIGESTS[name]
+
+
+if __name__ == "__main__":     # pragma: no cover
+    import tempfile
+    os.chdir(tempfile.mkdtemp())
+    for key in sorted(EXAMPLES):
+        print(f'    "{key}": "{_digest(EXAMPLES[key])}",', file=sys.stdout)
