@@ -16,6 +16,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
+import mpmath
+
 from . import __version__
 from .ball import CBall, set_precision
 from .config import DEFAULTS, Settings, load_settings
@@ -279,8 +281,9 @@ def cmd_orbit_height(args, settings: Settings) -> dict:
     from .orbits import canonical_height
     ds = _monic_system(parse_poly(args.poly), settings)
     tol = rat(args.tol) if args.tol is not None else settings.tolerance
-    h = canonical_height(ds, rat(args.alpha), tol)
-    return {"alpha": args.alpha, "method": h.method,
+    alpha = rat(args.alpha)
+    h = canonical_height(ds, alpha, tol)
+    return {"alpha": rat_str(alpha), "method": h.method,
             "tol": rat_str(tol),
             "value": ball_json(h.value),
             "contains_zero": h.contains_zero()}
@@ -553,19 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    started = time.monotonic()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "pj", False) and (args.r1 is None or args.r is None):
-        parser.error("--pj requires --r1 and --r")
-    settings = DEFAULTS
-    if args.config:
-        try:
-            settings = load_settings(args.config)
-        except (OSError, ValueError, ZeroDivisionError) as exc:
-            parser.error(f"--config: {exc}")
-    set_precision(settings.precision_bits)
+def _run(args, settings: Settings, argv, started: float) -> int:
+    """Run the chosen handler, emit its result and write the manifest."""
     manifest = RunManifest(
         tool="orbitforge",
         version=__version__,
@@ -591,6 +583,26 @@ def main(argv=None) -> int:
     else:
         print(manifest_text, file=sys.stderr)
     return code
+
+
+def main(argv=None) -> int:
+    started = time.monotonic()
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "pj", False) and (args.r1 is None or args.r is None):
+        parser.error("--pj requires --r1 and --r")
+    settings = DEFAULTS
+    if args.config:
+        try:
+            settings = load_settings(args.config)
+        except (OSError, ValueError, ZeroDivisionError) as exc:
+            parser.error(f"--config: {exc}")
+    previous_bits = mpmath.mp.prec
+    set_precision(settings.precision_bits)
+    try:
+        return _run(args, settings, argv, started)
+    finally:
+        set_precision(previous_bits)
 
 
 if __name__ == "__main__":     # pragma: no cover

@@ -26,8 +26,8 @@ from .boettcher import psi_series
 from .dynamics import PolyDS
 from .errors import DomainError, WindowError
 from .exact import BiPoly, LaurentBlock, Poly, rat
-from .factor import bivariate_irreducible
-from .orbits import small_orbit_level
+from .factor import bivariate_irreducible, factor_rational
+from .orbits import level_polynomial, level_roots, small_orbit_level
 from .padic import (PNorm, PadicScalar, PadicSeries, Radius, count_zeros_pj,
                     kappa, sup_norm)
 
@@ -175,20 +175,25 @@ class IntersectionReport:
 
 
 def _min_level_roots(ds: PolyDS, alpha: Fraction, cap: int) -> list[RootRef]:
-    """Level-cap roots annotated with the least level containing each."""
-    sets = [small_orbit_level(ds, alpha, n) for n in range(cap + 1)]
+    """Level-cap roots annotated with the least level containing each.
+
+    With g_n = f^n(X) - f^n(alpha), g_(n-1) divides g_n (u - v divides
+    f(u) - f(v)), so the points first seen at level n are roots of the
+    quotient h_n = g_n / g_(n-1).  Only h_n is factored, and only its factors
+    not seen at a lower level are certified.  Per level, rational roots come
+    first in ascending order, then the new factors' balls in factor order.
+    """
+    polys = [level_polynomial(ds, alpha, n, n)[1] for n in range(cap + 1)]
     out: list[RootRef] = []
-    seen_rational: set[Fraction] = set()
-    seen_factors: set[Poly] = set()
-    for n, lvl in enumerate(sets):
-        for root, _m in lvl.rational_roots:
-            if root not in seen_rational:
-                seen_rational.add(root)
-                out.append(RootRef(root, None, CBall.from_rational(root), n))
-        for batch in lvl.algebraic:
-            if batch.factor in seen_factors:
-                continue
-            seen_factors.add(batch.factor)
+    seen: set[Poly] = set()
+    for n, g in enumerate(polys):
+        h = g.divmod(polys[n - 1])[0] if n else g     # exact: remainder 0
+        new = [(fac, mult) for fac, mult in factor_rational(h) if fac not in seen]
+        seen.update(fac for fac, _mult in new)
+        rational, batches = level_roots(new)
+        for root, _mult in rational:
+            out.append(RootRef(root, None, CBall.from_rational(root), n))
+        for batch in batches:
             for ball in batch.roots:
                 out.append(RootRef(None, batch.factor, ball, n))
     return out
@@ -216,31 +221,49 @@ def _divides_or_zero(factor: Poly, sub: Poly) -> bool:
     return factor.gcd(sub) == factor
 
 
-def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef,
+def _once(memo: dict, key, compute):
+    """memo[key], computed on first use."""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict,
                    escalations: int = 2) -> Optional[bool]:
     """Decide P(x, y) = 0: exact wherever a minimal-polynomial certificate
     exists, certified interval evaluation with escalation otherwise; None
-    when genuinely undecided."""
+    when genuinely undecided.
+
+    The exact tests depend only on each point's key (its rational value or
+    its irreducible factor), so they are kept in ``memo``, one dict per
+    curve, and computed once per key."""
     if x.exact and y.exact:
         return P.eval(x.value, y.value) == 0
-    if x.exact != y.exact:
-        # substituting the rational coordinate leaves a univariate decision:
-        # an irreducible factor vanishes at one root iff it divides
-        sub = P.subs_values(x=x.value) if x.exact else P.subs_values(y=y.value)
-        alg = y if x.exact else x
-        return _divides_or_zero(alg.factor, sub)
+    # substituting the rational coordinate leaves a univariate decision:
+    # an irreducible factor vanishes at one root iff it divides
+    if x.exact:
+        return _once(memo, ("x=", x.value, y.factor), lambda: _divides_or_zero(
+            y.factor, P.subs_values(x=x.value)))
+    if y.exact:
+        return _once(memo, ("y=", y.value, x.factor), lambda: _divides_or_zero(
+            x.factor, P.subs_values(y=y.value)))
     # both algebraic from certified factor roots
     if P.deg_y == 0:
-        return _divides_or_zero(x.factor, P.coeffs_in("y")[0])
+        return _once(memo, ("vertical", x.factor), lambda: _divides_or_zero(
+            x.factor, P.coeffs_in("y")[0]))
     if P.deg_x == 0:
-        return _divides_or_zero(y.factor, P.coeffs_in("x")[0])
+        return _once(memo, ("horizontal", y.factor), lambda: _divides_or_zero(
+            y.factor, P.coeffs_in("x")[0]))
     if (x.factor == y.factor and x.ball.re_mid == y.ball.re_mid
             and x.ball.im_mid == y.ball.im_mid):
-        return _divides_or_zero(x.factor, P.diagonal())
-    res = _resultant_in_y(P, y.factor)
+        return _once(memo, ("diagonal", x.factor), lambda: _divides_or_zero(
+            x.factor, P.diagonal()))
+    res = _once(memo, ("resultant", y.factor),
+                lambda: _resultant_in_y(P, y.factor))
     if res.is_zero:
         return True                    # y's minimal polynomial divides P
-    if not _divides_or_zero(x.factor, res):
+    if not _once(memo, ("partner", x.factor, y.factor),
+                 lambda: _divides_or_zero(x.factor, res)):
         return False                   # no conjugate partner at all
     val = _eval_pair(P, x, y)
     if not val.contains_zero():
@@ -284,9 +307,13 @@ def intersect_small_orbit(curve: PlaneCurve, ds: PolyDS, alpha,
 
     Pairs (b1, b2) from levels <= level_cap are tested exactly when rational,
     otherwise with certified interval evaluation plus an elimination
-    certificate; undecided pairs are listed, never counted.  A curve whose
-    certified count exceeds the Bezout-style cap deg(P)*d^cap while being
-    classified non-special is flagged.
+    certificate; undecided pairs are listed, never counted.  The exact tests
+    (substitution, resultant, divisibility) run once per pair of point keys,
+    a key being a rational value or an irreducible factor; only the ball
+    evaluation and its precision escalation run per root pair.  Level roots
+    come from the successive quotients of the level polynomials.  A curve
+    whose certified count exceeds the Bezout-style cap deg(P)*d^cap while
+    being classified non-special is flagged.
     """
     from .dynamics import Preperiodic, classify_orbit
 
@@ -296,9 +323,10 @@ def intersect_small_orbit(curve: PlaneCurve, ds: PolyDS, alpha,
     roots = _min_level_roots(ds, alpha, level_cap)
     points: list[IntersectionPoint] = []
     undecided: list[tuple[RootRef, RootRef]] = []
+    memo: dict = {}
     for x in roots:
         for y in roots:
-            hit = _pair_vanishes(curve.poly, x, y)
+            hit = _pair_vanishes(curve.poly, x, y, memo)
             if hit is True:
                 points.append(IntersectionPoint(
                     x, y, "exact" if (x.exact and y.exact) else "certified"))

@@ -129,24 +129,39 @@ class OrbitLevelSet:
         return [r for r, _ in self.rational_roots]
 
 
-def _level_set(ds: PolyDS, alpha: Fraction, n: int, m: int) -> OrbitLevelSet:
+def level_polynomial(ds: PolyDS, alpha: Fraction, n: int,
+                     m: int) -> tuple[Fraction, Poly]:
+    """(f^m(alpha), f^n(X) - f^m(alpha)), after the level degree cap check."""
     if n < 0 or m < 0:
         raise DomainError("levels must be >= 0")
     if ds.d ** n > ds.settings.orbit_degree_cap:
         raise ResourceError(
             f"level degree {ds.d}^{n} exceeds cap {ds.settings.orbit_degree_cap}")
     target = ds.iterate(m)(alpha) if m else alpha
-    g = ds.iterate(n) - Poly([target])
+    return target, ds.iterate(n) - Poly([target])
+
+
+def level_roots(factors) -> tuple[tuple[tuple[Fraction, int], ...],
+                                  tuple[AlgebraicRootBatch, ...]]:
+    """Roots of (irreducible monic factor, multiplicity) pairs: ascending
+    exact rational roots, and certified balls for each nonlinear factor in
+    the given order."""
     rational: list[tuple[Fraction, int]] = []
     batches: list[AlgebraicRootBatch] = []
-    for factor, mult in factor_rational(g):
+    for factor, mult in factors:
         if factor.degree == 1:
             rational.append((-factor.coeff(0), mult))
         else:
             batches.append(AlgebraicRootBatch(
                 factor, mult, tuple(certified_roots(factor))))
     rational.sort()
-    return OrbitLevelSet(n, m, g, target, tuple(rational), tuple(batches))
+    return tuple(rational), tuple(batches)
+
+
+def _level_set(ds: PolyDS, alpha: Fraction, n: int, m: int) -> OrbitLevelSet:
+    target, g = level_polynomial(ds, alpha, n, m)
+    rational, batches = level_roots(factor_rational(g))
+    return OrbitLevelSet(n, m, g, target, rational, batches)
 
 
 def small_orbit_level(ds: PolyDS, alpha, n: int) -> OrbitLevelSet:

@@ -70,7 +70,9 @@ def certify_solution(p: Poly, guess: CBall, target: Optional[CBall] = None,
 def certified_roots(p: Poly) -> list[CBall]:
     """All complex roots of a squarefree p as certified balls.
 
-    Deterministic order: sorted by (real, imaginary) midpoint.
+    Each ball holds exactly one root, and the deg p balls are checked to be
+    pairwise disjoint, so together they hold every root.  Deterministic
+    order: sorted by (real, imaginary) midpoint.
     """
     if p.degree < 1:
         return []
@@ -80,6 +82,12 @@ def certified_roots(p: Poly) -> list[CBall]:
         ball = certify_solution(p, CBall.from_complex(r), dp=dp)
         if ball is None:
             raise PrecisionError(f"could not certify a root of {p!r} near {r}")
+        for other in out:
+            # the difference ball excludes zero iff a rigorous lower bound on
+            # the gap between midpoints exceeds the sum of the radii
+            if (ball - other).contains_zero():
+                raise PrecisionError(
+                    f"certified root balls of {p!r} overlap near {r}")
         out.append(ball)
     out.sort(key=lambda b: (b.re_mid, b.im_mid))
     return out

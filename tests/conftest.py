@@ -1,0 +1,18 @@
+"""Suite-wide guards."""
+
+import mpmath
+import pytest
+
+from orbitforge.ball import set_precision
+
+
+@pytest.fixture(autouse=True)
+def mpmath_precision_unchanged():
+    """Fail a test that leaves mpmath's process-global precision changed, so
+    it cannot silently alter the precision of the tests after it."""
+    before = mpmath.mp.prec
+    yield
+    after = mpmath.mp.prec
+    if after != before:
+        set_precision(before)
+        pytest.fail(f"test left mpmath.mp.prec at {after}, was {before}")

@@ -162,6 +162,25 @@ def test_config_file(tmp_path):
     assert data["order"] == 10
 
 
+def test_config_precision_does_not_outlive_main(tmp_path):
+    import mpmath
+
+    cfg = tmp_path / "of.cfg"
+    cfg.write_text("precision_bits = 128\n")
+    before = mpmath.mp.prec
+    code, _, _ = run_cli(["--config", str(cfg), "boettcher", "--poly", "[-1,0,1]"])
+    assert code == 0
+    assert mpmath.mp.prec == before
+
+
+def test_height_prints_the_parsed_alpha():
+    argv = ["orbit", "height", "--poly", "[-1,0,1]", "--tol", "1/1000", "--alpha"]
+    code, out, _ = run_cli(argv + ["2/6"])
+    assert code == 0
+    assert json.loads(out)["alpha"] == "1/3"
+    assert run_cli(argv + ["1/3"])[:2] == (0, out)
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit", "small", "--poly", "[-1,0,1]", "--alpha", "x", "--level", "1"],
     ["orbit", "small", "--poly", "[-1,0,1]", "--alpha", "1/0", "--level", "1"],

@@ -5,13 +5,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbitforge.curves import (NotSpecialUpTo, PlaneCurve,
+from orbitforge.ball import CBall
+from orbitforge.config import Settings
+from orbitforge.curves import (NotSpecialUpTo, PlaneCurve, RootRef,
                                SpecialDiagonal, SpecialVertical,
+                               _min_level_roots, _pair_vanishes,
                                build_nu, commuting_linear, intersect_small_orbit,
                                is_special_curve, nu_estimates)
 from orbitforge.dynamics import PolyDS
-from orbitforge.errors import DomainError
+from orbitforge.errors import DomainError, ResourceError
 from orbitforge.exact import BiPoly, Poly
+from orbitforge.orbits import small_orbit_level
 from orbitforge.padic import PadicScalar, teichmuller
 
 DS1 = PolyDS(Poly([-1, 0, 1]))
@@ -98,6 +102,105 @@ def test_nonspecial_line_has_few_points():
 def test_preperiodic_alpha_warns():
     rep = intersect_small_orbit(DIAG, DS1, F(0), 1)
     assert rep.preperiodic_warning
+
+
+def _level_roots_reference(ds, alpha, cap):
+    """Every level 0..cap from small_orbit_level, keeping first appearances."""
+    out, seen_values, seen_factors = [], set(), set()
+    for n in range(cap + 1):
+        lvl = small_orbit_level(ds, alpha, n)
+        for root, _m in lvl.rational_roots:
+            if root not in seen_values:
+                seen_values.add(root)
+                out.append(RootRef(root, None, CBall.from_rational(root), n))
+        for batch in lvl.algebraic:
+            if batch.factor not in seen_factors:
+                seen_factors.add(batch.factor)
+                out.extend(RootRef(None, batch.factor, ball, n)
+                           for ball in batch.roots)
+    return out
+
+
+@pytest.mark.parametrize("f, alpha, cap", [
+    (Poly([-1, 0, 1]), F(1, 3), 4),
+    (Poly([-1, 0, 1]), F(0), 3),          # preperiodic: g_n has repeated roots
+    (Poly([-2, 0, 1]), F(1, 2), 3),
+    (Poly([1, -1, 0, 1]), F(1, 2), 2),
+])
+def test_level_roots_from_quotients_match_every_level(f, alpha, cap):
+    ds = PolyDS(f)
+    assert _min_level_roots(ds, alpha, cap) == _level_roots_reference(ds, alpha, cap)
+
+
+def test_level_roots_keep_the_degree_cap(monkeypatch):
+    # the cap is checked for every level before any level is factored
+    import orbitforge.curves as curves_mod
+
+    def no_factoring(_p):
+        raise AssertionError("factored a level below the cap first")
+
+    monkeypatch.setattr(curves_mod, "factor_rational", no_factoring)
+    ds = PolyDS(Poly([-1, 0, 1]), Settings(orbit_degree_cap=8))
+    with pytest.raises(ResourceError, match=r"level degree 2\^4 exceeds cap 8"):
+        _min_level_roots(ds, F(1, 3), 5)
+
+
+def test_exact_work_runs_once_per_factor(monkeypatch):
+    # the README curve X - Y at cap 4: one resultant per algebraic y-factor,
+    # one certification per factor, one factorization per level
+    import orbitforge.exact as exact_mod
+    import orbitforge.orbits as orbits_mod
+    import orbitforge.rootcert as rootcert_mod
+    import orbitforge.curves as curves_mod
+
+    factors = {r.factor for r in _level_roots_reference(DS1, F(1, 3), 4)
+               if not r.exact}
+    calls = {"resultant": [], "certify": [], "factor": []}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(exact_mod, "poly_resultant",
+                        counted("resultant", exact_mod.poly_resultant))
+    certify = counted("certify", rootcert_mod.certified_roots)
+    monkeypatch.setattr(rootcert_mod, "certified_roots", certify)
+    monkeypatch.setattr(orbits_mod, "certified_roots", certify)
+    factor = counted("factor", orbits_mod.factor_rational)
+    monkeypatch.setattr(orbits_mod, "factor_rational", factor)
+    monkeypatch.setattr(curves_mod, "factor_rational", factor)
+
+    curve = PlaneCurve.from_terms({(1, 0): 1, (0, 1): -1})
+    rep = intersect_small_orbit(curve, DS1, F(1, 3), 4)
+    assert rep.count() == 16
+    assert 0 < len(calls["resultant"]) <= len(factors)
+    assert len({args[0] for args in calls["resultant"]}) == len(calls["resultant"])
+    assert len(calls["certify"]) == len(factors)
+    assert {args[0] for args in calls["certify"]} == factors
+    assert len(calls["factor"]) == 5
+
+
+@pytest.mark.parametrize("terms", [
+    {(0, 1): 1, (2, 0): -1, (0, 0): 1},       # the graph Y = X^2 - 1
+    {(0, 2): 9, (1, 0): 3, (0, 0): -18},      # hits (1/3, +-sqrt(17)/3)
+    {(2, 0): 9, (0, 1): 3, (0, 0): -18},      # hits (+-sqrt(17)/3, 1/3)
+])
+def test_shared_exact_tests_match_per_pair_tests(terms):
+    curve = PlaneCurve.from_terms(terms)
+    rep = intersect_small_orbit(curve, DS1, F(1, 3), 3)
+    roots = _min_level_roots(DS1, F(1, 3), 3)
+    points, undecided = [], []
+    for x in roots:
+        for y in roots:
+            hit = _pair_vanishes(curve.poly, x, y, {})
+            if hit is True:
+                points.append((x, y))
+            elif hit is None:
+                undecided.append((x, y))
+    assert [(pt.x, pt.y) for pt in rep.points] == points
+    assert rep.undecided == undecided
 
 
 # -- commuting linear maps --------------------------------------------------------
