@@ -11,9 +11,8 @@ Usage: python3 scripts/lemma_constants.py [--nmax 60]
 
 import argparse
 from fractions import Fraction as F
-from math import gcd
 
-from orbitforge.combinat import (LatticeCoset, coset_points_in_box,
+from orbitforge.combinat import (admissible_cosets, coset_points_in_box,
                                  find_primitive_decomposition)
 
 
@@ -26,23 +25,18 @@ def main() -> int:
     worst_c1 = F(0)
     worst_case = None
     cases = 0
-    for N in range(17, args.nmax + 1):
-        for a1 in range(N):
-            for a2 in range(N):
-                if gcd(gcd(a1, a2), N) != 1:
-                    continue
-                cases += 1
-                S = LatticeCoset(a1, a2, N)
-                for c in (F(3, 4), F(1)):
-                    box = coset_points_in_box(S, c, max_witnesses=0)
-                    assert box.bound_ok, (a1, a2, N, c)
-                    margin = box.count / (float(N) ** (2 * float(c) - 1) / 4)
-                    if worst_margin is None or margin < worst_margin:
-                        worst_margin = margin
-                    w = find_primitive_decomposition(S, F(2), c)
-                    if not w.kinf_exceeds_C and w.c1_required > worst_c1:
-                        worst_c1 = w.c1_required
-                        worst_case = (a1, a2, N, str(c))
+    for S in admissible_cosets(17, args.nmax):
+        cases += 1
+        for c in (F(3, 4), F(1)):
+            box = coset_points_in_box(S, c, max_witnesses=0)
+            assert box.bound_ok, (S.a1, S.a2, S.N, c)
+            margin = box.count / (float(S.N) ** (2 * float(c) - 1) / 4)
+            if worst_margin is None or margin < worst_margin:
+                worst_margin = margin
+            w = find_primitive_decomposition(S, F(2), c)
+            if not w.kinf_exceeds_C and w.c1_required > worst_c1:
+                worst_c1 = w.c1_required
+                worst_case = (S.a1, S.a2, S.N, str(c))
     print(f"cases swept:            {cases}")
     print(f"box-count violations:   0")
     print(f"tightest count margin:  {worst_margin:.3f} x bound")

@@ -1,7 +1,9 @@
 """Complex ball arithmetic: midpoint + rigorous absolute error radius.
 
-Midpoints are mpmath floats at a configurable working precision; every
-operation widens the radius by the exact-arithmetic error bound plus a
+Midpoints are mpmath floats at mpmath's working precision, the only
+precision there is: importing this module sets it to the default
+``precision_bits``, and the CLI sets it once per run from its settings.
+Every operation widens the radius by the exact-arithmetic error bound plus a
 conservative rounding slop (a few ulp of the result).  The represented exact
 value is always within ``rad`` of ``re_mid + i*im_mid``.
 """
@@ -14,22 +16,14 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
+from .config import DEFAULTS
 from .errors import DomainError, PrecisionError
 
-_PREC = 160
-
-
-def set_precision(bits: int) -> None:
-    global _PREC
-    _PREC = max(64, int(bits))
-    mpmath.mp.prec = _PREC
-
-
-set_precision(_PREC)
+mpmath.mp.prec = DEFAULTS.precision_bits
 
 
 def _eps() -> mpf:
-    return mpf(2) ** (4 - _PREC)
+    return mpmath.ldexp(1, 4 - mpmath.mp.prec)
 
 
 @dataclass(frozen=True)
@@ -83,9 +77,6 @@ class CBall:
         gap = mpmath.hypot(self.re_mid - pt.re_mid, self.im_mid - pt.im_mid)
         return gap * (1 + _eps()) + pt.rad <= self.rad
 
-    def is_real_symmetric(self) -> bool:
-        return abs(self.im_mid) <= self.rad
-
     def __repr__(self) -> str:
         return f"CBall({mpmath.nstr(self.mid, 12)} +/- {mpmath.nstr(self.rad, 4)})"
 
@@ -111,9 +102,6 @@ class CBall:
         rad = (abs(a) * other.rad + abs(b) * self.rad + self.rad * other.rad
                + _eps() * (abs(prod) + 1))
         return CBall(mpf(prod.real), mpf(prod.imag), rad)
-
-    def scale_rational(self, q: Fraction) -> "CBall":
-        return self * CBall.from_rational(q)
 
     def reciprocal(self) -> "CBall":
         lo = self.abs_lower()

@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath
 
 from . import __version__
-from .ball import CBall, set_precision
+from .ball import CBall
 from .config import DEFAULTS, Settings, load_settings
 from .errors import DomainError, OrbitforgeError
 from .exact import BiPoly, Poly, rat, rat_str
@@ -350,8 +350,13 @@ def cmd_curve_nu(args, settings: Settings) -> dict:
             return PadicScalar.from_unit(p, p ** settings.padic_digits - 1, 0,
                                          settings.padic_digits)
         if text.startswith("teich:"):
-            return teichmuller(p, int(text.split(":", 1)[1]), settings.padic_digits)
-        raise OrbitforgeError(f"unknown zeta argument {text!r}; use 1, -1, teich:<c>")
+            try:
+                residue = int(text.split(":", 1)[1])
+            except ValueError:
+                residue = None
+            if residue is not None:
+                return teichmuller(p, residue, settings.padic_digits)
+        raise DomainError(f"unknown zeta argument {text!r}; use 1, -1, teich:<c>")
 
     nu = build_nu(curve, ds, p, rat(args.phi), parse_zeta(args.zeta1),
                   parse_zeta(args.zeta2), args.k1, args.k2, args.window,
@@ -380,10 +385,7 @@ def cmd_curve_nu(args, settings: Settings) -> dict:
 
 
 def cmd_combinat_verify(args, settings: Settings) -> dict:
-    from .combinat import (LatticeCoset, coset_points_in_box,
-                           decompose_root_pair, e_branch_holds,
-                           find_primitive_decomposition)
-    from math import gcd
+    from .combinat import LatticeCoset, admissible_cosets
     import random
     nmax = args.nmax
     lemma = args.lemma
@@ -393,27 +395,23 @@ def cmd_combinat_verify(args, settings: Settings) -> dict:
     checked = 0
     worst = None
     cs = [Fraction(3, 4), Fraction(1)]
-    for N in range(17, min(nmax, 60) + 1):
-        for a1 in range(N):
-            for a2 in range(N):
-                if gcd(gcd(a1, a2), N) != 1:
-                    continue
-                checked += 1
-                ok, detail = _lemma_case(lemma, a1, a2, N, cs, rng)
-                if not ok:
-                    violations += 1
-                    rows.append(detail)
-                elif worst is None or detail.get("margin", 1) < worst.get("margin", 1):
-                    worst = detail
+    for S in admissible_cosets(17, min(nmax, 60)):
+        checked += 1
+        ok, detail = _lemma_case(lemma, S, cs)
+        if not ok:
+            violations += 1
+            rows.append(detail)
+        elif worst is None or detail.get("margin", 1) < worst.get("margin", 1):
+            worst = detail
     extra = 0
     while nmax > 60 and extra < 500:
         N = rng.randrange(61, nmax + 1)
-        a1, a2 = rng.randrange(N), rng.randrange(N)
-        if gcd(gcd(a1, a2), N) != 1:
+        S = LatticeCoset(rng.randrange(N), rng.randrange(N), N)
+        if S.gcd_with_n != 1:
             continue
         extra += 1
         checked += 1
-        ok, detail = _lemma_case(lemma, a1, a2, N, cs, rng)
+        ok, detail = _lemma_case(lemma, S, cs)
         if not ok:
             violations += 1
             rows.append(detail)
@@ -421,32 +419,30 @@ def cmd_combinat_verify(args, settings: Settings) -> dict:
             "failures": rows[:20], "worst_case": worst, "pass": violations == 0}
 
 
-def _lemma_case(lemma: str, a1: int, a2: int, N: int, cs, rng):
-    from .combinat import (LatticeCoset, coset_points_in_box,
-                           decompose_root_pair, e_branch_holds,
-                           find_primitive_decomposition)
-    S = LatticeCoset(a1, a2, N)
+def _lemma_case(lemma: str, S, cs):
+    from .combinat import (coset_points_in_box, decompose_root_pair,
+                           e_branch_holds, find_primitive_decomposition)
+    a, N = [S.a1, S.a2], S.N
     if lemma == "box1":
         for c in cs:
             res = coset_points_in_box(S, c)
             if not res.bound_ok:
-                return False, {"a": [a1, a2], "N": N, "c": str(c),
-                               "count": res.count}
-        return True, {"a": [a1, a2], "N": N,
+                return False, {"a": a, "N": N, "c": str(c), "count": res.count}
+        return True, {"a": a, "N": N,
                       "margin": res.count / max(1.0, N ** (2 * float(cs[-1]) - 1) / 4)}
     if lemma == "boom":
         for c in cs:
             w = find_primitive_decomposition(S, Fraction(2), c)
             if not (w.kinf_exceeds_C or e_branch_holds(w.e, Fraction(2), N, c,
                                                        Fraction(8))):
-                return False, {"a": [a1, a2], "N": N, "c": str(c), "e": w.e}
-        return True, {"a": [a1, a2], "N": N, "margin": float(w.c1_required)}
+                return False, {"a": a, "N": N, "c": str(c), "e": w.e}
+        return True, {"a": a, "N": N, "margin": float(w.c1_required)}
     if lemma == "rootsof1":
         for c in cs:
-            d = decompose_root_pair(a1, a2, N, Fraction(2), c)
-            if not d.verify(a1, a2, N):
-                return False, {"a": [a1, a2], "N": N, "c": str(c)}
-        return True, {"a": [a1, a2], "N": N, "margin": float(d.c1_required)}
+            d = decompose_root_pair(S.a1, S.a2, N, Fraction(2), c)
+            if not d.verify(S.a1, S.a2, N):
+                return False, {"a": a, "N": N, "c": str(c)}
+        return True, {"a": a, "N": N, "margin": float(d.c1_required)}
     raise OrbitforgeError(f"unknown lemma {lemma!r}")
 
 
@@ -597,12 +593,8 @@ def main(argv=None) -> int:
             settings = load_settings(args.config)
         except (OSError, ValueError, ZeroDivisionError) as exc:
             parser.error(f"--config: {exc}")
-    previous_bits = mpmath.mp.prec
-    set_precision(settings.precision_bits)
-    try:
+    with mpmath.workprec(max(64, settings.precision_bits)):
         return _run(args, settings, argv, started)
-    finally:
-        set_precision(previous_bits)
 
 
 if __name__ == "__main__":     # pragma: no cover

@@ -86,6 +86,16 @@ class LatticeCoset:
                     yield (x1, x2, k)
 
 
+def admissible_cosets(n_lo: int, n_hi: int) -> Iterator[LatticeCoset]:
+    """Every S_a with n_lo <= N <= n_hi, 0 <= a1, a2 < N and
+    gcd(a1, a2, N) = 1, ordered by N, then a1, then a2."""
+    for N in range(n_lo, n_hi + 1):
+        for a1 in range(N):
+            for a2 in range(N):
+                if gcd(gcd(a1, a2), N) == 1:
+                    yield LatticeCoset(a1, a2, N)
+
+
 @dataclass(frozen=True)
 class BoxCount:
     count: int

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .ball import CBall, set_precision
+from .ball import CBall
 from .boettcher import psi_series
 from .dynamics import PolyDS
 from .errors import DomainError, WindowError
@@ -199,17 +199,17 @@ def _min_level_roots(ds: PolyDS, alpha: Fraction, cap: int) -> list[RootRef]:
     return out
 
 
-def _eval_pair(P: BiPoly, x: RootRef, y: RootRef) -> CBall:
-    return P.eval_with(x.ball, y.ball, convert=CBall.from_rational)
-
-
-def _resultant_in_y(P: BiPoly, q: Poly) -> Poly:
-    """Res_Y(q(Y), P(X, Y)) as a univariate polynomial in X."""
+def _eliminate_y(P: BiPoly, fy: Poly) -> Poly:
+    """Res_Y(f_y(Y), P(X, Y)) as a polynomial in X, for a monic f_y.  A P
+    without Y gives c(X)^deg f_y and f_y = Y - b gives P(X, b), with no
+    Sylvester determinant."""
+    if P.deg_y == 0:
+        return P.coeffs_in("y")[0] ** fy.degree
+    if fy.degree == 1:
+        return P.subs_values(y=-fy.coeff(0))
     from .exact import poly_resultant
-    qb = BiPoly.from_y(q)
-    res = poly_resultant(qb, P, "y")
-    # result: x-slot empty (q has no other variable), y-slot carries X
-    return res.subs_values(x=Fraction(0))
+    # result: x-slot empty (f_y has no other variable), y-slot carries X
+    return poly_resultant(BiPoly.from_y(fy), P, "y").subs_values(x=Fraction(0))
 
 
 def _divides_or_zero(factor: Poly, sub: Poly) -> bool:
@@ -221,6 +221,45 @@ def _divides_or_zero(factor: Poly, sub: Poly) -> bool:
     return factor.gcd(sub) == factor
 
 
+def _field_inverse(a: Poly, m: Poly) -> Poly:
+    """a^-1 in Q[t]/(m) for an irreducible m not dividing a (extended Euclid)."""
+    r0, r1, s0, s1 = m, a, Poly.zero(), Poly.one()
+    while not r1.is_zero:
+        q, r = r0.divmod(r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    return s0.scale(1 / r0.lead).divmod(m)[1]     # s0 * a = r0, a constant
+
+
+def _partner_count(P: BiPoly, fx: Poly, fy: Poly) -> int:
+    """deg gcd(P(x, Y), f_y(Y)) over K = Q[t]/(f_x): the number of roots y of
+    f_y with P(x, y) = 0, the same for every root x of f_x.
+
+    Monic Euclid in K[Y]; elements of K are polynomials reduced mod f_x, and
+    coefficient lists run from Y^0 up with a nonzero top."""
+    def reduce(c: Poly) -> Poly:
+        return c.divmod(fx)[1]
+
+    def trim(row: list) -> list:
+        while row and row[-1].is_zero:
+            row.pop()
+        return row
+
+    def rem(a: list, b: list) -> list:
+        inv, a = _field_inverse(b[-1], fx), list(a)
+        while len(a) >= len(b):
+            c, shift = reduce(a[-1] * inv), len(a) - len(b)
+            for j, bj in enumerate(b):
+                a[shift + j] = reduce(a[shift + j] - c * bj)
+            trim(a)
+        return a
+
+    u = [Poly([c]) for c in fy.coeffs]
+    v = trim([reduce(c) for c in P.coeffs_in("y")])
+    while v:
+        u, v = v, rem(u, v)
+    return len(u) - 1
+
+
 def _once(memo: dict, key, compute):
     """memo[key], computed on first use."""
     if key not in memo:
@@ -228,92 +267,62 @@ def _once(memo: dict, key, compute):
     return memo[key]
 
 
-def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict,
-                   escalations: int = 2) -> Optional[bool]:
-    """Decide P(x, y) = 0: exact wherever a minimal-polynomial certificate
-    exists, certified interval evaluation with escalation otherwise; None
-    when genuinely undecided.
+def _min_poly(ref: RootRef) -> Poly:
+    return Poly([-ref.value, 1]) if ref.exact else ref.factor
 
-    The exact tests depend only on each point's key (its rational value or
-    its irreducible factor), so they are kept in ``memo``, one dict per
-    curve, and computed once per key."""
+
+def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict) -> Optional[bool]:
+    """Decide P(x, y) = 0 from the minimal polynomials f_x, f_y of the two
+    points; None when undecided.
+
+    With Res_Y(f_y, P) = 0 every pair is on the curve; when f_x does not
+    divide it no conjugate of y pairs with x.  Otherwise k, the number of
+    roots y' of f_y with P(x, y') = 0, is the degree of gcd(P(x, Y), f_y)
+    over Q(x).  k = deg f_y decides True.  Short of that the balls decide:
+    P(x, y) excludes 0, or exactly k of the certified root balls of f_y,
+    y's own among them, make P(x, .) contain 0 (each partner's ball does, so
+    those k balls are the partners).
+
+    Everything exact depends only on (f_x, f_y) and is kept in ``memo``, one
+    dict per curve; ``memo[("roots", f_y)]`` holds the root balls of f_y,
+    certified here when the caller has not supplied them.  No precision is
+    changed."""
     if x.exact and y.exact:
         return P.eval(x.value, y.value) == 0
-    # substituting the rational coordinate leaves a univariate decision:
-    # an irreducible factor vanishes at one root iff it divides
-    if x.exact:
-        return _once(memo, ("x=", x.value, y.factor), lambda: _divides_or_zero(
-            y.factor, P.subs_values(x=x.value)))
-    if y.exact:
-        return _once(memo, ("y=", y.value, x.factor), lambda: _divides_or_zero(
-            x.factor, P.subs_values(y=y.value)))
-    # both algebraic from certified factor roots
-    if P.deg_y == 0:
-        return _once(memo, ("vertical", x.factor), lambda: _divides_or_zero(
-            x.factor, P.coeffs_in("y")[0]))
-    if P.deg_x == 0:
-        return _once(memo, ("horizontal", y.factor), lambda: _divides_or_zero(
-            y.factor, P.coeffs_in("x")[0]))
-    if (x.factor == y.factor and x.ball.re_mid == y.ball.re_mid
-            and x.ball.im_mid == y.ball.im_mid):
-        return _once(memo, ("diagonal", x.factor), lambda: _divides_or_zero(
-            x.factor, P.diagonal()))
-    res = _once(memo, ("resultant", y.factor),
-                lambda: _resultant_in_y(P, y.factor))
+    fx, fy = _min_poly(x), _min_poly(y)
+    res = _once(memo, ("resultant", fy), lambda: _eliminate_y(P, fy))
     if res.is_zero:
-        return True                    # y's minimal polynomial divides P
-    if not _once(memo, ("partner", x.factor, y.factor),
-                 lambda: _divides_or_zero(x.factor, res)):
-        return False                   # no conjugate partner at all
-    val = _eval_pair(P, x, y)
-    if not val.contains_zero():
+        return True                    # f_y(Y) divides P
+    if not _once(memo, ("partner", fx, fy), lambda: _divides_or_zero(fx, res)):
+        return False                   # no conjugate of y pairs with x
+    if fy.degree == 1:
+        return True
+    k = _once(memo, ("k", fx, fy), lambda: _partner_count(P, fx, fy))
+    if k == fy.degree:
+        return True
+    if not P.eval_with(x.ball, y.ball, convert=CBall.from_rational).contains_zero():
         return False
-    # some conjugate of y pairs with x; isolate which by interval elimination
-    import mpmath
-    base_prec = mpmath.mp.prec
-    try:
-        for attempt in range(escalations + 1):
-            set_precision(base_prec * 4 ** attempt)
-            from .rootcert import certified_roots
-            bx = _matching_root(x)
-            y_roots = certified_roots(y.factor)
-            ours = min(y_roots, key=lambda b: abs(b.re_mid - y.ball.re_mid)
-                       + abs(b.im_mid - y.ball.im_mid))
-            plausible = [root for root in y_roots
-                         if P.eval_with(bx, root,
-                                        convert=CBall.from_rational).contains_zero()]
-            if not any(root is ours for root in plausible):
-                return False
-            if len(plausible) == 1:
-                return True
-    finally:
-        set_precision(base_prec)
-    return None
 
-
-def _matching_root(ref: RootRef) -> CBall:
     from .rootcert import certified_roots
-    best, dist = None, None
-    for ball in certified_roots(ref.factor):
-        gap = abs(ball.re_mid - ref.ball.re_mid) + abs(ball.im_mid - ref.ball.im_mid)
-        if dist is None or gap < dist:
-            best, dist = ball, gap
-    return best if best is not None else ref.ball
+    balls = _once(memo, ("roots", fy), lambda: certified_roots(fy))
+    plausible = _once(memo, ("plausible", x, fy), lambda: sum(
+        P.eval_with(x.ball, b, convert=CBall.from_rational).contains_zero()
+        for b in balls))
+    return True if plausible == k and y.ball in balls else None
 
 
 def intersect_small_orbit(curve: PlaneCurve, ds: PolyDS, alpha,
                           level_cap: int, nmax: Optional[int] = None) -> IntersectionReport:
     """Certified intersection points of the curve with the squared level set.
 
-    Pairs (b1, b2) from levels <= level_cap are tested exactly when rational,
-    otherwise with certified interval evaluation plus an elimination
-    certificate; undecided pairs are listed, never counted.  The exact tests
-    (substitution, resultant, divisibility) run once per pair of point keys,
-    a key being a rational value or an irreducible factor; only the ball
-    evaluation and its precision escalation run per root pair.  Level roots
-    come from the successive quotients of the level polynomials.  A curve
-    whose certified count exceeds the Bezout-style cap deg(P)*d^cap while
-    being classified non-special is flagged.
+    Pairs (b1, b2) from levels <= level_cap are decided by ``_pair_vanishes``
+    from the points' minimal polynomials; undecided pairs are listed, never
+    counted.  Its exact work (resultant, divisibility, partner count) runs
+    once per pair of minimal polynomials; per root pair it at most evaluates
+    P on balls, using the level roots' own balls for the conjugates of y.
+    Level roots come from the successive quotients of the level polynomials.
+    A curve whose certified count exceeds the Bezout-style cap deg(P)*d^cap
+    while being classified non-special is flagged.
     """
     from .dynamics import Preperiodic, classify_orbit
 
@@ -324,6 +333,9 @@ def intersect_small_orbit(curve: PlaneCurve, ds: PolyDS, alpha,
     points: list[IntersectionPoint] = []
     undecided: list[tuple[RootRef, RootRef]] = []
     memo: dict = {}
+    for ref in roots:
+        if not ref.exact:
+            memo.setdefault(("roots", ref.factor), []).append(ref.ball)
     for x in roots:
         for y in roots:
             hit = _pair_vanishes(curve.poly, x, y, memo)

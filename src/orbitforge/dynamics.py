@@ -420,7 +420,7 @@ def escaping_critical_points(ds: PolyDS, max_iter: Optional[int] = None,
     the escape radius certifies escape; anything else is reported undecided,
     never silently dropped.
     """
-    max_iter = max_iter or ds.settings.max_iterations
+    max_iter = ds.settings.max_iterations if max_iter is None else max_iter
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
     radius = escape_radius if escape_radius is not None else ds.escape_radius
@@ -528,7 +528,7 @@ def classify_orbit(ds: PolyDS, alpha: Fraction,
     when both fire at the same step.
     """
     alpha = rat(alpha)
-    budget = budget or ds.settings.preperiodic_budget
+    budget = ds.settings.preperiodic_budget if budget is None else budget
     primes = _candidate_primes(ds, alpha)
     radius = ds.escape_radius
     seen = {alpha: 0}
@@ -582,7 +582,7 @@ def find_place_of_good_reduction_escape(ds: PolyDS, alpha: Fraction,
     verdict = classify_orbit(ds, alpha, budget)
     if isinstance(verdict, Preperiodic):
         raise DomainError("point is preperiodic; no escape place exists")
-    budget = budget or ds.settings.preperiodic_budget
+    budget = ds.settings.preperiodic_budget if budget is None else budget
     qualifying = None
     rejected = []
     for p in _candidate_primes(ds, alpha):

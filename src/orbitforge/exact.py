@@ -45,9 +45,19 @@ def rat(value) -> Fraction:
     raise DomainError(f"cannot interpret {value!r} as a rational")
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of n, also past Python's int-to-str digit limit."""
+    if n.bit_length() < 12000:               # about 3600 digits
+        return str(n)
+    half = n.bit_length() * 3 // 20          # about half the digits
+    high, low = divmod(abs(n), 10 ** half)
+    return ("-" if n < 0 else "") + _int_str(high) + _int_str(low).zfill(half)
+
+
 def rat_str(q: Fraction) -> str:
     """Render a Rat as ``"num"`` or ``"num/den"``."""
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = _int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
 
 
 class Poly:
@@ -170,14 +180,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def eval_with(self, x, convert=lambda c: c):
-        """Horner evaluation in any ring accepting + and * with converted coeffs."""
-        acc = None
-        for c in reversed(self.coeffs):
-            cc = convert(c)
-            acc = cc if acc is None else acc * x + cc
-        return acc if acc is not None else convert(Fraction(0))
-
     def compose(self, inner: "Poly") -> "Poly":
         acc = Poly.zero()
         for c in reversed(self.coeffs):
@@ -209,22 +211,6 @@ class Poly:
         if a.is_zero:
             return a
         return a.scale(1 / a.lead)
-
-    def content_primitive(self) -> tuple[Fraction, "Poly"]:
-        """Split as content * primitive integer polynomial (positive lead)."""
-        if self.is_zero:
-            return Fraction(0), Poly()
-        from math import gcd, lcm
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, c.denominator)
-        nums = [int(c * den) for c in self.coeffs]
-        g = 0
-        for n in nums:
-            g = gcd(g, n)
-        sign = -1 if nums[-1] < 0 else 1
-        g *= sign
-        return Fraction(g, den), Poly([Fraction(n, g) for n in nums])
 
     # -- serialization --------------------------------------------------------
     def to_json(self) -> list[str]:
@@ -364,14 +350,6 @@ class BiPoly:
             part = inner * _pow(x, i) if i else inner
             total = part if total is None else total + part
         return total if total is not None else convert(Fraction(0))
-
-    def diagonal(self) -> Poly:
-        """The univariate restriction P(X, X)."""
-        acc: dict = {}
-        for (i, j), c in self.terms:
-            acc[i + j] = acc.get(i + j, Fraction(0)) + c
-        size = max(acc, default=-1) + 1
-        return Poly([acc.get(k, Fraction(0)) for k in range(size)])
 
     def subs_values(self, x=None, y=None) -> Poly:
         """Fix one variable to a rational; returns a Poly in the other."""
@@ -745,18 +723,6 @@ class LaurentBlock:
             acc = acc * self + LaurentBlock(0, [c], None)
         # An empty Horner (zero polynomial) is exact zero.
         return acc
-
-
-def series_mul(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
-    return a * b
-
-
-def series_compose_monomial(a: LaurentBlock, k: int) -> LaurentBlock:
-    return a.compose_monomial(k)
-
-
-def series_substitute_scaled(a: LaurentBlock, c, k: int = 1) -> LaurentBlock:
-    return a.substitute_scaled(c, k)
 
 
 def evaluate_series_at_block(coeffs: Sequence[Fraction], arg: LaurentBlock,

@@ -66,7 +66,9 @@ def green_eval(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10),
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    max_iter = max_iter or ds.settings.max_iterations
+    max_iter = ds.settings.max_iterations if max_iter is None else max_iter
+    if max_iter < 0:
+        raise DomainError("max_iter must be >= 0")
     z = as_ball(z)
     d = ds.d
     s = ds.coeff_abs_sum
@@ -146,8 +148,10 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
     r = rat(r)
     if r <= 0:
         raise DomainError("the potential level r must be positive")
-    n_points = n_points or ds.settings.trace_points
-    order = order or ds.settings.series_order
+    n_points = ds.settings.trace_points if n_points is None else n_points
+    order = ds.settings.series_order if order is None else order
+    if n_points < 1:
+        raise DomainError("n_points must be >= 1")
     arch = radius_archimedean(ds)
     r_lo = max(arch.ball.re_mid - arch.ball.rad, mpf("0.05"))
     safe = r_lo / 2

@@ -280,9 +280,13 @@ class PadicSeries:
 
     @staticmethod
     def from_coeffs(p: int, pairs, digits: int = DEFAULT_DIGITS) -> "PadicSeries":
-        """Build a complete series from (exponent, rational) pairs."""
-        terms = []
+        """Build a complete series from (exponent, rational) pairs with
+        distinct exponents."""
+        terms, seen = [], set()
         for n, c in pairs:
+            if int(n) in seen:
+                raise DomainError(f"exponent {n} is given twice")
+            seen.add(int(n))
             scalar = (c if isinstance(c, PadicScalar)
                       else PadicScalar.from_rational(c, p, digits))
             if not scalar.is_exact_zero:

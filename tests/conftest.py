@@ -3,8 +3,6 @@
 import mpmath
 import pytest
 
-from orbitforge.ball import set_precision
-
 
 @pytest.fixture(autouse=True)
 def mpmath_precision_unchanged():
@@ -14,5 +12,5 @@ def mpmath_precision_unchanged():
     yield
     after = mpmath.mp.prec
     if after != before:
-        set_precision(before)
+        mpmath.mp.prec = before
         pytest.fail(f"test left mpmath.mp.prec at {after}, was {before}")

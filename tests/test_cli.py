@@ -173,6 +173,13 @@ def test_config_precision_does_not_outlive_main(tmp_path):
     assert mpmath.mp.prec == before
 
 
+def test_huge_rationals_are_printed():
+    code, out, _ = run_cli(["orbit", "small", "--poly", "[-1,0,1]",
+                            "--alpha", "1e5000", "--level", "0"])
+    assert code == 0
+    assert json.loads(out)["target"] == "1" + "0" * 5000
+
+
 def test_height_prints_the_parsed_alpha():
     argv = ["orbit", "height", "--poly", "[-1,0,1]", "--tol", "1/1000", "--alpha"]
     code, out, _ = run_cli(argv + ["2/6"])
@@ -191,6 +198,10 @@ def test_height_prints_the_parsed_alpha():
      "--alpha", "1/3"],
     ["padic", "polygon", "--p", "3", "--series", '[[0,"3"],[1]]'],
     ["padic", "polygon", "--p", "3", "--series", '[[1.5,"3"],[2,"1"]]'],
+    ["padic", "polygon", "--p", "3", "--series", '[[0,"1"],[0,"1"]]'],
+    ["curve", "nu", "--poly", "[-1,0,1]", "--curve", '[[1,0,"1"],[0,1,"-1"]]',
+     "--p", "3", "--phi", "3", "--k1", "1", "--k2", "-1", "--zeta1", "teich:x"],
+    ["green", "trace", "--poly", "[-1,0,1]", "--r", "1", "--n", "0"],
 ])
 def test_malformed_values_give_error_json(argv):
     code, out, err = run_cli(argv)
@@ -217,7 +228,6 @@ def test_bad_config_is_usage_error(tmp_path):
 def test_manifest_records_every_setting(tmp_path):
     from dataclasses import fields
 
-    from orbitforge.ball import set_precision
     from orbitforge.config import DEFAULTS, Settings
 
     argv = ["padic", "polygon", "--p", "3", "--series", '[[0,"3"],[1,"1"]]']
@@ -231,15 +241,12 @@ def test_manifest_records_every_setting(tmp_path):
         assert code == 0
         return json.loads(target.read_text())["settings"]
 
-    try:
-        base = manifest_settings("")
-        assert set(base) == {f.name for f in fields(Settings)}
-        assert base["tolerance"] == "1/10000000000"
-        for f in fields(Settings):
-            value = getattr(DEFAULTS, f.name)
-            other = value / 10 if f.name == "tolerance" else value + 1
-            changed = manifest_settings(f"{f.name} = {other}\n")
-            assert changed != base, f.name
-            assert changed[f.name] != base[f.name]
-    finally:
-        set_precision(DEFAULTS.precision_bits)
+    base = manifest_settings("")
+    assert set(base) == {f.name for f in fields(Settings)}
+    assert base["tolerance"] == "1/10000000000"
+    for f in fields(Settings):
+        value = getattr(DEFAULTS, f.name)
+        other = value / 10 if f.name == "tolerance" else value + 1
+        changed = manifest_settings(f"{f.name} = {other}\n")
+        assert changed != base, f.name
+        assert changed[f.name] != base[f.name]

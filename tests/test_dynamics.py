@@ -11,7 +11,7 @@ from orbitforge.dynamics import (PolyDS, Preperiodic, Wandering,
                                  escaping_critical_points,
                                  find_place_of_good_reduction_escape,
                                  normalize_monic)
-from orbitforge.errors import DomainError, PrecisionError
+from orbitforge.errors import DomainError, PrecisionError, UndecidedError
 from orbitforge.exact import Poly, poly_compose, poly_iterate
 
 DS = PolyDS(Poly([-1, 0, 1]))      # X^2 - 1
@@ -104,6 +104,14 @@ def test_escaping_critical_points_examples():
 
     rep_sq = escaping_critical_points(PolyDS(Poly.monomial(2)))
     assert not rep_sq.escaping and rep_sq.julia_connected
+
+
+def test_zero_budgets_are_not_defaults():
+    with pytest.raises(DomainError):
+        escaping_critical_points(DS, max_iter=0)
+    # 0 -> -1 -> 0 needs two steps; a budget of 0 must not become 512
+    with pytest.raises(UndecidedError):
+        classify_orbit(DS, F(0), budget=0)
 
 
 # -- preperiodicity ---------------------------------------------------------------

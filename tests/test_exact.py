@@ -23,6 +23,17 @@ def test_rational_canonicalization():
     assert rat("−1/3") == F(-1, 3)
 
 
+def test_rat_str_past_the_int_digit_limit():
+    # Python refuses str() of ints above 4300 digits
+    assert rat_str(rat("1e5000")) == "1" + "0" * 5000
+    assert rat_str(F(1 - 10**5000, 7)) == "-" + "9" * 5000 + "/7"
+    n = 0
+    for _ in range(700):
+        n = n * 10**9 + 123456789
+    assert rat_str(F(n)) == "123456789" * 700
+    assert rat_str(F(1, 10**5000)) == "1/1" + "0" * 5000
+
+
 def test_compose_examples():
     sq = Poly([0, 0, 1])
     assert poly_compose(sq, X2_MINUS_1) == Poly([1, 0, -2, 0, 1])   # (X^2-1)^2

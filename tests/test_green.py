@@ -129,6 +129,20 @@ def test_trace_rejects_nonpositive_level():
         equipotential_trace(DS1, F(0), n_points=4)
 
 
+def test_trace_rejects_zero_points():
+    # 0 is a count, not "use the default"
+    with pytest.raises(DomainError):
+        equipotential_trace(DS1, F(1), n_points=0)
+
+
+def test_zero_iteration_budget_is_kept():
+    g = green_eval(SQ, F(1, 2), max_iter=0)
+    assert g.iterations_used == 0 and not g.escaped
+    assert g.value.re_mid - g.value.rad <= 0
+    with pytest.raises(DomainError):
+        green_eval(SQ, F(1, 2), max_iter=-1)
+
+
 def test_concurrent_green_eval_on_shared_system():
     # green_eval is pure and the iterate memo is lock-guarded, so a shared
     # PolyDS must give identical answers under concurrent evaluation
