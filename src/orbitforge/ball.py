@@ -4,8 +4,17 @@ Midpoints are mpmath floats at mpmath's working precision, the only
 precision there is: importing this module sets it to the default
 ``precision_bits``, and the CLI sets it once per run from its settings.
 Every operation widens the radius by the exact-arithmetic error bound plus a
-conservative rounding slop (a few ulp of the result).  The represented exact
-value is always within ``rad`` of ``re_mid + i*im_mid``.
+conservative rounding slop (a few ulp of the result), eps = 2^(4 - prec),
+computed once per precision.  The represented exact value is always within
+``rad`` of ``re_mid + i*im_mid``.
+
+Balls on the real axis (imaginary midpoints exactly 0) add, multiply and
+take absolute values in real mpf arithmetic.  That gives the same bits as
+the complex formulas: mpmath's complex product rounds the exact product
+minus an exact 0, hypot(x, 0) is |x|, and adding an exact 0 to a number at
+the working precision leaves it unchanged.  Polynomials are evaluated by one
+Horner loop over coefficient balls; a loop that evaluates the same
+polynomial many times builds them once with ``coeff_balls``.
 """
 
 from __future__ import annotations
@@ -21,9 +30,16 @@ from .errors import DomainError, PrecisionError
 
 mpmath.mp.prec = DEFAULTS.precision_bits
 
+_ZERO = mpf(0)
+_EPS: dict[int, mpf] = {}       # precision -> 2^(4 - precision)
+
 
 def _eps() -> mpf:
-    return mpmath.ldexp(1, 4 - mpmath.mp.prec)
+    prec = mpmath.mp.prec
+    eps = _EPS.get(prec)
+    if eps is None:
+        eps = _EPS[prec] = mpmath.ldexp(1, 4 - prec)
+    return eps
 
 
 @dataclass(frozen=True)
@@ -56,6 +72,8 @@ class CBall:
         return mpmath.mpc(self.re_mid, self.im_mid)
 
     def abs_mid(self) -> mpf:
+        if not self.im_mid:
+            return abs(self.re_mid)
         return mpmath.hypot(self.re_mid, self.im_mid)
 
     def abs_upper(self) -> mpf:
@@ -86,6 +104,8 @@ class CBall:
 
     def __add__(self, other: "CBall") -> "CBall":
         re = self.re_mid + other.re_mid
+        if not self.im_mid and not other.im_mid:
+            return CBall(re, _ZERO, self.rad + other.rad + _eps() * (abs(re) + 1))
         im = self.im_mid + other.im_mid
         rad = self.rad + other.rad + _eps() * (abs(re) + abs(im) + 1)
         return CBall(re, im, rad)
@@ -97,6 +117,12 @@ class CBall:
         return self + (-other)
 
     def __mul__(self, other: "CBall") -> "CBall":
+        if not self.im_mid and not other.im_mid:
+            a, b = self.re_mid, other.re_mid
+            prod = a * b
+            rad = (abs(a) * other.rad + abs(b) * self.rad + self.rad * other.rad
+                   + _eps() * (abs(prod) + 1))
+            return CBall(prod, _ZERO, rad)
         a, b = self.mid, other.mid
         prod = a * b
         rad = (abs(a) * other.rad + abs(b) * self.rad + self.rad * other.rad
@@ -168,17 +194,27 @@ def as_ball(z) -> CBall:
     return CBall.from_complex(z)
 
 
-def horner_ball(coeffs, z: CBall) -> CBall:
-    """Evaluate a polynomial with Fraction coefficients at a ball."""
-    acc = None
-    for c in reversed(list(coeffs)):
-        cb = CBall.from_rational(c)
-        acc = cb if acc is None else acc * z + cb
-    return acc if acc is not None else CBall.exact_int(0)
+def coeff_balls(p) -> tuple[CBall, ...]:
+    """Balls of the Fraction coefficients of p, ascending, at the working
+    precision; build them once per loop that evaluates p repeatedly."""
+    return tuple(CBall.from_rational(c) for c in p.coeffs)
+
+
+def horner_ball(cballs, z: CBall) -> CBall:
+    """Evaluate the polynomial with coefficient balls ``cballs`` (ascending
+    degree, as built by ``coeff_balls``) at a ball, by Horner's rule.  Real
+    coefficients at a real z stay on the real-axis path throughout."""
+    terms = reversed(cballs)
+    acc = next(terms, None)
+    if acc is None:
+        return CBall.exact_int(0)
+    for cb in terms:
+        acc = acc * z + cb
+    return acc
 
 
 def eval_poly_ball(p, z: CBall) -> CBall:
-    return horner_ball(p.coeffs, z)
+    return horner_ball(coeff_balls(p), z)
 
 
 def eval_block_ball(block, z: CBall) -> CBall:

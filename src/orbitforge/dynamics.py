@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .ball import CBall, as_ball, eval_poly_ball
+from .ball import CBall, as_ball, coeff_balls, eval_poly_ball, horner_ball
 from .config import DEFAULTS, Settings
 from .errors import DomainError, PrecisionError, ResourceError, UndecidedError
 from .exact import Poly, rat
@@ -469,10 +469,12 @@ def _ball_escape_step(ds: PolyDS, z: CBall, budget: int,
     """Least n <= budget with |f^n(z)| certified above radius, or None."""
     from mpmath import mpf
     bound = mpf(radius.numerator) / mpf(radius.denominator)
+    f_balls = coeff_balls(ds.f)
+    blow_up = mpf(10) ** 40
     for n in range(budget + 1):
         if n:
-            z = ds.apply_ball(z)
-            if z.rad > mpf(10) ** 40:   # radius blow-up: no decision possible
+            z = horner_ball(f_balls, z)
+            if z.rad > blow_up:         # radius blow-up: no decision possible
                 return None
         if z.abs_lower() > bound:
             return n

@@ -18,6 +18,7 @@ determined by known data.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
 
@@ -26,6 +27,7 @@ from .errors import DomainError, ResourceError
 Rat = Fraction
 
 _MINUS_VARIANTS = ("−", "–", "—")
+_INTEGER_RATIO = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
 
 def rat(value) -> Fraction:
@@ -42,7 +44,24 @@ def rat(value) -> Fraction:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass
+        # Fraction refuses digit strings past Python's str-to-int limit
+        ratio = _INTEGER_RATIO.fullmatch(text)
+        if ratio:
+            sign, num, den = ratio.groups()
+            den = _int_parse(den) if den else 1
+            if den:
+                q = Fraction(_int_parse(num), den)
+                return -q if sign == "-" else q
     raise DomainError(f"cannot interpret {value!r} as a rational")
+
+
+def _int_parse(digits: str) -> int:
+    """Value of a decimal digit string, also past Python's str-to-int digit
+    limit; the inverse of ``_int_str``."""
+    if len(digits) <= 3600:
+        return int(digits)
+    low = len(digits) // 2
+    return _int_parse(digits[:-low]) * 10 ** low + _int_parse(digits[-low:])
 
 
 def _int_str(n: int) -> str:

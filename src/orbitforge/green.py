@@ -17,7 +17,7 @@ from typing import Optional
 import mpmath
 from mpmath import mpf
 
-from .ball import CBall, as_ball, eval_poly_ball
+from .ball import CBall, as_ball, coeff_balls, eval_poly_ball, horner_ball
 from .dynamics import PolyDS
 from .errors import DomainError, PrecisionError
 from .exact import rat
@@ -76,6 +76,9 @@ def green_eval(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10),
     r_esc = ds.escape_radius
     r_up = mpf(r_esc.numerator) / mpf(r_esc.denominator) * (1 + mpf(2) ** -50)
     tol_f = mpf(tol.numerator) / mpf(tol.denominator)
+    f_balls = coeff_balls(ds.f)
+    log_2r = mpmath.log(2 * r_up)
+    blow_up = mpf(10) ** 200
 
     upper = mpf("inf")          # running upper bound for the bounded case
     cur = z
@@ -83,8 +86,9 @@ def green_eval(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10),
     escaped_at = None
     while n <= max_iter + 200:
         lo, hi = cur.abs_lower(), cur.abs_upper()
+        d_n = mpf(d) ** n
         # one-sided bound g(z) = g(z_n)/d^n <= log(2 max(|z_n|, R)) / d^n
-        upper = min(upper, mpmath.log(2 * max(hi, r_up)) / mpf(d) ** n)
+        upper = min(upper, (mpmath.log(2 * hi) if hi > r_up else log_2r) / d_n)
         if escaped_at is None and lo > r_up and n <= max_iter:
             escaped_at = n
         if escaped_at is not None:
@@ -92,15 +96,15 @@ def green_eval(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10),
             if lo >= 2 * r_up:
                 tail = 4 * s_up / (mpf(d) ** (n + 1) * lo) if s != 0 else mpf(0)
                 logball = cur.log_abs()
-                total_rad = tail + logball.rad / mpf(d) ** n
+                total_rad = tail + logball.rad / d_n
                 if total_rad <= tol_f:
-                    val = CBall(logball.re_mid / mpf(d) ** n, mpf(0), total_rad)
+                    val = CBall(logball.re_mid / d_n, mpf(0), total_rad)
                     return GreenValue(_clip_nonneg(val), n, True)
         if n == max_iter and escaped_at is None:
             break
-        cur = eval_poly_ball(ds.f, cur)
+        cur = horner_ball(f_balls, cur)
         n += 1
-        if cur.rad > mpf(10) ** 200:
+        if cur.rad > blow_up:
             break
     if escaped_at is not None:
         raise PrecisionError("escape certified but the tail did not reach tol; "

@@ -16,7 +16,7 @@ from typing import Optional
 import mpmath
 from mpmath import mpf
 
-from .ball import CBall, eval_poly_ball
+from .ball import CBall, coeff_balls, horner_ball
 from .errors import PrecisionError
 from .exact import Poly
 
@@ -38,15 +38,16 @@ def certify_solution(p: Poly, guess: CBall, target: Optional[CBall] = None,
     2^(8-prec)(1+|z|) + 4 rad(target), quadrupled up to 40 times.  Returns
     None when no box certifies.
     """
-    dp = dp if dp is not None else p.derivative()
+    p_balls = coeff_balls(p)
+    dp_balls = coeff_balls(dp if dp is not None else p.derivative())
 
     def residual(z: CBall) -> CBall:
-        val = eval_poly_ball(p, z)
+        val = horner_ball(p_balls, z)
         return val if target is None else val - target
 
     z = CBall(guess.re_mid, guess.im_mid, mpf(0))
     for _ in range(60):
-        dz = eval_poly_ball(dp, z)
+        dz = horner_ball(dp_balls, z)
         if dz.contains_zero():
             break
         step = residual(z) / dz
@@ -58,7 +59,7 @@ def certify_solution(p: Poly, guess: CBall, target: Optional[CBall] = None,
         rho += 4 * target.rad
     for _ in range(40):
         box = CBall(z.re_mid, z.im_mid, rho)
-        dball = eval_poly_ball(dp, box)
+        dball = horner_ball(dp_balls, box)
         if not dball.contains_zero():
             newton = z - residual(z) / dball
             if box.contains(newton):

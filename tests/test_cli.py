@@ -180,6 +180,13 @@ def test_huge_rationals_are_printed():
     assert json.loads(out)["target"] == "1" + "0" * 5000
 
 
+def test_huge_integer_alpha_is_parsed():
+    code, out, _ = run_cli(["orbit", "small", "--poly", "[-1,0,1]",
+                            "--alpha", "9" * 5000, "--level", "0"])
+    assert code == 0
+    assert json.loads(out)["target"] == "9" * 5000
+
+
 def test_height_prints_the_parsed_alpha():
     argv = ["orbit", "height", "--poly", "[-1,0,1]", "--tol", "1/1000", "--alpha"]
     code, out, _ = run_cli(argv + ["2/6"])

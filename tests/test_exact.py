@@ -34,6 +34,19 @@ def test_rat_str_past_the_int_digit_limit():
     assert rat_str(F(1, 10**5000)) == "1/1" + "0" * 5000
 
 
+def test_rat_parses_integers_past_the_int_digit_limit():
+    # Python refuses int() of strings above 4300 digits; Fraction inherits it
+    nines = "9" * 5000
+    assert rat(nines) == 10**5000 - 1
+    assert rat("-" + nines) == 1 - 10**5000
+    assert rat("+" + nines + "/" + "3" * 4400) == F(10**5000 - 1, (10**4400 - 1) // 3)
+    assert rat(nines + "/" + "9" * 4999) == F(10**5000 - 1, 10**4999 - 1)
+    assert rat_str(rat("123456789" * 700)) == "123456789" * 700
+    for bad in (nines + "/0", nines + "x", nines + "/-1", "1/" + "0" * 5000):
+        with pytest.raises(DomainError):
+            rat(bad)
+
+
 def test_compose_examples():
     sq = Poly([0, 0, 1])
     assert poly_compose(sq, X2_MINUS_1) == Poly([1, 0, -2, 0, 1])   # (X^2-1)^2
