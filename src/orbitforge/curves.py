@@ -27,7 +27,7 @@ from .dynamics import PolyDS
 from .errors import DomainError, WindowError
 from .exact import BiPoly, LaurentBlock, Poly, rat
 from .factor import bivariate_irreducible, factor_rational
-from .orbits import level_polynomial, level_roots, small_orbit_level
+from .orbits import level_polynomial, level_roots
 from .padic import (PNorm, PadicScalar, PadicSeries, Radius, count_zeros_pj,
                     kappa, sup_norm)
 
@@ -95,9 +95,7 @@ def _axis_factor_level(p_axis: Poly, ds: PolyDS, alpha: Fraction,
                        nmax: int) -> Optional[tuple[Poly, int, Optional[Fraction]]]:
     """Shared factor between a one-variable curve polynomial and orbit levels."""
     for n in range(nmax + 1):
-        level = small_orbit_level(ds, alpha, n)
-        g = level.poly
-        common = p_axis.gcd(g)
+        common = p_axis.gcd(level_polynomial(ds, alpha, n, n)[1])
         if common.degree >= 1:
             beta = -common.coeff(0) if common.degree == 1 else None
             return common, n, beta

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .ball import CBall, as_ball, coeff_balls, eval_poly_ball, horner_ball
+from .ball import CBall, as_ball, coeff_balls, horner_ball
 from .config import DEFAULTS, Settings
 from .errors import DomainError, PrecisionError, ResourceError, UndecidedError
 from .exact import Poly, rat
@@ -95,9 +95,6 @@ class PolyDS:
 
     def apply(self, x: Fraction) -> Fraction:
         return self.f(x)
-
-    def apply_ball(self, z: CBall) -> CBall:
-        return eval_poly_ball(self.f, z)
 
     # -- standard constants ---------------------------------------------------
     @property

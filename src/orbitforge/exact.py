@@ -27,7 +27,8 @@ from .errors import DomainError, ResourceError
 Rat = Fraction
 
 _MINUS_VARIANTS = ("−", "–", "—")
-_INTEGER_RATIO = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+_LONG_LITERAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)"
+                           r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)")
 
 
 def rat(value) -> Fraction:
@@ -44,13 +45,16 @@ def rat(value) -> Fraction:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass
-        # Fraction refuses digit strings past Python's str-to-int limit
-        ratio = _INTEGER_RATIO.fullmatch(text)
-        if ratio:
-            sign, num, den = ratio.groups()
+        # Fraction refuses digit strings past Python's str-to-int limit;
+        # exponents past 18 digits are refused, as 10^exp cannot be built
+        literal = _LONG_LITERAL.fullmatch(text)
+        if literal:
+            sign, num, den, frac, exp = literal.groups()
             den = _int_parse(den) if den else 1
-            if den:
-                q = Fraction(_int_parse(num), den)
+            if den and len(exp or "") <= 18:
+                frac = frac or ""
+                q = (Fraction(_int_parse(num + frac), den)
+                     * Fraction(10) ** (int(exp or 0) - len(frac)))
                 return -q if sign == "-" else q
     raise DomainError(f"cannot interpret {value!r} as a rational")
 

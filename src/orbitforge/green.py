@@ -138,14 +138,15 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
                         order: Optional[int] = None) -> LevelCurve:
     """Sample the level curve g = r, re-certifying every point with green_eval.
 
-    Inside the Boettcher disc the curve is Psi(exp(-r) e^{i theta}).  When
-    exp(-r) reaches the convergence radius, the level d^k r is traced instead
-    and pulled back through f^k: each base angle gives d^k solutions of
-    f^k(z) = Psi(...), certified by ``rootcert.certify_solution``, as sheets
-    ordered by argument (ties by real part).  Every sample that fails
-    certification counts in ``dropped``, so certified points plus dropped
-    equal n_points (inside the disc) or d^k times the number of base angles
-    (pulled back, before the list is cut to n_points).
+    The curve Psi(exp(-d^k r) e^{2 pi i theta}) of the level d^k r is pulled
+    back one step at a time, k >= 0 the first level deep inside the Boettcher
+    disc: each step solves f(z) = w, a degree-d equation, certified by
+    ``rootcert.certify_solution`` with the ball w as target.  The d^k sheets of
+    each base angle are ordered by argument (ties by real part).  A failed step
+    drops every sheet below it, and a failed level check drops its point, so
+    points plus dropped equal d^k times the number of base angles (before the
+    list is cut to n_points).  At k = 0 a point that fails the level check is
+    first polished by pulling back a point of a deeper level.
     """
     from .boettcher import radius_archimedean
 
@@ -166,49 +167,45 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
         if ds.d ** k > ds.settings.orbit_degree_cap:
             raise DomainError("level too shallow to trace within the degree cap")
     deep_rho = rho ** (ds.d ** k)
+    dp = ds.f.derivative()
 
+    n_base = max(1, -(-n_points // ds.d ** k))
     points: list[TracePoint] = []
-    if k == 0:
-        for j in range(n_points):
-            theta = j / n_points
-            pt = _psi_point(ds, order, rho, theta)
-            accepted = _certify_level(ds, pt, r, tol)
-            if accepted is None:
-                # polish through a deeper level before giving up
+    for j in range(n_base):
+        theta = j / n_base
+        level = [_psi_point(ds, order, deep_rho, theta)]
+        for _ in range(k):
+            # a failed step (None) has no sheets below it
+            level = [certify_solution(ds.f, CBall.from_complex(approx), w, dp)
+                     for w in level if w is not None
+                     for approx in approximate_solutions(ds.f, w)]
+        layer = []
+        for pt in level:
+            accepted = None if pt is None else _certify_level(ds, pt, r, tol)
+            if accepted is None and k == 0:
+                # polish through a deeper level before giving up: pull its
+                # point back along the guesses f^(kk-1)(pt), ..., f(pt), pt
                 kk = 1
                 while rho ** (ds.d ** kk) > safe * safe and ds.d ** kk <= 64:
                     kk += 1
-                target = _psi_point(ds, order, rho ** (ds.d ** kk),
-                                    (theta * ds.d ** kk) % 1.0)
-                refined = certify_solution(ds.iterate(kk), pt, target)
+                guesses = [pt]
+                for _ in range(kk - 1):
+                    guesses.append(eval_poly_ball(ds.f, guesses[-1]))
+                refined = _psi_point(ds, order, rho ** (ds.d ** kk),
+                                     (theta * ds.d ** kk) % 1.0)
+                for guess in reversed(guesses):
+                    if refined is not None:
+                        refined = certify_solution(ds.f, guess, refined, dp)
                 if refined is not None:
                     accepted = _certify_level(ds, refined, r, tol)
             if accepted is not None:
-                points.append(TracePoint(theta, accepted[0], accepted[1], 0))
-        return LevelCurve(r, points, True, n_points - len(points))
-
-    sheets = ds.d ** k
-    n_base = max(1, -(-n_points // sheets))
-    F = ds.iterate(k)
-    dF = F.derivative()
-    dropped = 0
-    for j in range(n_base):
-        theta = j / n_base
-        target = _psi_point(ds, order, deep_rho, theta)
-        layer = []
-        for approx in approximate_solutions(F, target):
-            root = certify_solution(F, CBall.from_complex(approx), target, dF)
-            accepted = None if root is None else _certify_level(ds, root, r, tol)
-            if accepted is None:
-                dropped += 1
-                continue
-            layer.append(TracePoint(theta, accepted[0], accepted[1], 0))
+                layer.append(TracePoint(theta, accepted[0], accepted[1], 0))
         layer.sort(key=lambda tp: (mpmath.atan2(tp.point.im_mid, tp.point.re_mid),
                                    tp.point.re_mid))
-        layer = [TracePoint(tp.theta, tp.point, tp.g_residual, i)
-                 for i, tp in enumerate(layer)]
-        points.extend(layer)
-    return LevelCurve(r, points[:n_points], False, dropped)
+        points.extend(TracePoint(tp.theta, tp.point, tp.g_residual, i)
+                      for i, tp in enumerate(layer))
+    dropped = n_base * ds.d ** k - len(points)
+    return LevelCurve(r, points[:n_points], k == 0, dropped)
 
 
 def _certify_level(ds: PolyDS, pt: CBall, r: Fraction,

@@ -33,8 +33,9 @@ def certify_solution(p: Poly, guess: CBall, target: Optional[CBall] = None,
                      dp: Optional[Poly] = None) -> Optional[CBall]:
     """Certified ball holding the unique solution of p(z) = target near guess.
 
-    Polishes for at most 60 Newton steps, stopping once a step is below
-    2^(20-prec)(1+|z|); then tries the interval-Newton box of radius
+    Polishes for at most 60 Newton steps, stopping once the midpoint of a
+    step is below 2^(20-prec)(1+|z|) (the step's radius carries the target's,
+    which polishing cannot shrink); then tries the interval-Newton box of radius
     2^(8-prec)(1+|z|) + 4 rad(target), quadrupled up to 40 times.  Returns
     None when no box certifies.
     """
@@ -52,7 +53,7 @@ def certify_solution(p: Poly, guess: CBall, target: Optional[CBall] = None,
             break
         step = residual(z) / dz
         z = CBall(z.re_mid - step.re_mid, z.im_mid - step.im_mid, mpf(0))
-        if step.abs_upper() < mpf(2) ** (20 - mpmath.mp.prec) * (1 + z.abs_mid()):
+        if step.abs_mid() < mpf(2) ** (20 - mpmath.mp.prec) * (1 + z.abs_mid()):
             break
     rho = mpf(2) ** (8 - mpmath.mp.prec) * (1 + z.abs_mid())
     if target is not None:

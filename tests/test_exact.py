@@ -47,6 +47,16 @@ def test_rat_parses_integers_past_the_int_digit_limit():
             rat(bad)
 
 
+def test_rat_parses_decimals_past_the_int_digit_limit():
+    assert rat("0." + "9" * 5000) == 1 - F(1, 10**5000)
+    assert rat("9" * 5000 + "e2") == (10**5000 - 1) * 100
+    assert rat("1" + "0" * 4400 + ".5") == 10**4400 + F(1, 2)
+    assert rat("-." + "5" * 5000 + "E-3") == -F(5 * (10**5000 - 1), 9 * 10**5003)
+    for bad in ("9" * 5000 + "e", "9" * 5000 + ".5/3", "9" * 5000 + "e1" + "0" * 20):
+        with pytest.raises(DomainError):
+            rat(bad)
+
+
 def test_compose_examples():
     sq = Poly([0, 0, 1])
     assert poly_compose(sq, X2_MINUS_1) == Poly([1, 0, -2, 0, 1])   # (X^2-1)^2

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbitforge.ball import CBall
+from orbitforge.ball import CBall, eval_poly_ball
 from orbitforge.dynamics import PolyDS
 from orbitforge.errors import DomainError
 from orbitforge.exact import Poly
@@ -84,7 +84,7 @@ def test_trace_points_map_to_deeper_level():
     r = F(1)
     curve = equipotential_trace(DS1, r, n_points=8, tol=F(1, 10**9))
     for pt in curve.points:
-        image = DS1.apply_ball(pt.point)
+        image = eval_poly_ball(DS1.f, pt.point)
         g = green_eval(DS1, image, F(1, 10**9))
         assert abs(float(g.value.re_mid) - 2.0) <= 1e-6
 
@@ -107,8 +107,9 @@ def test_trace_pullback_sheets():
 
 
 def test_trace_pullback_counts_uncertified_roots(monkeypatch):
-    # every solution of f^k(z) = Psi(...) that fails certification is dropped
-    # and counted: points + dropped = d^k * n_base (8 sheets x 2 angles here)
+    # X^2 - 6 at r = 1/5 is traced at k = 3 (8 sheets x 2 angles here); the
+    # first pull-back step fails, so the d^(k-1) = 4 sheets below it are
+    # dropped and counted: points + dropped = d^k * n_base
     import orbitforge.green as green_mod
 
     certify = green_mod.certify_solution
@@ -120,8 +121,74 @@ def test_trace_pullback_counts_uncertified_roots(monkeypatch):
 
     monkeypatch.setattr(green_mod, "certify_solution", first_fails)
     curve = equipotential_trace(DS6, F(1, 5), n_points=16, tol=F(1, 10**6))
-    assert not curve.closed and len(calls) == 16
-    assert curve.dropped == 1 and len(curve.points) == 15
+    assert not curve.closed
+    assert curve.dropped == 4 and len(curve.points) == 12
+
+
+def test_trace_stepwise_matches_one_shot_pullback():
+    # reference: solve f^3(z) = Psi(...) in one go for each base angle and
+    # certify every root against f^3; the stepwise trace must find the same
+    # points, sheet by sheet
+    import mpmath
+
+    from orbitforge.green import _certify_level, _psi_point
+    from orbitforge.rootcert import approximate_solutions, certify_solution
+
+    r, tol = F(1, 5), F(1, 10**6)
+    curve = equipotential_trace(DS6, r, n_points=16, tol=tol)
+    assert curve.dropped == 0 and len(curve.points) == 16
+    assert max(pt.sheet for pt in curve.points) == 7          # k = 3
+    F3 = DS6.iterate(3)
+    dF3 = F3.derivative()
+    deep_rho = mpmath.exp(-mpmath.mpf(r.numerator) / r.denominator) ** 8
+    for theta in sorted({pt.theta for pt in curve.points}):
+        target = _psi_point(DS6, DS6.settings.series_order, deep_rho, theta)
+        reference = []
+        for approx in approximate_solutions(F3, target):
+            root = certify_solution(F3, CBall.from_complex(approx), target, dF3)
+            reference.append(_certify_level(DS6, root, r, tol)[0])
+        reference.sort(key=lambda b: mpmath.atan2(b.im_mid, b.re_mid))
+        stepwise = [pt.point for pt in curve.points if pt.theta == theta]
+        assert len(stepwise) == len(reference) == 8
+        for mine, theirs in zip(stepwise, reference):
+            assert (mine - theirs).contains_zero()
+
+
+def test_trace_pullback_solves_only_degree_d_equations(monkeypatch):
+    # every pull-back step is one solve of f(z) = w, never f^k(z) = w
+    import orbitforge.green as green_mod
+
+    approximate = green_mod.approximate_solutions
+    degrees = []
+
+    def recording(p, target=None):
+        degrees.append(p.degree)
+        return approximate(p, target)
+
+    monkeypatch.setattr(green_mod, "approximate_solutions", recording)
+    for ds, r in ((DS6, F(1, 5)), (DS1, F(1, 20)), (PolyDS(Poly([0, -3, 0, 1])), F(1, 5))):
+        degrees.clear()
+        curve = equipotential_trace(ds, r, n_points=8, tol=F(1, 10**6))
+        assert not curve.closed and degrees
+        assert set(degrees) == {ds.d}
+
+
+def test_trace_low_order_rescue(monkeypatch):
+    # at series order 12 every Psi sample misses the level tolerance and is
+    # polished by pulling back a point of a deeper level
+    import orbitforge.green as green_mod
+
+    certify = green_mod.certify_solution
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(green_mod, "certify_solution", counting)
+    curve = equipotential_trace(DS1, F(1), n_points=16, tol=F(1, 10**8), order=12)
+    assert curve.closed and calls
+    assert len(curve.points) == 16 and curve.dropped == 0
 
 
 def test_trace_rejects_nonpositive_level():

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from orbitforge.ball import CBall
+from orbitforge.ball import CBall, eval_poly_ball
 from orbitforge.dynamics import PolyDS
 from orbitforge.exact import Poly
 from orbitforge.green import green_eval
@@ -116,7 +116,7 @@ def _orbit_digest(name: str, prec: int) -> str:
         z = CBall.from_rational(re, im)
         balls = []
         for _ in range(64):
-            z = ds.apply_ball(z)
+            z = eval_poly_ball(ds.f, z)
             balls.append((_mpf_key(z.re_mid), _mpf_key(z.im_mid), _mpf_key(z.rad)))
     return hashlib.sha256(repr(balls).encode()).hexdigest()
 

@@ -2,11 +2,12 @@
 
 Each example runs in-process through ``cli.main``; the sha256 of its stdout
 (plus the written file, for the ``--out level.svg`` example) must match the
-digest recorded before the numeric core was consolidated.  Arguments are
-scaled down where the full README command takes seconds: ``--n 16`` for the
-two traces and ``--nmax 20`` for ``combinat verify`` (its exhaustive sweep
-starts at N = 17).  ``python tests/test_readme_golden.py`` prints the
-current digests.
+digest recorded before the numeric core was consolidated (the SVG trace at
+the README's full ``--n 256``: before equipotential traces were pulled back
+one step at a time).  Arguments are scaled down where the full README
+command takes seconds: ``--n 16`` for the CSV trace and ``--nmax 20`` for
+``combinat verify`` (its exhaustive sweep starts at N = 17).
+``python tests/test_readme_golden.py`` prints the current digests.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ EXAMPLES = {
     "trace_csv": ["green", "trace", "--poly", "[-1,0,1]", "--r", "1",
                   "--n", "16", "--out", "csv"],
     "trace_svg": ["green", "trace", "--poly", "[-6,0,1]", "--r", "1/5",
-                  "--n", "16", "--out", "level.svg"],
+                  "--n", "256", "--out", "level.svg"],
     "padic": ["padic", "polygon", "--p", "3",
               "--series", '[[0,"3"],[1,"1"],[2,"3"]]',
               "--pj", "--r1", "1/9", "--r", "1"],
@@ -56,7 +57,7 @@ DIGESTS = {
     "small": "82a6647f60b08553731621bbe62b3c2ce4ffe4c10f1d87f67e706c676ecf37a8",
     "special": "48a5b01ab85d540c41382917ca45500904b53b68f5b77aaf446c136ca3045ab0",
     "trace_csv": "686f700b11d74265f5264db345c34d9d19c207fbeee0605ea76803a8fccbf6aa",
-    "trace_svg": "6146b510e990f2d4560ec7687b08d522066c3ab97df7e630d4ae6f2adff1058d",
+    "trace_svg": "b2ea91b15e9375ad833320ca755434ceaf1311636a50b6327fc6ce528e3bf13d",
 }
 
 

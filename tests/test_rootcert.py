@@ -33,3 +33,24 @@ def test_one_root_certified_twice_is_rejected(monkeypatch):
     monkeypatch.setattr(rootcert, "approximate_solutions", twice_the_first)
     with pytest.raises(PrecisionError, match="overlap"):
         rootcert.certified_roots(X2_MINUS_2)
+
+
+def test_targeted_polish_stops_once_converged(monkeypatch):
+    # the target's radius is part of every Newton step's ball; polishing must
+    # stop on the step's midpoint instead of running all 60 steps
+    import mpmath
+    from mpmath import mpf
+
+    from orbitforge.ball import CBall, horner_ball
+
+    calls = []
+
+    def counting(coeffs, z):
+        calls.append(None)
+        return horner_ball(coeffs, z)
+
+    monkeypatch.setattr(rootcert, "horner_ball", counting)
+    target = CBall(mpf(3), mpf(0), mpf(10) ** -20)
+    root = rootcert.certify_solution(Poly([0, 0, 1]), CBall.from_complex(1.7), target)
+    assert root.contains(CBall(mpmath.sqrt(3), mpf(0), mpf(0)))
+    assert len(calls) <= 20
