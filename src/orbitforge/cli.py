@@ -425,7 +425,7 @@ def _lemma_case(lemma: str, S, cs):
     a, N = [S.a1, S.a2], S.N
     if lemma == "box1":
         for c in cs:
-            res = coset_points_in_box(S, c)
+            res = coset_points_in_box(S, c, max_witnesses=0)
             if not res.bound_ok:
                 return False, {"a": a, "N": N, "c": str(c), "count": res.count}
         return True, {"a": a, "N": N,

@@ -1,10 +1,13 @@
 """Exact lattice-coset counting and root-of-unity pair decompositions.
 
-Everything here is brute-force integer arithmetic over the coset
-S_a = Z*a + N*Z^2 intersected with sup-norm boxes B_c = {|x|_inf <= c}.
-Box thresholds N^c with rational c are compared exactly by cross-powering
-(k <= N^c iff k^q <= N^p for c = p/q), so float rounding can never fake or
-mask a bound violation.
+Everything here is integer arithmetic over the coset S_a = Z*a + N*Z^2
+intersected with sup-norm boxes B_c = {|x|_inf <= c}.  Under the lemmas'
+hypothesis gcd(a1, a2, N) = 1 the vector a has order N in (Z/N)^2, so each
+coset point is k*a + N*t for exactly one k in 0..N-1: box counts are then a
+closed-form sum over k, and the primitive-vector search visits each box
+point once.  Box thresholds N^c with rational c are compared exactly by
+cross-powering (k <= N^c iff k^q <= N^p for c = p/q), so float rounding can
+never fake or mask a bound violation.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from math import gcd
 from typing import Iterator
 
 from .errors import DomainError
-from .exact import rat
+from .exact import integer_kth_root, rat
 
 
 def pow_le(k: int, N: int, c: Fraction) -> bool:
@@ -26,21 +29,14 @@ def pow_le(k: int, N: int, c: Fraction) -> bool:
 
 
 def floor_pow(N: int, c: Fraction) -> int:
-    """floor(N^c) by bisection with exact comparisons."""
+    """floor(N^c) for N >= 1 and rational c = p/q >= 0: the integer q-th
+    root of N^p."""
     if N < 1:
         raise DomainError("N must be >= 1")
     c = Fraction(c)
-    hi = 1
-    while pow_le(hi, N, c):
-        hi *= 2
-    lo = hi // 2
-    while lo + 1 < hi:
-        midpoint = (lo + hi) // 2
-        if pow_le(midpoint, N, c):
-            lo = midpoint
-        else:
-            hi = midpoint
-    return lo
+    if c < 0:
+        raise DomainError("c must be >= 0")
+    return integer_kth_root(N ** c.numerator, c.denominator)
 
 
 def count_at_least_bound(count: int, N: int, c: Fraction) -> bool:
@@ -70,8 +66,9 @@ class LatticeCoset:
     def box_vectors(self, limit: int) -> Iterator[tuple[int, int, int]]:
         """All (x1, x2, k) with (x1, x2) = k*a + N*t in the box |x|_inf <= limit.
 
-        The multiplier k runs over 0..N-1; each vector is yielded once per
-        generating k (deduplicate by the vector when counting).
+        The multiplier k runs over 0..N-1.  When gcd(a1, a2, N) = 1 each
+        vector has exactly one such k, so every vector is yielded once and
+        (0, 0) only with k = 0.
         """
         N = self.N
         for k in range(N):
@@ -107,7 +104,15 @@ def coset_points_in_box(S: LatticeCoset, c, max_witnesses: int = 12) -> BoxCount
     """Exact |S_a intersect B_{N^c}| with the guaranteed lower bound check.
 
     Requires N >= 17 and gcd(a1, a2, N) = 1 (the hypotheses of the bound
-    count >= N^(2c-1)/4 for 3/4 <= c <= 1).
+    count >= N^(2c-1)/4 for 3/4 <= c <= 1).  Under the gcd hypothesis every
+    box point is k*a + N*t for exactly one k in 0..N-1, so with
+    L = floor(N^c)
+
+        count = sum_k n(k*a1 mod N) * n(k*a2 mod N),
+        n(r) = #{x = r mod N : |x| <= L} = (L - r)//N + (L + r)//N + 1,
+
+    which takes O(N) integer steps.  Points are listed only for the
+    witnesses: the ``max_witnesses`` lexicographically least box points.
     """
     c = rat(c)
     if S.N < 17:
@@ -116,12 +121,15 @@ def coset_points_in_box(S: LatticeCoset, c, max_witnesses: int = 12) -> BoxCount
         raise DomainError("hypothesis violated: gcd(a1, a2, N) = 1 required")
     if not (Fraction(3, 4) <= c <= 1):
         raise DomainError("hypothesis violated: c must lie in [3/4, 1]")
-    limit = floor_pow(S.N, c)
-    seen: set[tuple[int, int]] = set()
-    for x1, x2, _k in S.box_vectors(limit):
-        seen.add((x1, x2))
-    witnesses = tuple(sorted(seen)[:max_witnesses])
-    return BoxCount(len(seen), count_at_least_bound(len(seen), S.N, c), witnesses)
+    N = S.N
+    limit = floor_pow(N, c)
+    n = [(limit - r) // N + (limit + r) // N + 1 for r in range(N)]
+    count = sum(n[(k * S.a1) % N] * n[(k * S.a2) % N] for k in range(N))
+    witnesses = ()
+    if max_witnesses > 0:
+        witnesses = tuple(sorted((x1, x2) for x1, x2, _k
+                                 in S.box_vectors(limit))[:max_witnesses])
+    return BoxCount(count, count_at_least_bound(count, N, c), witnesses)
 
 
 def e_branch_holds(e: int, C: Fraction, N: int, c: Fraction, C1: Fraction) -> bool:
@@ -166,11 +174,9 @@ def find_primitive_decomposition(S: LatticeCoset, C, c) -> PrimitiveWitness:
         raise DomainError("C must be >= 1")
     limit = floor_pow(S.N, c)
     best = None     # ordering key; positive k1 preferred at equal (e, |k|_inf)
-    seen: set[tuple[int, int]] = set()
     for x1, x2, k in S.box_vectors(limit):
-        if (x1, x2) == (0, 0) or k == 0 or (x1, x2) in seen:
+        if k == 0:          # the multiples of N, (0, 0) among them
             continue
-        seen.add((x1, x2))
         e = gcd(abs(x1), abs(x2))
         k1, k2 = x1 // e, x2 // e
         key = (e, max(abs(k1), abs(k2)), abs(k1), k1 < 0, abs(k2), k2 < 0, k,

@@ -17,7 +17,7 @@ from typing import Optional, Union
 from .ball import CBall, as_ball, coeff_balls, horner_ball
 from .config import DEFAULTS, Settings
 from .errors import DomainError, PrecisionError, ResourceError, UndecidedError
-from .exact import Poly, rat
+from .exact import Poly, integer_kth_root, rat
 from .factor import factor_rational
 from .rootcert import certified_roots
 
@@ -236,18 +236,6 @@ class LinearConjugacy:
         return f"L(x) = c*x with c in {self.scale!r}"
 
 
-def _integer_kth_root(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 0, on integers: isqrt, or Newton from above."""
-    if k == 2 or n < 2:
-        return math.isqrt(n)
-    x = 1 << -(-n.bit_length() // k)      # 2^ceil(bits/k) > n^(1/k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 def _rational_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
     """Exact real k-th root of q over Q, or None.  k >= 1."""
     if k == 1:
@@ -258,7 +246,7 @@ def _rational_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
         return None
     sign = -1 if q < 0 else 1
     num, den = abs(q.numerator), q.denominator
-    rn, rd = _integer_kth_root(num, k), _integer_kth_root(den, k)
+    rn, rd = integer_kth_root(num, k), integer_kth_root(den, k)
     if rn ** k != num or rd ** k != den:
         return None
     return Fraction(sign * rn, rd)

@@ -18,6 +18,7 @@ determined by known data.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
@@ -75,6 +76,18 @@ def _int_str(n: int) -> str:
     half = n.bit_length() * 3 // 20          # about half the digits
     high, low = divmod(abs(n), 10 ** half)
     return ("-" if n < 0 else "") + _int_str(high) + _int_str(low).zfill(half)
+
+
+def integer_kth_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, on integers: isqrt, or Newton from above."""
+    if k == 2 or n < 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // k)      # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def rat_str(q: Fraction) -> str:

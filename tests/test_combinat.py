@@ -21,6 +21,58 @@ def test_floor_pow_exactness():
     assert floor_pow(16, F(1, 2)) == 4
     assert floor_pow(15, F(1, 2)) == 3
     assert pow_le(8, 17, F(3, 4)) and not pow_le(9, 17, F(3, 4))
+    with pytest.raises(DomainError):
+        floor_pow(17, F(-1, 2))
+
+
+def test_floor_pow_against_pow_le():
+    for N in range(1, 401):
+        for c in (F(0), F(1, 2), F(3, 4), F(4, 5), F(7, 8), F(1)):
+            L = floor_pow(N, c)
+            assert pow_le(L, N, c) and not pow_le(L + 1, N, c), (N, c)
+
+
+def _admissible_random(rng, lo, hi):
+    while True:
+        N = rng.randrange(lo, hi + 1)
+        a1, a2 = rng.randrange(N), rng.randrange(N)
+        if gcd(gcd(a1, a2), N) == 1:
+            return a1, a2, N
+
+
+def test_box_count_matches_independent_count():
+    """The closed form against the kernel of x -> a1*x2 - a2*x1 mod N over
+    the box, which equals S_a there when gcd(a1, a2, N) = 1."""
+    rng = random.Random(2026)
+    for _ in range(40):
+        a1, a2, N = _admissible_random(rng, 17, 200)
+        for c in (F(3, 4), F(7, 8), F(1)):
+            L = floor_pow(N, c)
+            span = range(-L, L + 1)
+            points = [(x1, x2) for x1 in span for x2 in span
+                      if (a1 * x2 - a2 * x1) % N == 0]     # sorted
+            res = coset_points_in_box(LatticeCoset(a1, a2, N), c)
+            assert res.count == len(points), (a1, a2, N, c)
+            assert res.witnesses == tuple(points[:12]), (a1, a2, N, c)
+
+
+def test_box_count_at_c_one_closed_identity():
+    """With L = N every residue r != 0 has two representatives in [-N, N]
+    and r = 0 has three, so |S_a cap B_N| = 4N + 2 gcd(a1,N) + 2 gcd(a2,N) + 1."""
+    rng = random.Random(11)
+    for _ in range(300):
+        a1, a2, N = _admissible_random(rng, 17, 200)
+        res = coset_points_in_box(LatticeCoset(a1, a2, N), F(1), max_witnesses=0)
+        assert res.count == 4 * N + 2 * gcd(a1, N) + 2 * gcd(a2, N) + 1
+        assert res.witnesses == ()
+
+
+def test_box_count_without_witnesses_lists_no_points(monkeypatch):
+    def no_listing(self, limit):
+        raise AssertionError("box points listed although no witness was asked for")
+    monkeypatch.setattr(LatticeCoset, "box_vectors", no_listing)
+    res = coset_points_in_box(LatticeCoset(3, 5, 101), F(7, 8), max_witnesses=0)
+    assert res.count > 0 and res.bound_ok
 
 
 def test_box_count_examples():

@@ -4,9 +4,9 @@ Each example runs in-process through ``cli.main``; the sha256 of its stdout
 (plus the written file, for the ``--out level.svg`` example) must match the
 digest recorded before the numeric core was consolidated (the SVG trace at
 the README's full ``--n 256``: before equipotential traces were pulled back
-one step at a time).  Arguments are scaled down where the full README
-command takes seconds: ``--n 16`` for the CSV trace and ``--nmax 20`` for
-``combinat verify`` (its exhaustive sweep starts at N = 17).
+one step at a time; ``combinat verify`` at the README's full ``--nmax 60``:
+before box counts took their closed form).  The CSV trace is scaled down to
+``--n 16``, as the full README command takes seconds.
 ``python tests/test_readme_golden.py`` prints the current digests.
 """
 
@@ -43,13 +43,13 @@ EXAMPLES = {
     "nu": ["curve", "nu", "--poly", "[-1,0,1]",
            "--curve", '[[1,0,"1"],[0,1,"-1"]]', "--p", "3", "--phi", "3",
            "--k1", "1", "--k2", "-1", "--window", "40"],
-    "combinat": ["combinat", "verify", "--lemma", "box1", "--nmax", "20"],
+    "combinat": ["combinat", "verify", "--lemma", "box1", "--nmax", "60"],
 }
 
 DIGESTS = {
     "boettcher": "8c4d20a8ae6f73d91031f2843153ce5ac1705817dee180c9a0f6432a95c95976",
     "classify": "24c7cc18a21c77d0a374b67814e5a2088a5bb90a84596dc0eef48e21af12bd80",
-    "combinat": "ad09b3470845d2748d10b301799c0b6d4ec7ff13ea47e1581ffd084af4ded88a",
+    "combinat": "bb5c7a6ed4ca7ca639b6ddca6df2f6e666afea784e3a53e249659e914820abdf",
     "height": "af7ac3cc049d87a0ed8f081cd119eaafb0e701d42cfc0184a1d0b32852653f9b",
     "intersect": "f3683f73ebc2b3dfddf5a85c07833c44158a53e52c9e7652c50d8e6236a0f772",
     "nu": "0f08088f89ec40ceb873966f0c564a919adb1cdf992b87c8eefd0894dfd16f48",
