@@ -5,13 +5,13 @@ Phi with Phi(f(X)) = Phi(X)^d, and convergence-radius estimates per place.
 Psi is written X^{-1} g(X) with g(0) = 1; matching coefficients in
 g(X^d) = g(X)^d + sum_i a_i X^i g(X)^{d-i} determines each new coefficient
 with a unit factor d, so the recursion is exact and never divides by zero.
-Phi is obtained by Lagrange term-by-term reversion of X / g(X); the defining
+Phi is obtained by Lagrange term-by-term reversion of X / g(X), run on
+integer numerators over powers of one common denominator of g; the defining
 equation of Phi is kept as an independent cross-check.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -20,10 +20,9 @@ import mpmath
 from .ball import CBall, eval_block_ball, rball
 from .dynamics import PolyDS, escaping_critical_points
 from .errors import DomainError, PrecisionError
-from .exact import LaurentBlock, Poly, evaluate_series_at_block
+from .exact import LaurentBlock, Poly, _over_common, evaluate_series_at_block
 
 _CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def _psi_g_coeffs(f: Poly, order: int) -> list[Fraction]:
@@ -64,13 +63,11 @@ def psi_series(ds: PolyDS, order: int) -> LaurentBlock:
     if order < 0:
         raise DomainError("order must be >= 0")
     key = ("psi", ds.f.coeffs, order)
-    with _CACHE_LOCK:
-        if key in _CACHE:
-            return _CACHE[key]
+    if key in _CACHE:
+        return _CACHE[key]
     u = _psi_g_coeffs(ds.f, order)
     block = LaurentBlock(-1, u, trunc=order)
-    with _CACHE_LOCK:
-        _CACHE[key] = block
+    _CACHE[key] = block
     return block
 
 
@@ -78,32 +75,34 @@ def phi_series(ds: PolyDS, order: int) -> LaurentBlock:
     """Truncated Phi as a series in w = 1/X: w + e_2 w^2 + ... + e_order w^order.
 
     Reversion of t = z / g(z): the coefficient of t^n is [z^(n-1)] g(z)^n / n.
+    With g = U / ud over the common denominator ud of its coefficients, g^n
+    is held as the integer numerators of U^n over ud^n, so the powers take
+    no gcd and each e_n is one division.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
     key = ("phi", ds.f.coeffs, order)
-    with _CACHE_LOCK:
-        if key in _CACHE:
-            return _CACHE[key]
+    if key in _CACHE:
+        return _CACHE[key]
     width = max(order, 1)
-    u = _psi_g_coeffs(ds.f, width - 1)        # g coefficients 0..width-1
+    u, ud = _over_common(_psi_g_coeffs(ds.f, width - 1))   # g to index width-1
     e = [Fraction(0)] * (order + 1)
     if order >= 1:
-        gi = [Fraction(1)] + [Fraction(0)] * (width - 1)   # g^(n-1) to index width-1
-        nz = [k for k, c in enumerate(u) if c != 0]
+        gi = [1] + [0] * (width - 1)          # numerators of g^(n-1) over ud^(n-1)
+        nz = [(k, c) for k, c in enumerate(u) if c != 0]
+        den = 1
         for n in range(1, order + 1):
-            new = [Fraction(0)] * width
-            for k in nz:
-                uk = u[k]
+            new = [0] * width
+            for k, uk in nz:
                 for idx in range(k, width):
                     g_val = gi[idx - k]
                     if g_val != 0:
                         new[idx] += uk * g_val
             gi = new
-            e[n] = gi[n - 1] / n
+            den *= ud
+            e[n] = Fraction(gi[n - 1], den * n)
     block = LaurentBlock(1, e[1:], trunc=order + 1)
-    with _CACHE_LOCK:
-        _CACHE[key] = block
+    _CACHE[key] = block
     return block
 
 

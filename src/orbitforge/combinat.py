@@ -39,14 +39,6 @@ def floor_pow(N: int, c: Fraction) -> int:
     return integer_kth_root(N ** c.numerator, c.denominator)
 
 
-def count_at_least_bound(count: int, N: int, c: Fraction) -> bool:
-    """Exact test count >= N^(2c-1)/4, i.e. (4*count)^q >= N^p for 2c-1 = p/q."""
-    expo = 2 * Fraction(c) - 1
-    if expo <= 0:
-        return count >= 1 or N ** abs(expo.numerator) <= (4 * count) ** expo.denominator
-    return (4 * count) ** expo.denominator >= N ** expo.numerator
-
-
 @dataclass(frozen=True)
 class LatticeCoset:
     """S_a = Z*(a1, a2) + N*Z^2."""
@@ -113,23 +105,26 @@ def coset_points_in_box(S: LatticeCoset, c, max_witnesses: int = 12) -> BoxCount
 
     which takes O(N) integer steps.  Points are listed only for the
     witnesses: the ``max_witnesses`` lexicographically least box points.
+    With c = p/q, L is the integer q-th root of N^p and the bound is tested
+    as (4*count)^q >= N^(2p - q).
     """
     c = rat(c)
+    p, q = c.numerator, c.denominator
     if S.N < 17:
         raise DomainError("hypothesis violated: N >= 17 required")
     if S.gcd_with_n != 1:
         raise DomainError("hypothesis violated: gcd(a1, a2, N) = 1 required")
-    if not (Fraction(3, 4) <= c <= 1):
+    if not (3 * q <= 4 * p <= 4 * q):
         raise DomainError("hypothesis violated: c must lie in [3/4, 1]")
     N = S.N
-    limit = floor_pow(N, c)
+    limit = integer_kth_root(N ** p, q)
     n = [(limit - r) // N + (limit + r) // N + 1 for r in range(N)]
     count = sum(n[(k * S.a1) % N] * n[(k * S.a2) % N] for k in range(N))
     witnesses = ()
     if max_witnesses > 0:
         witnesses = tuple(sorted((x1, x2) for x1, x2, _k
                                  in S.box_vectors(limit))[:max_witnesses])
-    return BoxCount(count, count_at_least_bound(count, N, c), witnesses)
+    return BoxCount(count, (4 * count) ** q >= N ** (2 * p - q), witnesses)
 
 
 def e_branch_holds(e: int, C: Fraction, N: int, c: Fraction, C1: Fraction) -> bool:

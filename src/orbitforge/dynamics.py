@@ -9,7 +9,6 @@ places of good reduction witnessing escape.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -58,7 +57,7 @@ def _prime_factors(n: int) -> list[int]:
 class PolyDS:
     """A monic polynomial map of degree >= 2 with cached iterates.
 
-    The iterate memo is guarded by a lock; all other state is immutable.
+    The iterate and critical-point memos are the only mutable state.
     """
 
     def __init__(self, f: Poly, settings: Settings = DEFAULTS):
@@ -70,7 +69,6 @@ class PolyDS:
         self.d = f.degree
         self.settings = settings
         self._iterates: dict[int, Poly] = {0: Poly.x(), 1: f}
-        self._lock = threading.Lock()
         self._crit: Optional[list["CriticalPoint"]] = None
 
     def __repr__(self) -> str:
@@ -79,19 +77,18 @@ class PolyDS:
     def iterate(self, n: int) -> Poly:
         if n < 0:
             raise DomainError("iterate index must be >= 0")
-        with self._lock:
-            if n in self._iterates:
-                return self._iterates[n]
-            if self.d ** n > self.settings.max_poly_degree:
-                raise ResourceError(
-                    f"iterate degree {self.d}^{n} exceeds cap "
-                    f"{self.settings.max_poly_degree}")
-            m = max(k for k in self._iterates if k <= n)
-            cur = self._iterates[m]
-            for k in range(m + 1, n + 1):
-                cur = cur.compose(self.f)
-                self._iterates[k] = cur
-            return cur
+        if n in self._iterates:
+            return self._iterates[n]
+        if self.d ** n > self.settings.max_poly_degree:
+            raise ResourceError(
+                f"iterate degree {self.d}^{n} exceeds cap "
+                f"{self.settings.max_poly_degree}")
+        m = max(k for k in self._iterates if k <= n)
+        cur = self._iterates[m]
+        for k in range(m + 1, n + 1):
+            cur = cur.compose(self.f)
+            self._iterates[k] = cur
+        return cur
 
     def apply(self, x: Fraction) -> Fraction:
         return self.f(x)
@@ -191,10 +188,9 @@ class PolyDS:
 
     # -- critical points -------------------------------------------------------
     def critical_points(self) -> list["CriticalPoint"]:
-        with self._lock:
-            if self._crit is None:
-                self._crit = _critical_points(self.f)
-            return list(self._crit)
+        if self._crit is None:
+            self._crit = _critical_points(self.f)
+        return list(self._crit)
 
 
 @dataclass(frozen=True)

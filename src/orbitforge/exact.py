@@ -519,12 +519,24 @@ def poly_resultant(p: BiPoly, q: BiPoly, eliminate: Literal["x", "y"]) -> BiPoly
     return _det_memo(matrix)
 
 
+def _over_common(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator: (nums, den) with
+    den the lcm of the denominators and coeffs[i] == nums[i] / den."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 class LaurentBlock:
     """Truncated Laurent series with exact coefficients.
 
     Coefficients are stored for exponents ``low .. low+len(coeffs)-1`` and are
     implicitly zero elsewhere below ``trunc_order``.  ``trunc_order=None``
     marks a full Laurent polynomial.
+
+    The product puts each operand over its common denominator once,
+    convolves the integer numerators, and divides each output coefficient
+    by the product of the two denominators: one gcd per output coefficient
+    instead of one per term, the layout of FLINT's ``fmpq_poly``.
     """
 
     __slots__ = ("low", "coeffs", "trunc")
@@ -658,19 +670,21 @@ class LaurentBlock:
             hi = min(hi, t - 1)
         if hi < lo:
             return LaurentBlock.zero(t)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for i, a in enumerate(self.coeffs):
+        na, da = _over_common(self.coeffs)
+        nb, db = _over_common(other.coeffs)
+        nonzero_b = [(j, b) for j, b in enumerate(nb) if b != 0]
+        width = hi - lo + 1
+        out = [0] * width
+        for i, a in enumerate(na):
             if a == 0:
                 continue
-            ea = self.low + i
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                e = ea + other.low + j
-                if e > hi:
+            for j, b in nonzero_b:
+                k = i + j
+                if k >= width:
                     break
-                out[e - lo] += a * b
-        return LaurentBlock(lo, out, t)
+                out[k] += a * b
+        den = da * db
+        return LaurentBlock(lo, [Fraction(n, den) for n in out], t)
 
     def scale(self, c) -> "LaurentBlock":
         c = rat(c)

@@ -1,5 +1,6 @@
 """Exact layer: polynomials, bivariate resultants, Laurent blocks."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -141,6 +142,74 @@ def test_block_product_example():
     b = LaurentBlock(-1, [1, 0, -1])         # 1/x - x
     prod = a * b
     assert prod == LaurentBlock(-2, [1, 0, 0, 0, -1])     # 1/x^2 - x^2
+
+
+def _reference_product(a: LaurentBlock, b: LaurentBlock) -> LaurentBlock:
+    """Term-by-term Fraction convolution with the pessimistic truncation rule:
+    a block truncated at t knows its product with b below t + (b's lowest
+    known exponent)."""
+    if a.is_exact_zero or b.is_exact_zero:
+        return LaurentBlock.zero(None)
+    starts = []
+    for x, y in ((a, b), (b, a)):
+        y_start = y.low if y.coeffs else y.trunc
+        if x.trunc is not None and y_start is not None:
+            starts.append(x.trunc + y_start)
+    t = min(starts, default=None)
+    terms: dict[int, F] = {}
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            e = a.low + i + b.low + j
+            if t is None or e < t:
+                terms[e] = terms.get(e, F(0)) + ca * cb
+    if not terms:
+        return LaurentBlock.zero(t)
+    lo = min(terms)
+    return LaurentBlock(lo, [terms.get(e, F(0)) for e in range(lo, max(terms) + 1)], t)
+
+
+def _random_block(rng, trunc: bool) -> LaurentBlock:
+    low = rng.randint(-6, 4)
+    dens = (1, 2, 3, 36, 10**12 + 39, 7**25, 2**70)
+    coeffs = [F(rng.randint(-10**6, 10**6), rng.choice(dens))
+              if rng.random() < 0.7 else F(0)          # interior zeros
+              for _ in range(rng.randint(0, 9))]
+    t = low + len(coeffs) + rng.randint(-len(coeffs), 2) if trunc else None
+    return LaurentBlock(low, coeffs, t)
+
+
+def _block_key(b: LaurentBlock):
+    return (b.low, b.coeffs, b.trunc)
+
+
+def test_block_product_equals_fraction_convolution():
+    rng = random.Random(641)
+    for _ in range(600):
+        a = _random_block(rng, rng.random() < 0.6)
+        b = _random_block(rng, rng.random() < 0.6)
+        assert _block_key(a * b) == _block_key(_reference_product(a, b)), (a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    # truncated x full and truncated x truncated, negative low, mixed denominators
+    (LaurentBlock(-3, [F(1, 7**25), 0, 0, F(-5, 6), F(2**70, 3)], trunc=4),
+     LaurentBlock(-2, [F(3, 10**12 + 39), 0, 1])),
+    (LaurentBlock(-1, [1, F(1, 2), 0, F(1, 8)], trunc=4),
+     LaurentBlock(-1, [F(-9, 4), 0, F(7, 3)], trunc=3)),
+    # empty truncated blocks: known zero below trunc
+    (LaurentBlock.zero(5), LaurentBlock(-2, [F(1, 3), 2])),
+    (LaurentBlock.zero(5), LaurentBlock.zero(-1)),
+    (LaurentBlock.zero(2), LaurentBlock(-4, [1, 0, F(5, 11)], trunc=0)),
+    # a stored coefficient always lies below trunc, so hi < lo cannot arise;
+    # here the window closes right after the lowest product exponent
+    (LaurentBlock(2, [F(3, 5)], trunc=3), LaurentBlock(-1, [F(7, 2), 1], trunc=1)),
+    (LaurentBlock(0, [1, 1, 1], trunc=3), LaurentBlock.monomial(4, F(1, 9))),
+    # products that cancel to zero inside the window
+    (LaurentBlock(0, [1, 1]), LaurentBlock(0, [1, -1], trunc=2)),
+])
+def test_block_product_edge_cases(a, b):
+    assert _block_key(a * b) == _block_key(_reference_product(a, b))
+    assert _block_key(b * a) == _block_key(_reference_product(b, a))
 
 
 def test_block_agrees_with_polynomials():
