@@ -5,9 +5,12 @@ Phi with Phi(f(X)) = Phi(X)^d, and convergence-radius estimates per place.
 Psi is written X^{-1} g(X) with g(0) = 1; matching coefficients in
 g(X^d) = g(X)^d + sum_i a_i X^i g(X)^{d-i} determines each new coefficient
 with a unit factor d, so the recursion is exact and never divides by zero.
-Phi is obtained by Lagrange term-by-term reversion of X / g(X), run on
-integer numerators over powers of one common denominator of g; the defining
-equation of Phi is kept as an independent cross-check.
+Phi is obtained by Lagrange term-by-term reversion of X / g(X), with g read
+from the cached Psi, so the recursion runs once per map and order; the
+reversion works on integer numerators over powers of one common denominator
+of g.  The defining equation of Phi is kept as an independent cross-check.
+Both Phi residuals compose Phi with a series of positive valuation through
+``exact.evaluate_series_at_block``.
 """
 
 from __future__ import annotations
@@ -75,9 +78,11 @@ def phi_series(ds: PolyDS, order: int) -> LaurentBlock:
     """Truncated Phi as a series in w = 1/X: w + e_2 w^2 + ... + e_order w^order.
 
     Reversion of t = z / g(z): the coefficient of t^n is [z^(n-1)] g(z)^n / n.
-    With g = U / ud over the common denominator ud of its coefficients, g^n
-    is held as the integer numerators of U^n over ud^n, so the powers take
-    no gcd and each e_n is one division.
+    g = X * Psi is read from ``psi_series(ds, max(order, 1))``, usually a
+    cache hit, so the Psi recursion is not run again.  With g = U / ud over
+    the common denominator ud of its coefficients, g^n is held as the integer
+    numerators of U^n over ud^n, so the powers take no gcd and each e_n is
+    one division.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -85,7 +90,8 @@ def phi_series(ds: PolyDS, order: int) -> LaurentBlock:
     if key in _CACHE:
         return _CACHE[key]
     width = max(order, 1)
-    u, ud = _over_common(_psi_g_coeffs(ds.f, width - 1))   # g to index width-1
+    psi = psi_series(ds, width)
+    u, ud = _over_common([psi.coefficient(e) for e in range(-1, width - 1)])
     e = [Fraction(0)] * (order + 1)
     if order >= 1:
         gi = [1] + [0] * (width - 1)          # numerators of g^(n-1) over ud^(n-1)
@@ -132,25 +138,12 @@ def psi_equation_residual(ds: PolyDS, order: int) -> LaurentBlock:
 def phi_equation_residual(ds: PolyDS, order: int) -> LaurentBlock:
     """Phi(f(X)) - Phi(X)^d, computed in the variable w = 1/X."""
     phi = phi_series(ds, order)
-    d = ds.d
     # 1/f(1/w) = w^d / h(w) with h(w) = 1 + a_1 w + ... + a_d w^d
     h = Poly(list(reversed(ds.f.coeffs)))
     h_inv = LaurentBlock.from_poly(h, trunc=order + 1).inverse()
-    w_f = LaurentBlock.monomial(d, 1) * h_inv
-    phi_coeffs = [phi.coefficient(k) if k >= phi.low else Fraction(0)
-                  for k in range(1, (phi.trunc or order + 1))]
-    # Phi(f) = sum_k e_k * (w^d/h)^k, powers taken incrementally
-    total = LaurentBlock.zero(order + 1)
-    power = w_f
-    for k, c in enumerate(phi_coeffs, start=1):
-        if c != 0:
-            total = total + power.scale(c)
-        if power.low > order:
-            break
-        if k < len(phi_coeffs):
-            power = power * w_f
-    phi_pow = phi ** d
-    return total - phi_pow
+    w_f = (LaurentBlock.monomial(ds.d, 1) * h_inv).truncate_to(order + 1)
+    phi_coeffs = [phi.coefficient(k) for k in range(order + 1)]
+    return evaluate_series_at_block(phi_coeffs, w_f) - phi ** ds.d
 
 
 def phi_psi_identity_residual(ds: PolyDS, order: int) -> LaurentBlock:
@@ -158,14 +151,11 @@ def phi_psi_identity_residual(ds: PolyDS, order: int) -> LaurentBlock:
 
     Phi is a series in w = 1/X, so Phi(Psi(x)) = sum e_k (1/Psi(x))^k.
     """
-    psi = psi_series(ds, order)
+    # 1/Psi has lowest exponent 1; the first missing Phi coefficient (index
+    # order+1) feeds exponent order+1, so the sum is known below order+1
+    s = psi_series(ds, order).inverse().truncate_to(order + 1)
     phi = phi_series(ds, order)
-    s = psi.inverse()               # 1/Psi, a series with lowest exponent 1
-    coeffs = [phi.coefficient(k) if k >= 1 else Fraction(0)
-              for k in range(1, (phi.trunc or order + 1))]
-    total = evaluate_series_at_block([Fraction(0)] + coeffs, s)
-    # the first missing Phi coefficient (index order+1) feeds exponent order+1
-    total = total.truncate_to(order + 1)
+    total = evaluate_series_at_block([phi.coefficient(k) for k in range(order + 1)], s)
     return total - LaurentBlock.monomial(1, 1, trunc=total.trunc)
 
 

@@ -94,23 +94,14 @@ def parse_curve(text: str) -> "PlaneCurve":
     return PlaneCurve.from_bipoly(BiPoly.from_json(data))
 
 
-def _monic_system(poly: Poly, settings: Settings) -> PolyDS:
-    if poly.degree >= 2 and poly.lead == 1:
-        return PolyDS(poly, settings)
-    ds, _ = normalize_monic(poly, settings)
-    return ds
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 def cmd_dynamics_classify(args, settings: Settings) -> dict:
-    poly = parse_poly(args.poly)
-    ds, conj = (PolyDS(poly, settings), None) if (poly.degree >= 2 and poly.lead == 1) \
-        else normalize_monic(poly, settings)
+    ds, conj = normalize_monic(parse_poly(args.poly), settings)
     result: dict = {"poly": ds.f.to_json()}
-    if conj is not None and conj.rational:
+    if conj.rational and conj.scale != 1:
         result["monic_conjugacy_scale"] = rat_str(conj.scale)
     verdict = detect_exceptional(ds)
     result["exceptional"] = {
@@ -132,7 +123,7 @@ def cmd_dynamics_classify(args, settings: Settings) -> dict:
 
 def cmd_boettcher(args, settings: Settings) -> dict:
     from .boettcher import phi_series, psi_series
-    ds = _monic_system(parse_poly(args.poly), settings)
+    ds, _ = normalize_monic(parse_poly(args.poly), settings)
     order = args.order if args.order is not None else settings.series_order
     block = phi_series(ds, order) if args.phi else psi_series(ds, order)
     label = "phi (series in 1/X)" if args.phi else "psi (series in X)"
@@ -146,7 +137,7 @@ def cmd_boettcher(args, settings: Settings) -> dict:
 
 def cmd_green_trace(args, settings: Settings):
     from .green import equipotential_trace
-    ds = _monic_system(parse_poly(args.poly), settings)
+    ds, _ = normalize_monic(parse_poly(args.poly), settings)
     n_points = args.n if args.n is not None else settings.trace_points
     curve = equipotential_trace(ds, rat(args.r), n_points, rat(args.tol))
     fmt, path = _resolve_out(args.out)
@@ -249,14 +240,14 @@ def cmd_padic_polygon(args, settings: Settings) -> dict:
 
 def cmd_orbit_small(args, settings: Settings) -> dict:
     from .orbits import small_orbit_level
-    ds = _monic_system(parse_poly(args.poly), settings)
+    ds, _ = normalize_monic(parse_poly(args.poly), settings)
     lvl = small_orbit_level(ds, rat(args.alpha), args.level)
     return _level_json(lvl)
 
 
 def cmd_orbit_grand(args, settings: Settings) -> dict:
     from .orbits import grand_orbit_points
-    ds = _monic_system(parse_poly(args.poly), settings)
+    ds, _ = normalize_monic(parse_poly(args.poly), settings)
     lvl = grand_orbit_points(ds, rat(args.alpha), args.n, args.m)
     return _level_json(lvl)
 
@@ -279,7 +270,7 @@ def _level_json(lvl) -> dict:
 
 def cmd_orbit_height(args, settings: Settings) -> dict:
     from .orbits import canonical_height
-    ds = _monic_system(parse_poly(args.poly), settings)
+    ds, _ = normalize_monic(parse_poly(args.poly), settings)
     tol = rat(args.tol) if args.tol is not None else settings.tolerance
     alpha = rat(args.alpha)
     h = canonical_height(ds, alpha, tol)
@@ -308,14 +299,14 @@ def _verdict_json(verdict) -> dict:
 
 def cmd_curve_special(args, settings: Settings) -> dict:
     from .curves import is_special_curve
-    ds = _monic_system(parse_poly(args.poly), settings)
+    ds, _ = normalize_monic(parse_poly(args.poly), settings)
     curve = parse_curve(args.curve)
     return _verdict_json(is_special_curve(curve, ds, rat(args.alpha), args.nmax))
 
 
 def cmd_curve_intersect(args, settings: Settings) -> dict:
     from .curves import intersect_small_orbit
-    ds = _monic_system(parse_poly(args.poly), settings)
+    ds, _ = normalize_monic(parse_poly(args.poly), settings)
     curve = parse_curve(args.curve)
     report = intersect_small_orbit(curve, ds, rat(args.alpha), args.cap,
                                    nmax=args.nmax)
@@ -339,7 +330,7 @@ def cmd_curve_intersect(args, settings: Settings) -> dict:
 def cmd_curve_nu(args, settings: Settings) -> dict:
     from .curves import build_nu, nu_estimates
     from .padic import PadicScalar, teichmuller
-    ds = _monic_system(parse_poly(args.poly), settings)
+    ds, _ = normalize_monic(parse_poly(args.poly), settings)
     curve = parse_curve(args.curve)
     p = args.p
 

@@ -24,8 +24,8 @@ from typing import Optional, Union
 from .ball import CBall
 from .boettcher import psi_series
 from .dynamics import PolyDS
-from .errors import DomainError, WindowError
-from .exact import BiPoly, LaurentBlock, Poly, rat
+from .errors import DomainError
+from .exact import BiPoly, LaurentBlock, Poly, evaluate_series_at_block, rat
 from .factor import bivariate_irreducible, factor_rational
 from .orbits import level_polynomial, level_roots
 from .padic import (PNorm, PadicScalar, PadicSeries, Radius, count_zeros_pj,
@@ -398,11 +398,9 @@ def _boettcher_scaling(ds: PolyDS, a: Fraction, b: Fraction,
     phi = phi_series(ds, order)
     # w_L = 1/(aX+b) as a series in w = 1/X: w/(a + b w)
     denom = LaurentBlock(0, [a, b], trunc=order + 1)
-    w_l = LaurentBlock.monomial(1, 1) * denom.inverse()
-    coeffs = [phi.coefficient(k) for k in range(1, phi.trunc or order + 1)]
-    from .exact import evaluate_series_at_block
-    composed = evaluate_series_at_block([Fraction(0)] + coeffs, w_l)
-    composed = composed.truncate_to(order + 1)
+    w_l = (LaurentBlock.monomial(1, 1) * denom.inverse()).truncate_to(order + 1)
+    composed = evaluate_series_at_block([phi.coefficient(k) for k in range(order + 1)],
+                                        w_l)
     zeta = 1 / a
     residual = composed - phi.scale(zeta)
     return zeta if residual.known_is_zero() else None
@@ -437,31 +435,20 @@ class NuSeries:
 def _n_series_coeffs(curve: PlaneCurve, ds: PolyDS, order: int) -> dict:
     """Exact rational coefficients a_nm of N(x,y) = P(s(x), s(y)), n+m windowed.
 
-    s = 1/Psi is computed from the truncated Boettcher series; a_nm is exact
-    for n, m <= order.
+    s = 1/Psi is computed from the truncated Boettcher series and kept to
+    x^order; the powers s^i are ``LaurentBlock`` products, which stay known
+    to x^order because s has lowest exponent 1, and each is read as a row of
+    coefficients at exponents 0..order.  a_nm is exact for n, m <= order.
     """
-    psi = psi_series(ds, order + 2)
-    s = psi.inverse()                       # lowest exponent 1, unit coefficient
-    if s.trunc is not None and s.trunc <= order:
-        raise WindowError(f"series order too small; need 1/Psi beyond x^{order}")
+    # s = 1/Psi: lowest exponent 1, unit coefficient
+    s = psi_series(ds, order + 2).inverse().truncate_to(order + 1)
     P = curve.poly
-    max_i = P.deg_x
-    max_j = P.deg_y
-    # powers s^i as coefficient rows up to exponent `order`
     rows: list[list[Fraction]] = []
-    cur = [Fraction(1)] + [Fraction(0)] * order        # s^0
-    rows.append(cur)
-    s_coeffs = [s.coefficient(e) if e >= s.low else Fraction(0)
-                for e in range(0, order + 1)]
-    for _ in range(max(max_i, max_j)):
-        nxt = [Fraction(0)] * (order + 1)
-        for idx in range(order + 1):
-            acc = Fraction(0)
-            for k in range(0, idx + 1):
-                if s_coeffs[k] != 0 and rows[-1][idx - k] != 0:
-                    acc += s_coeffs[k] * rows[-1][idx - k]
-            nxt[idx] = acc
-        rows.append(nxt)
+    power = LaurentBlock.monomial(0, 1)     # s^0
+    for i in range(max(P.deg_x, P.deg_y) + 1):
+        if i:
+            power = power * s
+        rows.append([power.coefficient(n) for n in range(order + 1)])
     out: dict[tuple[int, int], Fraction] = {}
     for (i, j), c in P.terms:
         row_i, row_j = rows[i], rows[j]

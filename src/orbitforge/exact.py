@@ -257,11 +257,6 @@ class Poly:
         return Poly([rat(c) for c in data])
 
 
-def poly_compose(p: Poly, q: Poly) -> Poly:
-    """Composition p(q(X))."""
-    return p.compose(q)
-
-
 def poly_iterate(f: Poly, n: int, max_degree: int = 1 << 16) -> Poly:
     """n-th compositional iterate of f; the 0-th iterate is X."""
     if n < 0:
@@ -320,9 +315,6 @@ class BiPoly:
     @property
     def total_degree(self) -> int:
         return max((i + j for (i, j), _ in self.terms), default=-1)
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.terms == other.terms
@@ -721,17 +713,6 @@ class LaurentBlock:
             out[(len(self.coeffs) - 1 - i) * (-k)] = c
         return LaurentBlock(self.top * k, out, None)
 
-    def substitute_scaled(self, c, k: int = 1) -> "LaurentBlock":
-        """Substitute x -> c*x^k: coefficient a_n moves to exponent n*k scaled by c^n."""
-        c = rat(c)
-        if c == 0:
-            raise DomainError("scaling constant must be invertible")
-        scaled = LaurentBlock(
-            self.low,
-            [a * c ** (self.low + i) for i, a in enumerate(self.coeffs)],
-            self.trunc)
-        return scaled.compose_monomial(k) if k != 1 else scaled
-
     def truncate_to(self, t: int) -> "LaurentBlock":
         new_t = t if self.trunc is None else min(t, self.trunc)
         return LaurentBlock(self.low, self.coeffs, new_t)
@@ -775,18 +756,29 @@ class LaurentBlock:
         return acc
 
 
-def evaluate_series_at_block(coeffs: Sequence[Fraction], arg: LaurentBlock,
-                             shift: int = 0) -> LaurentBlock:
-    """Sum_{k} coeffs[k] * arg^k, computed with incremental powers.
+def evaluate_series_at_block(coeffs: Sequence[Fraction],
+                             arg: LaurentBlock) -> LaurentBlock:
+    """Sum_k coeffs[k] * arg^k for an argument of positive valuation.
 
-    ``shift`` adds a constant exponent offset: sum coeffs[k] * arg^(k) where
-    index 0 of ``coeffs`` is the coefficient of arg^shift.
+    This is the one place where a series is composed with a block: Phi with
+    w_f = 1/f(1/w), with 1/Psi and with 1/L(1/w).  ``arg`` must be known to
+    start at exponent 1 or later, so arg^k starts at k or later.  The sum
+    starts as ``LaurentBlock.zero(arg.trunc)``, so it is known exactly as far
+    as ``arg`` is, and the powers stop at the first one that starts at or
+    beyond ``arg.trunc``: a truncated argument costs at most ``arg.trunc``
+    products, however long ``coeffs`` is.
     """
-    power = LaurentBlock.monomial(0, 1, None) if shift == 0 else arg ** shift
-    total = LaurentBlock.zero(None)
+    start = arg._known_start()
+    if start is not None and start < 1:
+        raise DomainError("series composition needs an argument of positive valuation")
+    total = LaurentBlock.zero(arg.trunc)
+    power = LaurentBlock.monomial(0, 1, None)
     for k, c in enumerate(coeffs):
+        if k:
+            power = power * arg
+            start = power._known_start()
+            if start is None or (arg.trunc is not None and start >= arg.trunc):
+                break
         if c != 0:
             total = total + power.scale(c)
-        if k + 1 < len(coeffs):
-            power = power * arg
     return total

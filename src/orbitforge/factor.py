@@ -42,10 +42,6 @@ def factor_rational(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    return [(-f.coeff(0), m) for f, m in factor_rational(p) if f.degree == 1]
-
-
 def _bipoly_to_sympy(b: BiPoly):
     expr = sympy.Integer(0)
     for (i, j), c in b.terms:

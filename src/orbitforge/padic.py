@@ -303,9 +303,6 @@ class PadicSeries:
     def is_window_zero(self) -> bool:
         return all(s.zero for _, s in self.terms)
 
-    def exponents(self) -> list[int]:
-        return [n for n, _ in self.terms]
-
     def _tail_at(self, t: Fraction) -> Optional[Fraction]:
         """Bound on omitted log_p|a_n| + n t, or None when all omitted are 0."""
         if self.complete:
@@ -350,12 +347,6 @@ class PNorm:
 
     p: int
     logp: Fraction
-
-    def value(self) -> Fraction:
-        if self.logp.denominator != 1:
-            raise DomainError("norm is an irrational p-power; use .logp")
-        e = self.logp.numerator
-        return Fraction(self.p) ** e
 
 
 def _sup_and_kappa_ppow(g: PadicSeries, t: Fraction) -> tuple[Fraction, int]:

@@ -5,12 +5,13 @@ from fractions import Fraction as F
 
 import mpmath
 
+from orbitforge import boettcher
 from orbitforge.boettcher import (NonArchRadius, boettcher_pair,
                                   phi_equation_residual, phi_psi_identity_residual,
                                   phi_series, psi_equation_residual, psi_series,
                                   radius_archimedean, radius_nonarch)
 from orbitforge.dynamics import PolyDS
-from orbitforge.exact import Poly
+from orbitforge.exact import LaurentBlock, Poly
 
 
 def test_power_map_psi_is_exact_monomial():
@@ -54,6 +55,27 @@ def test_phi_examples():
     assert phi_c.coefficient(1) == 1
     assert phi_c.coefficient(2) == 0
     assert phi_c.coefficient(3) == -c / 2
+
+
+def test_phi_reads_g_from_psi(monkeypatch):
+    calls = []
+    recursion = boettcher._psi_g_coeffs
+
+    def counting(f, order):
+        calls.append(order)
+        return recursion(f, order)
+
+    monkeypatch.setattr(boettcher, "_psi_g_coeffs", counting)
+    ds = PolyDS(Poly([F(-31, 29), F(17, 13), 0, 1]))     # not used elsewhere
+    psi_series(ds, 23)
+    phi_series(ds, 23)
+    assert calls == [23]
+
+
+def test_phi_psi_identity_at_order_zero_is_truncated():
+    # nothing is known at order 0: the residual is O(x), not an exact -x
+    ds = PolyDS(Poly([F(1, 4), 0, 1]))
+    assert phi_psi_identity_residual(ds, 0) == LaurentBlock.zero(1)
 
 
 def test_boettcher_pair_verify():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitforge.errors import DomainError, ResourceError
-from orbitforge.exact import (BiPoly, LaurentBlock, Poly, poly_compose,
+from orbitforge.exact import (BiPoly, LaurentBlock, Poly, evaluate_series_at_block,
                               poly_iterate, poly_resultant, rat, rat_str)
 
 X2_MINUS_1 = Poly([-1, 0, 1])
@@ -60,10 +60,10 @@ def test_rat_parses_decimals_past_the_int_digit_limit():
 
 def test_compose_examples():
     sq = Poly([0, 0, 1])
-    assert poly_compose(sq, X2_MINUS_1) == Poly([1, 0, -2, 0, 1])   # (X^2-1)^2
+    assert sq.compose(X2_MINUS_1) == Poly([1, 0, -2, 0, 1])   # (X^2-1)^2
     q = Poly([3, 1, 4])
-    assert poly_compose(Poly.x(), q) == q
-    assert poly_compose(X2_MINUS_1, X2_MINUS_1) == Poly([0, 0, -2, 0, 1])
+    assert Poly.x().compose(q) == q
+    assert X2_MINUS_1.compose(X2_MINUS_1) == Poly([0, 0, -2, 0, 1])
 
 
 def test_iterate_examples():
@@ -89,7 +89,7 @@ def test_iterate_homomorphism(lower, m, n):
     if f.degree < 1:
         return
     lhs = poly_iterate(f, m + n)
-    rhs = poly_compose(poly_iterate(f, m), poly_iterate(f, n))
+    rhs = poly_iterate(f, m).compose(poly_iterate(f, n))
     assert lhs == rhs
 
 
@@ -130,9 +130,6 @@ def test_resultant_evaluation_property(coeffs, a):
 def test_block_monomial_substitution():
     inv = LaurentBlock.monomial(-1, 1)
     assert inv.compose_monomial(2) == LaurentBlock.monomial(-2, 1)
-    phi = F(7, 2)
-    scaled = inv.substitute_scaled(phi, 1)
-    assert scaled.coefficient(-1) == 1 / phi
     with pytest.raises(DomainError):
         inv.compose_monomial(0)
 
@@ -210,6 +207,96 @@ def test_block_product_equals_fraction_convolution():
 def test_block_product_edge_cases(a, b):
     assert _block_key(a * b) == _block_key(_reference_product(a, b))
     assert _block_key(b * a) == _block_key(_reference_product(b, a))
+
+
+def _reference_series_sum(coeffs, arg: LaurentBlock) -> LaurentBlock:
+    """Full power sum: every c_k * arg^k with arg^k from the reference
+    convolution, no early stop, known wherever every term and arg are."""
+    terms: dict[int, F] = {}
+    truncs = [] if arg.trunc is None else [arg.trunc]
+    power = LaurentBlock.monomial(0, 1)
+    for k, c in enumerate(coeffs):
+        if k:
+            power = _reference_product(power, arg)
+        if c == 0:
+            continue
+        if power.trunc is not None:
+            truncs.append(power.trunc)
+        for i, cp in enumerate(power.coeffs):
+            terms[power.low + i] = terms.get(power.low + i, F(0)) + c * cp
+    t = min(truncs, default=None)
+    terms = {e: v for e, v in terms.items() if t is None or e < t}
+    if not terms:
+        return LaurentBlock.zero(t)
+    lo = min(terms)
+    return LaurentBlock(lo, [terms.get(e, F(0)) for e in range(lo, max(terms) + 1)], t)
+
+
+def _random_argument(rng) -> LaurentBlock:
+    """Valuation >= 1: exact or truncated, interior zeros, sometimes empty."""
+    low = rng.randint(1, 3)
+    coeffs = [F(rng.randint(-50, 50), rng.choice((1, 2, 3, 36, 10**12 + 39)))
+              if rng.random() < 0.7 else F(0)
+              for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.3:
+        return LaurentBlock(low, coeffs)
+    return LaurentBlock(low, coeffs, low + len(coeffs) + rng.randint(-len(coeffs), 3))
+
+
+def test_series_at_block_equals_full_power_sum():
+    rng = random.Random(929)
+    for _ in range(300):
+        arg = _random_argument(rng)
+        coeffs = [F(rng.randint(-9, 9), rng.choice((1, 2, 5, 7)))
+                  if rng.random() < 0.7 else F(0)          # interior zeros
+                  for _ in range(rng.randint(0, 14))]       # often longer than trunc
+        got = evaluate_series_at_block(coeffs, arg)
+        assert _block_key(got) == _block_key(_reference_series_sum(coeffs, arg)), \
+            (coeffs, arg)
+
+
+@pytest.mark.parametrize("coeffs, arg", [
+    # empty truncated argument: only c_0 is known, up to trunc
+    ([F(3), F(5), F(7)], LaurentBlock.zero(4)),
+    ([F(0), F(5)], LaurentBlock.zero(1)),
+    # exact zero argument: exactly c_0
+    ([F(-2), F(1)], LaurentBlock.zero(None)),
+    # argument known only below its lowest exponent's successor
+    ([F(1), F(1, 2), F(1, 3)], LaurentBlock(1, [F(1), F(4)], trunc=2)),
+    # no coefficients, and more coefficients than known exponents
+    ([], LaurentBlock(1, [F(2)], trunc=6)),
+    ([F(k + 1, 3) for k in range(40)], LaurentBlock(2, [F(1), 0, F(-1, 5)], trunc=9)),
+])
+def test_series_at_block_edge_cases(coeffs, arg):
+    expected = _reference_series_sum(coeffs, arg)
+    assert _block_key(evaluate_series_at_block(coeffs, arg)) == _block_key(expected)
+
+
+def test_series_at_block_stops_at_trunc(monkeypatch):
+    products = []
+    mul = LaurentBlock.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentBlock, "__mul__", counting)
+    arg = LaurentBlock(3, [F(1), F(1, 2), F(2)], trunc=20)
+    evaluate_series_at_block([F(1)] * 100, arg)
+    # arg^7 starts at 21, beyond trunc: it is the last power formed
+    assert len(products) == 7
+
+
+@pytest.mark.parametrize("arg", [
+    LaurentBlock(0, [F(1), F(1)]),
+    LaurentBlock(-1, [F(2)], trunc=3),
+    LaurentBlock(0, [F(1)], trunc=1),
+    LaurentBlock.zero(0),
+    LaurentBlock.zero(-2),
+])
+def test_series_at_block_needs_positive_valuation(arg):
+    with pytest.raises(DomainError):
+        evaluate_series_at_block([F(1), F(1)], arg)
 
 
 def test_block_agrees_with_polynomials():

@@ -4,8 +4,15 @@ Each case hashes ``(low, coeffs, trunc)`` of the returned block, with every
 coefficient as its (numerator, denominator) pair, for Psi, Phi and the three
 exact residuals at the orders of ``ORDERS``.  The digests were recorded
 before the product kernel and the Phi reversion moved onto integer numerators
-over one common denominator.  ``python tests/test_series_golden.py`` prints
-the current digests.
+over one common denominator.
+
+Two more guards cover the other users of series composition: the pullback
+coefficients a_nm of ``curves._n_series_coeffs`` for seeded curves at the
+orders of ``NU_ORDERS``, and ``commuting_linear`` with its Boettcher scaling
+at n = 1 and 2, on the same maps plus three that commute with X -> -X + b.
+Their digests were recorded before the powers of 1/Psi and the composition
+with Phi moved onto ``exact.evaluate_series_at_block``.
+``python tests/test_series_golden.py`` prints the current digests.
 """
 
 import hashlib
@@ -16,6 +23,7 @@ import pytest
 
 from orbitforge.boettcher import (phi_equation_residual, phi_psi_identity_residual,
                                   phi_series, psi_equation_residual, psi_series)
+from orbitforge.curves import PlaneCurve, _n_series_coeffs, commuting_linear
 from orbitforge.dynamics import PolyDS
 from orbitforge.exact import Poly
 
@@ -44,6 +52,44 @@ def _corpus() -> dict:
 
 
 MAPS = _corpus()
+
+NU_ORDERS = (0, 1, 5, 12)
+
+
+def _curves() -> dict:
+    """Seeded curves: two lines, two conics and one with a mixed X*Y term."""
+    rng = random.Random(20261019)
+
+    def unit():
+        return rng.choice([-3, -2, -1, 1, 2, 3, 5])
+
+    def const():
+        return rng.randint(-6, 6)
+
+    curves = {}
+    for n in range(2):
+        curves[f"line{n}"] = {(1, 0): unit(), (0, 1): unit(), (0, 0): const()}
+    for n in range(2):
+        curves[f"conic{n}"] = {(2, 0): unit(), (0, 2): unit(), (1, 0): const(),
+                               (0, 1): const(), (0, 0): const()}
+    curves["mixed"] = {(1, 1): unit(), (1, 0): const(), (0, 1): const(),
+                       (0, 0): unit()}
+    return {name: PlaneCurve.from_terms(terms) for name, terms in curves.items()}
+
+
+CURVES = _curves()
+
+
+def _symmetric_maps() -> dict:
+    """Odd maps and a shifted odd cubic, which commute with X -> -X + b."""
+    half = F(1, 2)
+    odd3 = Poly([0, F(1, 3), 0, 1])
+    shifted = Poly([half, 1]).compose(odd3.compose(Poly([-half, 1])))
+    return {"odd3": Poly([0, -2, 0, 1]), "odd5": Poly([0, -1, 0, F(3, 2), 0, 1]),
+            "odd3_shift": shifted}
+
+
+LINEAR_MAPS = {**MAPS, **_symmetric_maps()}
 
 DIGESTS = {
     "d2_int/phi": "5df2111e4057e8902a866f66f34fa9ecd701822982210ab9bfce9c9cafba3eb7",
@@ -99,10 +145,96 @@ def _digest(map_name: str, kind: str) -> str:
     return hashlib.sha256(repr(blocks).encode()).hexdigest()
 
 
+NU_DIGESTS = {
+    "conic0/d2_int": "9f22b0f9ba1df5e0c0069630b468d02821ce6a573e0164845d3597f49eeeba9b",
+    "conic0/d2_rat": "75ef09271247acee7033f5be8a36e2ecc5820ce098098f9d44dadf53a9f3f661",
+    "conic0/d3_int": "423cb003308e0b0ef669d473da4d21bcf645d2aadcef225f8540c47cfaec72af",
+    "conic0/d3_rat": "51ab4c4d22c1ed0f80a96e2b9a21137fdd1d5c7cde17aec539cf61495668b9cb",
+    "conic0/d4_int": "d3773923294005759b9b7fe5dfbff0adf149f277235decd8036df4196f8f3ca0",
+    "conic0/d4_rat": "28962ac5613413e7612dd24bafd5948e45d19dd5142911bcff8e965ea5c68409",
+    "conic0/d5_int": "0c85515c22e881390eac47cd2d7f1150ca890290a224a5df0a186628e799010e",
+    "conic0/d5_rat": "617541d7dee85d9c5722d9a30ecae9ea193b9ee96a29f3985a7d01c9c3508e8b",
+    "conic1/d2_int": "4691785230c2c631ff78d59c0d8283102d7a21108185460b764ea121ed68e5ef",
+    "conic1/d2_rat": "a5280c424d707f609a8eb34d4496d21d8da5a9ee313a45794fbacabdf1feebf9",
+    "conic1/d3_int": "7c66f415be63f37117fb362d363e586c5685afcaffeb7166cb5b1ad0e544245f",
+    "conic1/d3_rat": "f5ba73324b304acb9e94d5cf4297bba6c02096366696fe3931816a2e771e5239",
+    "conic1/d4_int": "c301b3da1c23327480e439f2c6eed55b3de0fee3ad6d1307859d8948a15797da",
+    "conic1/d4_rat": "d353c61b471b12f2ee6c125555e7c5d575a689f614c8634ff129af7c1f176671",
+    "conic1/d5_int": "defb4cb1f9604a6514cd574f02f4140e24a41b86b202afa5795ec0b6ca519f16",
+    "conic1/d5_rat": "8b4a33449cd1af2ae2226adfcdde8fc929a2e8567735a7b31fea18963339dacf",
+    "line0/d2_int": "df176367df5e87c5614711f2b56a230b6400485083399851bc2813d020c11597",
+    "line0/d2_rat": "3fea2f56a9daf64e791c72d0271a065a2aac056d8180d6f63c46a98040e3aa10",
+    "line0/d3_int": "d683b56e82744ac7624a88fd7d68daa7234076af066b74b8af8ca7d2b797c883",
+    "line0/d3_rat": "987152fab8f0ede03c7f526855cc76e58308a874ecf3c7d8535affd51ce12e07",
+    "line0/d4_int": "df7aa6ffd6f53ce90a626be1c6efa8b79706c6c0f6d092c0c3357901b04be6e3",
+    "line0/d4_rat": "1ecb473f852bd5d46321da62f813eab941c8c9cf166037d12934498fa121d5a1",
+    "line0/d5_int": "6869569ce9b6cb1ce09742eaa0525a1eaea863a23459175a1f37e287beab429a",
+    "line0/d5_rat": "b330343d4756a4b127befb787c901b9c4c0c8cf768ab05b3fa0ad37d10516ed9",
+    "line1/d2_int": "b2b3eb45c1cac5042c2bbdacce7f24fef38f2b12bd56039304395d231d549447",
+    "line1/d2_rat": "2dfa6bc1e2a0535c572ee01462c17ebd9012638c3aa06bd77a0f1011a0a91965",
+    "line1/d3_int": "c0e3273e0d5cf05a5aacde15e8ae33700ff035cc1955b13fb2d2ac828b2ce703",
+    "line1/d3_rat": "284f3154c9181ccd2a51d2d5fb1bfaf24ff0c4b56224d63422b614b2397119be",
+    "line1/d4_int": "99dfcbd97fd291510d9b6ec8e7377d320dd056275923e11ba6da0f71e6e9e528",
+    "line1/d4_rat": "3fbbad7ac11be3ecc3e916535ab62c731e016ecf4f0e02595dcf24799ceff130",
+    "line1/d5_int": "b85d1c29511cf165af920cb58af40fbee983356b247e2a3e055a37e5bfd801aa",
+    "line1/d5_rat": "caff656d65cd09924aaab648725438ab61aa2a6757f7270ff73cda5534a5000a",
+    "mixed/d2_int": "329fe1f5bb98ebee6bc49badbb7045ac1aac63c528d4c5ee64d81012346bd59f",
+    "mixed/d2_rat": "4c78b9b60c82da729e6b635ce66806c9f2709e0107a03281e22eda30ac6e304e",
+    "mixed/d3_int": "dce643abcbabe4455d311fab33e4aa99acd24994aefa851ada5ab6aefeef6df6",
+    "mixed/d3_rat": "5d7b7308993cd3aaee70dc7c0b2a17f9c818814822c8fcabb9da8b27e5e8beea",
+    "mixed/d4_int": "5efd9a867af24ba870f22c581ea2a3f1e64e00357924ad2810271afd9c9ea7ca",
+    "mixed/d4_rat": "1698cd80cc225440b1e73dfec39e607a9e9f82e813ec7b0fe21fdc1060d815cd",
+    "mixed/d5_int": "b9bba29d9f4dd3421c041a2cedb2f28f4b2c0d2d092f5633ccdebf5fafaea00a",
+    "mixed/d5_rat": "067d147a35d4faa7cbdb38ae28fa830b89e6d433a093da7b60eb3db4e209a5ec",
+}
+
+LINEAR_DIGESTS = {
+    "d2_int": "acb8ffea5748dd6d0e6a06f6ed1ac3dae634d57fe14d7ba88d2d904f0b187142",
+    "d2_rat": "acb8ffea5748dd6d0e6a06f6ed1ac3dae634d57fe14d7ba88d2d904f0b187142",
+    "d3_int": "acb8ffea5748dd6d0e6a06f6ed1ac3dae634d57fe14d7ba88d2d904f0b187142",
+    "d3_rat": "acb8ffea5748dd6d0e6a06f6ed1ac3dae634d57fe14d7ba88d2d904f0b187142",
+    "d4_int": "acb8ffea5748dd6d0e6a06f6ed1ac3dae634d57fe14d7ba88d2d904f0b187142",
+    "d4_rat": "acb8ffea5748dd6d0e6a06f6ed1ac3dae634d57fe14d7ba88d2d904f0b187142",
+    "d5_int": "acb8ffea5748dd6d0e6a06f6ed1ac3dae634d57fe14d7ba88d2d904f0b187142",
+    "d5_rat": "acb8ffea5748dd6d0e6a06f6ed1ac3dae634d57fe14d7ba88d2d904f0b187142",
+    "odd3": "36aa4b8e4b50bbe6c5c829658bd73e39ff7bb0179b05465c76ee975baf012439",
+    "odd3_shift": "2be2991725a4893cf4fe0542a967272d0182be1705fb199c280fc9a381f86b15",
+    "odd5": "36aa4b8e4b50bbe6c5c829658bd73e39ff7bb0179b05465c76ee975baf012439",
+}
+
+
+def _nu_digest(curve_name: str, map_name: str) -> str:
+    ds = PolyDS(MAPS[map_name])
+    rows = []
+    for order in NU_ORDERS:
+        a_nm = _n_series_coeffs(CURVES[curve_name], ds, order)
+        rows.append(tuple((k, (c.numerator, c.denominator))
+                          for k, c in sorted(a_nm.items())))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _linear_digest(map_name: str) -> str:
+    ds = PolyDS(LINEAR_MAPS[map_name])
+    rows = [(n, [(lin.a, lin.b, lin.zeta) for lin in commuting_linear(ds, n, order=20)])
+            for n in (1, 2)]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("kind", sorted(SERIES))
 @pytest.mark.parametrize("map_name", sorted(MAPS))
 def test_series_bits_unchanged(map_name, kind):
     assert _digest(map_name, kind) == DIGESTS[f"{map_name}/{kind}"]
+
+
+@pytest.mark.parametrize("map_name", sorted(MAPS))
+@pytest.mark.parametrize("curve_name", sorted(CURVES))
+def test_nu_coefficients_unchanged(curve_name, map_name):
+    assert _nu_digest(curve_name, map_name) == NU_DIGESTS[f"{curve_name}/{map_name}"]
+
+
+@pytest.mark.parametrize("map_name", sorted(LINEAR_MAPS))
+def test_commuting_linear_unchanged(map_name):
+    assert _linear_digest(map_name) == LINEAR_DIGESTS[map_name]
 
 
 if __name__ == "__main__":     # pragma: no cover
@@ -110,4 +242,13 @@ if __name__ == "__main__":     # pragma: no cover
     for map_name in sorted(MAPS):
         for kind in sorted(SERIES):
             print(f'    "{map_name}/{kind}": "{_digest(map_name, kind)}",')
+    print("}")
+    print("NU_DIGESTS = {")
+    for curve_name in sorted(CURVES):
+        for map_name in sorted(MAPS):
+            print(f'    "{curve_name}/{map_name}": "{_nu_digest(curve_name, map_name)}",')
+    print("}")
+    print("LINEAR_DIGESTS = {")
+    for map_name in sorted(LINEAR_MAPS):
+        print(f'    "{map_name}": "{_linear_digest(map_name)}",')
     print("}")
