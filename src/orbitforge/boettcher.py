@@ -5,10 +5,14 @@ Phi with Phi(f(X)) = Phi(X)^d, and convergence-radius estimates per place.
 Psi is written X^{-1} g(X) with g(0) = 1; matching coefficients in
 g(X^d) = g(X)^d + sum_i a_i X^i g(X)^{d-i} determines each new coefficient
 with a unit factor d, so the recursion is exact and never divides by zero.
+The recursion has the prefix property: the first coefficients do not depend
+on the order asked for.  So the cache keeps one Psi per map, the highest
+order computed so far, and serves every order at or below it by truncation.
 Phi is obtained by Lagrange term-by-term reversion of X / g(X), with g read
-from the cached Psi, so the recursion runs once per map and order; the
-reversion works on integer numerators over powers of one common denominator
-of g.  The defining equation of Phi is kept as an independent cross-check.
+from the cached Psi, so the recursion runs once per map unless a higher
+order is asked for later; the reversion works on integer numerators over
+powers of one common denominator of g.  The defining equation of Phi is
+kept as an independent cross-check.
 Both Phi residuals compose Phi with a series of positive valuation through
 ``exact.evaluate_series_at_block``.
 """
@@ -62,12 +66,17 @@ def _psi_g_coeffs(f: Poly, order: int) -> list[Fraction]:
 
 
 def psi_series(ds: PolyDS, order: int) -> LaurentBlock:
-    """Truncated Psi: coefficients at exponents -1..order-1, residue 1."""
+    """Truncated Psi: coefficients at exponents -1..order-1, residue 1.
+
+    A cached Psi of order >= ``order`` is truncated instead of recomputed;
+    a higher order recomputes and replaces the map's cache entry.
+    """
     if order < 0:
         raise DomainError("order must be >= 0")
-    key = ("psi", ds.f.coeffs, order)
-    if key in _CACHE:
-        return _CACHE[key]
+    key = ("psi", ds.f.coeffs)
+    cached = _CACHE.get(key)
+    if cached is not None and order <= cached.trunc:
+        return cached if order == cached.trunc else cached.truncate_to(order)
     u = _psi_g_coeffs(ds.f, order)
     block = LaurentBlock(-1, u, trunc=order)
     _CACHE[key] = block

@@ -72,6 +72,26 @@ def test_phi_reads_g_from_psi(monkeypatch):
     assert calls == [23]
 
 
+def test_lower_order_psi_is_a_truncation_of_the_cached_one(monkeypatch):
+    calls = []
+    recursion = boettcher._psi_g_coeffs
+
+    def counting(f, order):
+        calls.append(order)
+        return recursion(f, order)
+
+    monkeypatch.setattr(boettcher, "_psi_g_coeffs", counting)
+    ds = PolyDS(Poly([F(23, 19), F(-5, 11), F(2, 7), 1]))   # not used elsewhere
+    psi_series(ds, 32)
+    low = psi_series(ds, 12)
+    assert calls == [32]
+    fresh = LaurentBlock(-1, recursion(ds.f, 12), trunc=12)
+    assert low == fresh and repr(low) == repr(fresh)
+    assert (low.low, low.trunc, low.coeffs) == (fresh.low, fresh.trunc, fresh.coeffs)
+    psi_series(ds, 40)
+    assert calls == [32, 40]
+
+
 def test_phi_psi_identity_at_order_zero_is_truncated():
     # nothing is known at order 0: the residual is O(x), not an exact -x
     ds = PolyDS(Poly([F(1, 4), 0, 1]))

@@ -1,0 +1,52 @@
+"""Cold start: commands that never factor over Q do not import sympy."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = r'''
+import contextlib, io, sys
+import mpmath
+from orbitforge.cli import main
+from orbitforge.dynamics import PolyDS
+from orbitforge.exact import Poly
+prec = mpmath.mp.prec
+assert "sympy" not in sys.modules, "import orbitforge.cli loaded sympy"
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    assert code == 0, (argv, code)
+    assert out.getvalue(), argv
+
+for argv in (
+        ["dynamics", "classify", "--poly", "[-1,0,1]", "--alpha", "1/3"],
+        ["boettcher", "--poly", "[-1,0,1]", "--order", "8", "--phi"],
+        ["green", "trace", "--poly", "[-1,0,1]", "--r", "1", "--n", "4",
+         "--out", "csv"],
+        ["padic", "polygon", "--p", "3", "--series",
+         '[[0,"3"],[1,"1"],[2,"3"]]'],
+        ["orbit", "height", "--poly", "[-1,0,1]", "--alpha", "1/3",
+         "--tol", "1/1000"],
+        ["combinat", "verify", "--lemma", "box1", "--nmax", "10"]):
+    run(argv)
+    assert "sympy" not in sys.modules, argv
+assert len(PolyDS(Poly([-1, 0, 1])).critical_points()) == 1
+assert "sympy" not in sys.modules, "critical points of X^2 - 1"
+
+run(["orbit", "small", "--poly", "[-1,0,1]", "--alpha", "1/3", "--level", "2"])
+assert "sympy" in sys.modules, "orbit small did not factor"
+assert mpmath.mp.prec == prec, (mpmath.mp.prec, prec)
+'''
+
+
+def test_non_factoring_commands_do_not_import_sympy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
