@@ -91,9 +91,7 @@ class CBall:
         return gap * (1 + _eps()) + other.rad <= self.rad
 
     def contains_value(self, re: Fraction, im: Fraction = Fraction(0)) -> bool:
-        pt = CBall.from_rational(re, im)
-        gap = mpmath.hypot(self.re_mid - pt.re_mid, self.im_mid - pt.im_mid)
-        return gap * (1 + _eps()) + pt.rad <= self.rad
+        return self.contains(CBall.from_rational(re, im))
 
     def __repr__(self) -> str:
         return f"CBall({mpmath.nstr(self.mid, 12)} +/- {mpmath.nstr(self.rad, 4)})"

@@ -168,20 +168,20 @@ def phi_psi_identity_residual(ds: PolyDS, order: int) -> LaurentBlock:
     return total - LaurentBlock.monomial(1, 1, trunc=total.trunc)
 
 
-def evaluate_psi(ds: PolyDS, order: int, x: CBall) -> tuple[CBall, bool]:
+def evaluate_psi(ds: PolyDS, order: int, x: CBall) -> CBall:
     """Numeric Psi(x) from the truncated series plus a tail estimate.
 
     The tail is a geometric bound extrapolated from the last 5 computed
     coefficients, widened by 2; it is an estimate, not a certificate, so the
-    returned flag marks the value as heuristic.  Callers needing rigor must
-    re-certify (the Green module does).
+    value is heuristic.  Callers needing rigor must re-certify it (the Green
+    module does).
     """
     psi = psi_series(ds, order)
     val = eval_block_ball(psi, x)
     absx = x.abs_upper()
     window = [(e, mpmath.mpf(float(abs(c)))) for e, c in psi.known_terms()][-5:]
     if not window:
-        return val, False            # finitely many terms, e.g. f = X^d
+        return val                   # finitely many terms, e.g. f = X^d
     # per-exponent growth rate from consecutive nonzero terms
     q = mpmath.mpf(1)
     for (e1, c1), (e2, c2) in zip(window, window[1:]):
@@ -194,7 +194,7 @@ def evaluate_psi(ds: PolyDS, order: int, x: CBall) -> tuple[CBall, bool]:
             "heuristic tail diverges at this radius; raise the series order")
     tail = (2 * scale * q ** (first_unknown - e_last) * absx ** first_unknown
             / (1 - q * absx))
-    return val.widen(tail), True
+    return val.widen(tail)
 
 
 class NonArchRadius(Enum):

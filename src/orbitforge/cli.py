@@ -53,9 +53,12 @@ def ball_json(b: CBall) -> dict:
             "rad": f"{float(b.rad):.6g}"}
 
 
-def emit(data, out=None) -> None:
-    text = json.dumps(data, sort_keys=True, indent=2, default=_json_default)
-    (out or sys.stdout).write(text + "\n")
+def _json_text(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2, default=_json_default) + "\n"
+
+
+def emit(data) -> None:
+    sys.stdout.write(_json_text(data))
 
 
 def _parse_json_list(text: str, what: str) -> list:
@@ -150,13 +153,11 @@ def cmd_green_trace(args, settings: Settings):
     elif fmt == "svg":
         text = _trace_svg(ds, curve)
     else:
-        emit({"r": rat_str(curve.r), "closed": curve.closed,
-              "dropped": curve.dropped,
-              "points": [{"theta": f"{pt.theta:.17g}",
-                          "point": ball_json(pt.point),
-                          "g_residual": f"{pt.g_residual:.6g}",
-                          "sheet": pt.sheet} for pt in curve.points]})
-        return None
+        points = [{"theta": f"{pt.theta:.17g}", "point": ball_json(pt.point),
+                   "g_residual": f"{pt.g_residual:.6g}", "sheet": pt.sheet}
+                  for pt in curve.points]
+        text = _json_text({"r": rat_str(curve.r), "closed": curve.closed,
+                           "dropped": curve.dropped, "points": points})
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -205,7 +206,7 @@ def _trace_svg(ds: PolyDS, curve) -> str:
 
 
 def cmd_padic_polygon(args, settings: Settings) -> dict:
-    from .padic import (PadicSeries, Radius, count_zeros_from_polygon,
+    from .padic import (PadicSeries, count_zeros_from_polygon,
                         count_zeros_pj, kappa, newton_polygon, sup_norm,
                         zeros_by_slope)
     p = args.p
@@ -223,7 +224,6 @@ def cmd_padic_polygon(args, settings: Settings) -> dict:
         r1, r = rat(args.r1), rat(args.r)
         n_identity = count_zeros_pj(series, r1, r)
         n_slopes = count_zeros_from_polygon(series, r1, r)
-        rad1 = Radius.coerce(r1, p)
         sup_r = sup_norm(series, r)
         k1 = kappa(series, r1)
         result["poisson_jensen"] = {
@@ -473,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--r", required=True, help="potential level (rational)")
     tr.add_argument("--n", type=int, default=None)
     tr.add_argument("--tol", default="1/100000000")
-    tr.add_argument("--out", help="csv | svg | <path>.csv | <path>.svg | json")
+    tr.add_argument("--out", help="csv | svg | json | <path>.csv | <path>.svg "
+                                  "| <path> (JSON)")
     tr.set_defaults(handler=cmd_green_trace, raw_output=True)
 
     pad = sub.add_parser("padic", help="p-adic series tools")

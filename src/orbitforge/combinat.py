@@ -33,8 +33,8 @@ def floor_pow(N: int, c: Fraction) -> int:
     root of N^p."""
     if N < 1:
         raise DomainError("N must be >= 1")
-    c = Fraction(c)
-    if c < 0:
+    c = rat(c)
+    if c.numerator < 0:
         raise DomainError("c must be >= 0")
     return integer_kth_root(N ** c.numerator, c.denominator)
 
@@ -85,6 +85,16 @@ def admissible_cosets(n_lo: int, n_hi: int) -> Iterator[LatticeCoset]:
                     yield LatticeCoset(a1, a2, N)
 
 
+def _check_hypotheses(S: LatticeCoset, c: Fraction) -> None:
+    """The lemmas' hypotheses: N >= 17, gcd(a1, a2, N) = 1, 3/4 <= c <= 1."""
+    if S.N < 17:
+        raise DomainError("hypothesis violated: N >= 17 required")
+    if S.gcd_with_n != 1:
+        raise DomainError("hypothesis violated: gcd(a1, a2, N) = 1 required")
+    if not (3 * c.denominator <= 4 * c.numerator <= 4 * c.denominator):
+        raise DomainError("hypothesis violated: c must lie in [3/4, 1]")
+
+
 @dataclass(frozen=True)
 class BoxCount:
     count: int
@@ -109,17 +119,12 @@ def coset_points_in_box(S: LatticeCoset, c, max_witnesses: int = 12) -> BoxCount
     as (4*count)^q >= N^(2p - q).
     """
     c = rat(c)
+    _check_hypotheses(S, c)
     p, q = c.numerator, c.denominator
-    if S.N < 17:
-        raise DomainError("hypothesis violated: N >= 17 required")
-    if S.gcd_with_n != 1:
-        raise DomainError("hypothesis violated: gcd(a1, a2, N) = 1 required")
-    if not (3 * q <= 4 * p <= 4 * q):
-        raise DomainError("hypothesis violated: c must lie in [3/4, 1]")
-    N = S.N
-    limit = integer_kth_root(N ** p, q)
+    N, a1, a2 = S.N, S.a1, S.a2
+    limit = floor_pow(N, c)
     n = [(limit - r) // N + (limit + r) // N + 1 for r in range(N)]
-    count = sum(n[(k * S.a1) % N] * n[(k * S.a2) % N] for k in range(N))
+    count = sum(n[(k * a1) % N] * n[(k * a2) % N] for k in range(N))
     witnesses = ()
     if max_witnesses > 0:
         witnesses = tuple(sorted((x1, x2) for x1, x2, _k
@@ -159,12 +164,7 @@ def find_primitive_decomposition(S: LatticeCoset, C, c) -> PrimitiveWitness:
     """
     C = rat(C)
     c = rat(c)
-    if S.N < 17:
-        raise DomainError("hypothesis violated: N >= 17 required")
-    if S.gcd_with_n != 1:
-        raise DomainError("hypothesis violated: gcd(a1, a2, N) = 1 required")
-    if not (Fraction(3, 4) <= c <= 1):
-        raise DomainError("hypothesis violated: c must lie in [3/4, 1]")
+    _check_hypotheses(S, c)
     if C < 1:
         raise DomainError("C must be >= 1")
     limit = floor_pow(S.N, c)

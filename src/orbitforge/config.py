@@ -21,16 +21,18 @@ class Settings:
     padic_digits: int = 64           # p-adic digits; escape walks start here
     tolerance: Fraction = Fraction(1, 10**10)
 
+    def __post_init__(self):
+        if self.padic_digits < 1:
+            raise ValueError(f"padic_digits must be >= 1, got {self.padic_digits}")
+
     def replace(self, **kw) -> "Settings":
         return dataclasses.replace(self, **kw)
 
 
 DEFAULTS = Settings()
 
-_INT_FIELDS = {
-    "precision_bits", "series_order", "max_poly_degree", "max_iterations",
-    "preperiodic_budget", "orbit_degree_cap", "trace_points", "padic_digits",
-}
+_INT_FIELDS = {f.name for f in dataclasses.fields(Settings)
+               if isinstance(f.default, int)}
 
 
 def load_settings(path: str, base: Settings = DEFAULTS) -> Settings:

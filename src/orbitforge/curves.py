@@ -28,8 +28,8 @@ from .errors import DomainError
 from .exact import BiPoly, LaurentBlock, Poly, evaluate_series_at_block, rat
 from .factor import bivariate_irreducible, factor_rational
 from .orbits import level_polynomial, level_roots
-from .padic import (PNorm, PadicScalar, PadicSeries, Radius, count_zeros_pj,
-                    kappa, sup_norm)
+from .padic import (PadicScalar, PadicSeries, Radius, count_zeros_pj, kappa,
+                    sup_norm)
 
 
 @dataclass(frozen=True)
@@ -555,7 +555,6 @@ def nu_estimates(nu: NuSeries) -> NuLedger:
         raise DomainError("window is zero: possibly the zero function; "
                           "cannot certify nonvanishing beyond the window")
     sup1 = sup_norm(nu.series, Radius.ppow(0))
-    assert isinstance(sup1, PNorm)
     k1_ = kappa(nu.series, Radius.ppow(0))
     vphi = Fraction(nu.phi.valuation)
     lhs = Fraction(-k1_)

@@ -225,12 +225,6 @@ class LinearConjugacy:
     scale: Union[Fraction, CBall]
     rational: bool
 
-    def describe(self) -> str:
-        if self.rational:
-            from .exact import rat_str
-            return f"L(x) = {rat_str(self.scale)}*x"
-        return f"L(x) = c*x with c in {self.scale!r}"
-
 
 def _rational_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
     """Exact real k-th root of q over Q, or None.  k >= 1."""
@@ -307,10 +301,6 @@ def normalize_monic(g: Poly, settings: Settings = DEFAULTS) -> tuple[PolyDS, Lin
 class ExceptionalVerdict:
     kind: Optional[str]          # "power" | "chebyshev" | "neg-chebyshev" | None
     over_extension: bool = False  # conjugacy witness needs an irrational scaling
-
-    @property
-    def is_exceptional(self) -> bool:
-        return self.kind is not None
 
 
 def chebyshev_monic(d: int) -> Poly:
@@ -392,8 +382,8 @@ class CriticalEscapeReport:
         return True
 
 
-def escaping_critical_points(ds: PolyDS, max_iter: Optional[int] = None,
-                             escape_radius: Optional[Fraction] = None) -> CriticalEscapeReport:
+def escaping_critical_points(ds: PolyDS,
+                             max_iter: Optional[int] = None) -> CriticalEscapeReport:
     """Certify which critical points escape to infinity.
 
     Rational critical points are decided exactly (cycle detection certifies
@@ -404,7 +394,7 @@ def escaping_critical_points(ds: PolyDS, max_iter: Optional[int] = None,
     max_iter = ds.settings.max_iterations if max_iter is None else max_iter
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
-    radius = escape_radius if escape_radius is not None else ds.escape_radius
+    radius = ds.escape_radius
     escaping, bounded, undecided = [], [], []
     for cp in ds.critical_points():
         if cp.exact is not None:
@@ -416,12 +406,12 @@ def escaping_critical_points(ds: PolyDS, max_iter: Optional[int] = None,
             else:
                 # wandering via a finite place only: complex orbit may still
                 # be bounded; fall through to the numeric test
-                if _ball_escapes(ds, cp.ball, max_iter, radius):
+                if _ball_escape_step(ds, cp.ball, max_iter, radius) is not None:
                     escaping.append(cp)
                 else:
                     undecided.append(cp)
         else:
-            if _ball_escapes(ds, cp.ball, max_iter, radius):
+            if _ball_escape_step(ds, cp.ball, max_iter, radius) is not None:
                 escaping.append(cp)
             else:
                 undecided.append(cp)
@@ -439,10 +429,6 @@ def _arch_escapes(ds: PolyDS, x: Fraction, budget: int, radius: Fraction) -> boo
             return False
         x = ds.apply(x)
     return abs(x) > radius
-
-
-def _ball_escapes(ds: PolyDS, z: CBall, budget: int, radius: Fraction) -> bool:
-    return _ball_escape_step(ds, z, budget, radius) is not None
 
 
 def _ball_escape_step(ds: PolyDS, z: CBall, budget: int,
@@ -495,9 +481,7 @@ class Wandering:
 
 def _candidate_primes(ds: PolyDS, alpha: Fraction) -> list[int]:
     primes = set(_prime_factors(alpha.denominator))
-    for c in ds.f.coeffs[:-1]:
-        if c != 0:
-            primes.update(_prime_factors(c.denominator))
+    primes.update(ds.bad_reduction_primes())
     return sorted(primes)
 
 

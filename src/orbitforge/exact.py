@@ -570,10 +570,6 @@ class LaurentBlock:
         return LaurentBlock(0, p.coeffs, trunc)
 
     @property
-    def is_exact(self) -> bool:
-        return self.trunc is None
-
-    @property
     def is_exact_zero(self) -> bool:
         return not self.coeffs and self.trunc is None
 
@@ -717,25 +713,15 @@ class LaurentBlock:
         new_t = t if self.trunc is None else min(t, self.trunc)
         return LaurentBlock(self.low, self.coeffs, new_t)
 
-    def inverse(self, order: Optional[int] = None) -> "LaurentBlock":
-        """Multiplicative inverse as a Laurent block.
-
-        For truncated blocks the output is known to the matching order; for
-        full blocks an explicit ``order`` (number of known terms) is required
-        unless the block is a monomial.
-        """
+    def inverse(self) -> "LaurentBlock":
+        """Multiplicative inverse of a truncated block, known to the
+        matching order."""
+        if self.trunc is None:
+            raise DomainError("only a truncated block can be inverted")
         if not self.coeffs:
             raise DomainError("cannot invert a block with no known nonzero term")
-        if self.coeffs[0] == 0:
-            raise DomainError("lowest known coefficient must be nonzero")
-        if self.trunc is None and order is None:
-            if len(self.coeffs) == 1:
-                return LaurentBlock.monomial(-self.low, 1 / self.coeffs[0], None)
-            raise DomainError("inverting a full block needs an explicit order")
-        nterms = (self.trunc - self.low) if self.trunc is not None else order
-        if order is not None:
-            nterms = min(nterms, order) if self.trunc is not None else order
-        a = list(self.coeffs[:nterms]) + [Fraction(0)] * max(0, nterms - len(self.coeffs))
+        nterms = self.trunc - self.low
+        a = self.coeffs
         inv = [Fraction(0)] * nterms
         inv[0] = 1 / a[0]
         for n in range(1, nterms):
@@ -744,8 +730,7 @@ class LaurentBlock:
                 if a[j] != 0:
                     s += a[j] * inv[n - j]
             inv[n] = -s / a[0]
-        t = None if self.trunc is None and order is None else -self.low + nterms
-        return LaurentBlock(-self.low, inv, t)
+        return LaurentBlock(-self.low, inv, -self.low + nterms)
 
     def compose_poly(self, p: Poly) -> "LaurentBlock":
         """Evaluate the polynomial p at this block (Horner)."""

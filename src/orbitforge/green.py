@@ -129,8 +129,7 @@ def _unit_sample(theta: float) -> CBall:
 def _psi_point(ds: PolyDS, order: int, radius: mpf, theta: float) -> CBall:
     from .boettcher import evaluate_psi
     x = _unit_sample(theta) * CBall(radius, mpf(0), mpf(0))
-    val, _heuristic = evaluate_psi(ds, order, x)
-    return val
+    return evaluate_psi(ds, order, x)
 
 
 def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,

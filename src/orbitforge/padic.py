@@ -3,11 +3,10 @@ statistic kappa, Newton polygons with the slope/zero dictionary, the
 ultrametric Poisson-Jensen zero count, and local cyclotomic degrees.
 
 Scalars are scaled integers: value = p^valuation * unit with the unit known
-modulo p^precision.  Radii are handled in two exact forms: powers p^t with
-t rational (all logarithms stay rational multiples of log p), or arbitrary
-positive rationals (norm comparisons are still exact, logarithms are not
-taken).  Any comparison that the tracked precision cannot decide raises
-instead of guessing.
+modulo p^precision.  A radius is a power p^t with t rational, so every
+logarithm stays a rational multiple of log p; a positive rational that is
+not such a power is refused.  Any comparison that the tracked precision
+cannot decide raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, PrecisionError, WindowError
 from .exact import rat
@@ -37,6 +36,11 @@ def _is_prime(p: int) -> bool:
 def _check_prime(p: int) -> None:
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime")
+
+
+def _check_digits(digits: int) -> None:
+    if digits < 1:
+        raise DomainError(f"p-adic precision must be >= 1 digit, got {digits}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,7 @@ class PadicScalar:
     @staticmethod
     def from_rational(q, p: int, digits: int = DEFAULT_DIGITS) -> "PadicScalar":
         _check_prime(p)
+        _check_digits(digits)
         q = rat(q)
         if q == 0:
             return PadicScalar.exact_zero(p)
@@ -80,6 +85,7 @@ class PadicScalar:
     def from_unit(p: int, unit: int, valuation: int = 0,
                   digits: int = DEFAULT_DIGITS) -> "PadicScalar":
         _check_prime(p)
+        _check_digits(digits)
         mod = p ** digits
         unit %= mod
         if unit % p == 0:
@@ -200,6 +206,7 @@ class PadicScalar:
 def teichmuller(p: int, c: int, digits: int = DEFAULT_DIGITS) -> PadicScalar:
     """Teichmuller lift: the unique (p-1)-th root of unity congruent to c mod p."""
     _check_prime(p)
+    _check_digits(digits)
     if c % p == 0:
         raise DomainError("Teichmuller lift needs a unit residue")
     mod = p ** digits
@@ -215,32 +222,26 @@ def teichmuller(p: int, c: int, digits: int = DEFAULT_DIGITS) -> PadicScalar:
 
 @dataclass(frozen=True)
 class Radius:
-    """Exact positive radius: either p^t (t rational) or a plain rational."""
+    """Exact positive radius p^t, t rational."""
 
-    t: Optional[Fraction] = None       # exponent for the p-power form
-    q: Optional[Fraction] = None       # value for the rational form
+    t: Fraction
 
     @staticmethod
     def ppow(t) -> "Radius":
-        return Radius(t=Fraction(t))
-
-    @staticmethod
-    def rational(q) -> "Radius":
-        q = rat(q)
-        if q <= 0:
-            raise DomainError("radius must be positive")
-        return Radius(q=q)
+        return Radius(Fraction(t))
 
     @staticmethod
     def coerce(value, p: int) -> "Radius":
-        """Rationals that are exact powers of p become p-power radii."""
+        """A positive rational that is an exact power of p, as p^t."""
         if isinstance(value, Radius):
             return value
         q = rat(value)
         if q <= 0:
             raise DomainError("radius must be positive")
         t = _exact_p_log(q, p)
-        return Radius(t=t) if t is not None else Radius(q=q)
+        if t is None:
+            raise DomainError(f"radius {q} is not an exact power of {p}")
+        return Radius(t)
 
 
 def _exact_p_log(q: Fraction, p: int) -> Optional[Fraction]:
@@ -317,27 +318,15 @@ def _term_logp(n: int, scalar: PadicScalar, t: Fraction) -> Optional[Fraction]:
     return None if up is None else up + n * t
 
 
-def sup_norm(g: PadicSeries, r) -> Union[Fraction, "PNorm"]:
-    """|g|_r = sup_n |a_n| r^n, exact.
-
-    For a p-power radius the result is a PNorm carrying log_p of the value;
-    for a plain rational radius the exact rational value is returned.
-    """
-    radius = Radius.coerce(r, g.p)
-    if radius.t is not None:
-        val, _ = _sup_and_kappa_ppow(g, radius.t)
-        return PNorm(g.p, val)
-    val, _ = _sup_and_kappa_rational(g, radius.q)
-    return val
+def sup_norm(g: PadicSeries, r) -> PNorm:
+    """|g|_r = sup_n |a_n| r^n, exact, as a PNorm carrying log_p of the value."""
+    val, _ = _sup_and_kappa(g, Radius.coerce(r, g.p).t)
+    return PNorm(g.p, val)
 
 
 def kappa(g: PadicSeries, r) -> int:
     """inf of the exponents attaining the sup norm at radius r."""
-    radius = Radius.coerce(r, g.p)
-    if radius.t is not None:
-        _, k = _sup_and_kappa_ppow(g, radius.t)
-    else:
-        _, k = _sup_and_kappa_rational(g, radius.q)
+    _, k = _sup_and_kappa(g, Radius.coerce(r, g.p).t)
     return k
 
 
@@ -349,7 +338,7 @@ class PNorm:
     logp: Fraction
 
 
-def _sup_and_kappa_ppow(g: PadicSeries, t: Fraction) -> tuple[Fraction, int]:
+def _sup_and_kappa(g: PadicSeries, t: Fraction) -> tuple[Fraction, int]:
     best: Optional[Fraction] = None
     best_n: Optional[int] = None
     small_max: Optional[Fraction] = None
@@ -380,27 +369,6 @@ def _sup_and_kappa_ppow(g: PadicSeries, t: Fraction) -> tuple[Fraction, int]:
                 f"(need a tail bound below p^{best})")
     # a small/omitted term below the sup cannot attain it; kappa is exact if
     # no small term with exponent < best_n could attain -- checked above
-    return best, best_n
-
-
-def _sup_and_kappa_rational(g: PadicSeries, q: Fraction) -> tuple[Fraction, int]:
-    best: Optional[Fraction] = None
-    best_n: Optional[int] = None
-    for n, s in g.terms:
-        if s.zero:
-            if s.is_small:
-                raise PrecisionError("small term under a rational radius")
-            continue
-        val = Fraction(g.p) ** (-s.valuation) * q ** n
-        if best is None or val > best or (val == best and n < best_n):
-            if best is None or val > best:
-                best, best_n = val, n
-            else:
-                best_n = min(best_n, n)
-    if not g.complete:
-        raise WindowError("rational-radius sup norm requires a complete window")
-    if best is None:
-        raise DomainError("sup norm of the zero series")
     return best, best_n
 
 
@@ -462,14 +430,12 @@ def count_zeros_pj(g: PadicSeries, r1, r) -> Fraction:
     """
     rad1 = Radius.coerce(r1, g.p)
     rad = Radius.coerce(r, g.p)
-    if rad1.t is None or rad.t is None:
-        raise DomainError("Poisson-Jensen radii must be exact powers of p")
     if not rad1.t < rad.t:
         raise DomainError("need r1 < r")
     if g.is_window_zero and g.complete:
         raise DomainError("zero function on the annulus")
-    sup_r, _ = _sup_and_kappa_ppow(g, rad.t)
-    _, k1 = _sup_and_kappa_ppow(g, rad1.t)
+    sup_r, _ = _sup_and_kappa(g, rad.t)
+    _, k1 = _sup_and_kappa(g, rad1.t)
     a_k1 = dict(g.terms)[k1]
     return sup_r - k1 * rad.t - a_k1.logp_abs()
 
@@ -478,8 +444,6 @@ def count_zeros_from_polygon(g: PadicSeries, r1, r) -> Fraction:
     """Independent N(g,0,r) from Newton-polygon slopes (complete windows)."""
     rad1 = Radius.coerce(r1, g.p)
     rad = Radius.coerce(r, g.p)
-    if rad1.t is None or rad.t is None:
-        raise DomainError("radii must be exact powers of p")
     if not g.complete:
         raise WindowError("polygon-based counting requires a complete window")
     total = Fraction(0)

@@ -161,3 +161,17 @@ def test_phi_matches_iterated_root_numerically():
         x = x**2 - 1
     iter_val = x ** (mpmath.mpf(1) / mpmath.mpf(2) ** n)
     assert abs(1 / series_val - iter_val) < 1e-12
+
+
+def test_evaluate_psi_returns_the_ball():
+    from orbitforge.ball import CBall
+    from orbitforge.boettcher import evaluate_psi
+    x = CBall.from_rational(F(1, 4))
+    exact = evaluate_psi(PolyDS(Poly.monomial(2)), 8, x)     # Psi(x) = 1/x
+    assert isinstance(exact, CBall) and exact.contains_value(F(4))
+    ds = PolyDS(Poly([-1, 0, 1]))
+    val = evaluate_psi(ds, 24, x)
+    assert isinstance(val, CBall)
+    # Psi(x)^2 - 1 = Psi(x^2), up to the heuristic tail
+    sq = evaluate_psi(ds, 24, CBall.from_rational(F(1, 16)))
+    assert abs(val.mid ** 2 - 1 - sq.mid) < 1e-6

@@ -141,6 +141,17 @@ def test_svg_output(tmp_path):
     assert text.startswith("<svg") and "polyline" in text
 
 
+def test_json_out_path_writes_the_trace(tmp_path):
+    target = tmp_path / "t.json"
+    argv = ["green", "trace", "--poly", "[-1,0,1]", "--r", "1", "--n", "4"]
+    code, out, _ = run_cli(argv + ["--out", str(target)])
+    assert code == 0
+    assert json.loads(out) == {"written": str(target), "points": 4, "dropped": 0}
+    code, printed, _ = run_cli(argv)
+    assert code == 0 and target.read_text() == printed
+    assert len(json.loads(printed)["points"]) == 4
+
+
 def test_manifest_written(tmp_path):
     target = tmp_path / "manifest.json"
     code, out, err = run_cli(["--manifest", str(target), "orbit", "height",

@@ -329,6 +329,13 @@ def test_block_inverse_roundtrip():
                for e in range(prod.low, prod.trunc) if e != 0)
 
 
+def test_block_inverse_needs_a_truncated_block():
+    with pytest.raises(DomainError):
+        LaurentBlock.monomial(-1, 1).inverse()
+    with pytest.raises(DomainError):
+        LaurentBlock(0, [1, 2]).inverse()
+
+
 def test_negative_monomial_substitution_needs_full_block():
     trunc = LaurentBlock(0, [1, 2], trunc=5)
     with pytest.raises(DomainError):

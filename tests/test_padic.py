@@ -36,6 +36,16 @@ def test_scalar_arithmetic_tracks_valuations():
     assert a.inverse().valuation == -1
 
 
+@pytest.mark.parametrize("digits", [0, -1])
+def test_scalars_need_at_least_one_digit(digits):
+    with pytest.raises(DomainError):
+        PadicScalar.from_rational(1, 3, digits)
+    with pytest.raises(DomainError):
+        PadicScalar.from_unit(3, 1, 0, digits)
+    with pytest.raises(DomainError):
+        teichmuller(3, 2, digits)
+
+
 def test_teichmuller_is_root_of_unity():
     t = teichmuller(5, 2)
     mod = 5 ** t.precision
@@ -63,6 +73,17 @@ def test_sup_and_kappa_examples():
 
     single = PadicSeries.from_polynomial([7], 7)    # p * z^0
     assert sup_norm(single, Radius.ppow(0)).logp == -1
+
+
+def test_radius_must_be_a_power_of_p():
+    g = PadicSeries.from_polynomial([3, 1, 9], 3)
+    with pytest.raises(DomainError):
+        Radius.coerce(F(2), 3)
+    with pytest.raises(DomainError):
+        sup_norm(g, F(2))
+    with pytest.raises(DomainError):
+        kappa(g, F(2))
+    assert Radius.coerce(F(1, 9), 3) == Radius.ppow(-2)
 
 
 def _poly_series(rng, p, deg=8, bound=40):
