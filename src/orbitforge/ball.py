@@ -14,7 +14,9 @@ the complex formulas: mpmath's complex product rounds the exact product
 minus an exact 0, hypot(x, 0) is |x|, and adding an exact 0 to a number at
 the working precision leaves it unchanged.  Polynomials are evaluated by one
 Horner loop over coefficient balls; a loop that evaluates the same
-polynomial many times builds them once with ``coeff_balls``.
+polynomial many times builds them once with ``coeff_balls``.  A Laurent
+block goes through the same loop over its dense coefficients, times one
+power z^low.
 """
 
 from __future__ import annotations
@@ -216,12 +218,7 @@ def eval_poly_ball(p, z: CBall) -> CBall:
 
 
 def eval_block_ball(block, z: CBall) -> CBall:
-    """Evaluate a Laurent block's known terms at a ball (no tail estimate)."""
-    terms = block.known_terms()
-    if not terms:
-        return CBall.exact_int(0)
-    total = None
-    for e, c in terms:
-        term = CBall.from_rational(c) * z.pow_int(e)
-        total = term if total is None else total + term
-    return total
+    """Evaluate a Laurent block's known terms at a ball (no tail estimate):
+    one Horner pass over its dense coefficients, times z^low."""
+    val = horner_ball([CBall.from_rational(c) for c in block.coeffs], z)
+    return val * z.pow_int(block.low) if block.low else val

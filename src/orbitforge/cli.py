@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -573,12 +574,26 @@ def _run(args, settings: Settings, argv, started: float) -> int:
     return code
 
 
+def _writable(path: str) -> bool:
+    """Whether ``open(path, "w")`` can succeed: an existing writable file,
+    or a new name in an existing writable directory."""
+    if os.path.exists(path):
+        return os.path.isfile(path) and os.access(path, os.W_OK)
+    folder = os.path.dirname(path) or "."
+    return os.path.isdir(folder) and os.access(folder, os.W_OK)
+
+
 def main(argv=None) -> int:
     started = time.monotonic()
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "pj", False) and (args.r1 is None or args.r is None):
         parser.error("--pj requires --r1 and --r")
+    # checked before the handler runs, so a long run is not lost at the end
+    for flag, path in (("--manifest", args.manifest),
+                       ("--out", _resolve_out(getattr(args, "out", None))[1])):
+        if path is not None and not _writable(path):
+            parser.error(f"{flag}: cannot write to {path}")
     settings = DEFAULTS
     if args.config:
         try:

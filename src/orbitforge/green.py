@@ -3,9 +3,12 @@ equipotential level-curve tracing.
 
 g(z) = lim log+|f^n(z)| / d^n.  Once an orbit certifiably crosses the escape
 radius R = 1 + sum|a_i|, the partial value log|f^k(z)|/d^k encloses g within
-an explicit geometric tail bound; orbits that stay below R for the whole
-budget yield the one-sided enclosure [0, log(2R)/d^n], reported with
-``escaped=False`` (a heuristic "bounded", never a proof that g = 0).
+an explicit geometric tail bound.  An orbit not shown to escape yields the
+one-sided enclosure [0, log(2 max(|z_n|, R))/d^n], valid after any n steps;
+it stops at the first n where that enclosure has radius <= tol, the same
+promise as an escaping orbit's, unless the step budget runs out first.  It is
+reported with ``escaped=False`` (a heuristic "bounded", never a proof that
+g = 0).
 """
 
 from __future__ import annotations
@@ -61,8 +64,10 @@ def green_eval(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10),
     """Certified enclosure of the escape rate at z.
 
     When the orbit is certified past the escape radius, the returned ball has
-    radius at most tol.  Otherwise the enclosure is [0, log(2R)/d^n] after n
-    budgeted steps, flagged escaped=False.
+    radius at most tol.  Otherwise the enclosure is [0, log(2 max(|z_n|, R))/d^n]
+    at the first step n where its radius is at most tol, or after the step
+    budget if that comes first, flagged escaped=False.  Since the upper end
+    bounds g(z), a point with g(z) > 2 tol is never returned as bounded.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -75,7 +80,7 @@ def green_eval(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10),
     s_up = mpf(s.numerator) / mpf(s.denominator) * (1 + mpf(2) ** -50)
     r_esc = ds.escape_radius
     r_up = mpf(r_esc.numerator) / mpf(r_esc.denominator) * (1 + mpf(2) ** -50)
-    tol_f = mpf(tol.numerator) / mpf(tol.denominator)
+    tol_f = mpmath.fdiv(tol.numerator, tol.denominator, rounding="d")
     f_balls = coeff_balls(ds.f)
     log_2r = mpmath.log(2 * r_up)
     blow_up = mpf(10) ** 200
@@ -100,7 +105,7 @@ def green_eval(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10),
                 if total_rad <= tol_f:
                     val = CBall(logball.re_mid / d_n, mpf(0), total_rad)
                     return GreenValue(_clip_nonneg(val), n, True)
-        if n == max_iter and escaped_at is None:
+        if escaped_at is None and (n == max_iter or upper <= 2 * tol_f):
             break
         cur = horner_ball(f_balls, cur)
         n += 1
@@ -145,7 +150,9 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
     drops every sheet below it, and a failed level check drops its point, so
     points plus dropped equal d^k times the number of base angles (before the
     list is cut to n_points).  At k = 0 a point that fails the level check is
-    first polished by pulling back a point of a deeper level.
+    first polished by pulling back a point of a deeper level.  Where the Psi
+    tail estimate diverges at the start level, the trace starts one level
+    deeper, within the degree cap; a divergent tail fails only a polish.
     """
     from .boettcher import radius_archimedean
 
@@ -165,14 +172,23 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
         k += 1
         if ds.d ** k > ds.settings.orbit_degree_cap:
             raise DomainError("level too shallow to trace within the degree cap")
-    deep_rho = rho ** (ds.d ** k)
+    while True:
+        n_base = max(1, -(-n_points // ds.d ** k))
+        try:
+            starts = [_psi_point(ds, order, rho ** (ds.d ** k), j / n_base)
+                      for j in range(n_base)]
+            break
+        except PrecisionError:
+            # Psi's tail diverges this far out; it converges one level deeper
+            if ds.d ** (k + 1) > ds.settings.orbit_degree_cap:
+                raise
+            k += 1
     dp = ds.f.derivative()
 
-    n_base = max(1, -(-n_points // ds.d ** k))
     points: list[TracePoint] = []
-    for j in range(n_base):
+    for j, start in enumerate(starts):
         theta = j / n_base
-        level = [_psi_point(ds, order, deep_rho, theta)]
+        level = [start]
         for _ in range(k):
             # a failed step (None) has no sheets below it
             level = [certify_solution(ds.f, CBall.from_complex(approx), w, dp)
@@ -190,8 +206,11 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
                 guesses = [pt]
                 for _ in range(kk - 1):
                     guesses.append(eval_poly_ball(ds.f, guesses[-1]))
-                refined = _psi_point(ds, order, rho ** (ds.d ** kk),
-                                     (theta * ds.d ** kk) % 1.0)
+                try:
+                    refined = _psi_point(ds, order, rho ** (ds.d ** kk),
+                                         (theta * ds.d ** kk) % 1.0)
+                except PrecisionError:
+                    refined = None
                 for guess in reversed(guesses):
                     if refined is not None:
                         refined = certify_solution(ds.f, guess, refined, dp)

@@ -4,6 +4,7 @@ Real balls (imaginary midpoint exactly 0) add, multiply and take absolute
 values in real arithmetic; each result must equal, bit for bit, the generic
 complex formula written out here through ``mpmath.mpc``.  Loops that
 evaluate one polynomial many times must build its coefficient balls once.
+Laurent blocks are evaluated by one Horner pass.
 """
 
 import random
@@ -13,9 +14,10 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from orbitforge.ball import CBall
+from orbitforge.ball import CBall, eval_block_ball
+from orbitforge.boettcher import psi_series
 from orbitforge.dynamics import PolyDS
-from orbitforge.exact import Poly
+from orbitforge.exact import LaurentBlock, Poly
 from orbitforge.green import green_eval
 from orbitforge.rootcert import certify_solution
 
@@ -114,7 +116,7 @@ def from_rational_calls(monkeypatch):
 
 def test_green_eval_builds_coefficient_balls_once(from_rational_calls):
     ds = PolyDS(Poly([-1, 0, 1]))
-    g = green_eval(ds, F(1, 3))
+    g = green_eval(ds, F(1, 3), F(1, 10**100))       # no early stop
     assert not g.escaped and g.iterations_used == 256
     # the start point and the deg f + 1 coefficients
     assert len(from_rational_calls) <= ds.d + 2
@@ -126,3 +128,76 @@ def test_certify_solution_builds_coefficient_balls_once(from_rational_calls):
     root = certify_solution(p, CBall.from_complex(1.4))
     assert root is not None and abs(float(root.re_mid) - 2 ** 0.5) < 1e-12
     assert len(from_rational_calls) <= p.degree + dp.degree + 2
+
+
+def _block_cases(rng):
+    """Seeded blocks: low in {-1, 0, 2}, odd exponents only, one term, and
+    the empty block."""
+    def coeff():
+        return F(rng.randint(-50, 50), rng.randint(1, 30))
+    blocks = [LaurentBlock(low, [coeff() for _ in range(rng.randint(1, 12))], trunc)
+              for low in (-1, 0, 2) for trunc in (None, 20)]
+    odd = [coeff() if e % 2 else 0 for e in range(-1, 16)]
+    blocks += [LaurentBlock(-1, odd), LaurentBlock(3, [coeff()]),
+               LaurentBlock(-1, [coeff()]), LaurentBlock.zero(),
+               LaurentBlock.zero(trunc=5)]
+    return blocks
+
+
+def _exact(x) -> F:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+def _exact_block_value(block, re: F, im: F) -> tuple[F, F]:
+    """sum c x^e for x = re + i im, in exact complex Fraction arithmetic."""
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+    if block.low < 0:
+        norm = re * re + im * im
+        step = (re / norm, -im / norm)
+    else:
+        step = (re, im)
+    power = (F(1), F(0))
+    for _ in range(abs(block.low)):
+        power = mul(power, step)
+    total = (F(0), F(0))
+    for c in block.coeffs:
+        total = (total[0] + c * power[0], total[1] + c * power[1])
+        power = mul(power, (re, im))
+    return total
+
+
+@pytest.mark.parametrize("prec", (64, 160))
+def test_block_value_contains_the_exact_sum(prec):
+    rng = random.Random(41)
+    points = [(F(1, 3), F(0)), (F(-5, 7), F(0)), (F(2, 9), F(-3, 11)),
+              (F(-7, 5), F(1, 2))]
+    with mpmath.workprec(prec):
+        for block in _block_cases(rng):
+            for re, im in points:
+                ball = eval_block_ball(block, CBall.from_rational(re, im))
+                want_re, want_im = _exact_block_value(block, re, im)
+                gap_re = _exact(ball.re_mid) - want_re
+                gap_im = _exact(ball.im_mid) - want_im
+                assert gap_re ** 2 + gap_im ** 2 <= _exact(ball.rad) ** 2
+
+
+def test_block_value_takes_one_horner_pass(monkeypatch):
+    products = []
+    original = CBall.__mul__
+
+    def counting(self, other):
+        products.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(CBall, "__mul__", counting)
+    z = CBall.from_rational(F(1, 5), F(1, 7))
+    blocks = [psi_series(PolyDS(Poly([-1, 0, 1])), 48),
+              psi_series(PolyDS(Poly([1, -1, 0, 1])), 48),
+              LaurentBlock(2, list(range(1, 41)))]
+    for block in blocks:
+        products.clear()
+        eval_block_ball(block, z)
+        # one product per coefficient, plus z^low by repeated squaring
+        assert len(products) <= len(block.coeffs) + 2 * abs(block.low).bit_length()

@@ -235,6 +235,24 @@ def test_pj_without_radii_is_usage_error(extra):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["green", "trace", "--poly", "[-1,0,1]", "--r", "1", "--n", "4",
+     "--out", "{missing}/t.svg"],
+    ["--manifest", "{missing}/m.json", "orbit", "height", "--poly", "[-1,0,1]",
+     "--alpha", "1/3"],
+])
+def test_unwritable_path_is_usage_error(argv, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    argv = [a.format(missing=missing) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert next(a for a in argv if a.startswith(missing)) in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_bad_config_is_usage_error(tmp_path):
     cfg = tmp_path / "of.cfg"
     cfg.write_text("threads = 4\n")

@@ -8,7 +8,7 @@ import pytest
 
 from orbitforge.ball import CBall, eval_poly_ball
 from orbitforge.dynamics import PolyDS
-from orbitforge.errors import DomainError
+from orbitforge.errors import DomainError, PrecisionError
 from orbitforge.exact import Poly
 from orbitforge.green import equipotential_trace, green_eval, green_functional_check
 
@@ -34,9 +34,61 @@ def test_power_map_model():
 
 
 def test_interior_point_is_zero():
-    g = green_eval(SQ, F(1, 2))
+    # a radius <= tol puts the upper end at <= 2 tol
+    g = green_eval(SQ, F(1, 2), F(1, 2 * 10**20))
     assert not g.escaped
     assert float(g.value.re_mid + g.value.rad) < 1e-20
+
+
+def _exact(x) -> F:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+def _bounded_cases():
+    """(map, point) pairs for X^2 + c with seeded c in [-2, 1/4] and for
+    X^3 - X + 1, at real points, complex points, and points within 1e-9 of a
+    repelling fixed point (in the Julia set).  Complex points outside the
+    filled Julia set escape; callers skip them."""
+    rng = random.Random(29)
+    maps = [PolyDS(Poly([F(rng.choice([-7, -6, -5, -3, -2, -1, 1]), 4), 0, 1]))
+            for _ in range(4)]
+    maps += [PolyDS(Poly([F(-2), 0, 1])), PolyDS(Poly([F(1, 4), 0, 1]))]
+    cases = []
+    for ds in maps:
+        c = float(ds.f.coeff(0))
+        beta = (1 + math.sqrt(1 - 4 * c)) / 2      # repelling unless c = 1/4
+        cases += [(ds, F(rng.uniform(-beta, beta)).limit_denominator(10**6)),
+                  (ds, F(beta - 1e-9).limit_denominator(10**12)),
+                  (ds, CBall.from_complex(complex(rng.uniform(-0.3, 0.3),
+                                                  rng.uniform(-0.3, 0.3))))]
+    cubic = PolyDS(Poly([1, -1, 0, 1]))
+    # 0 -> 1 -> 1 (repelling); (sqrt(5) - 1)/2 is attracting
+    cases += [(cubic, F(0)), (cubic, F(1) - F(1, 10**9)),
+              (cubic, F(618, 1000)), (cubic, CBall.from_complex(0.6 + 0.05j))]
+    return cases
+
+
+@pytest.mark.parametrize("tol", [F(1, 10**10), F(1, 10**20)])
+def test_bounded_orbit_stops_at_tol(tol):
+    bounded = 0
+    for ds, z in _bounded_cases():
+        try:
+            # no tol stops it: the whole budget, or until the ball blows up
+            full = green_eval(ds, z, F(1, 10**200))
+        except PrecisionError:           # certified to escape
+            continue
+        assert not full.escaped
+        bounded += 1
+        g = green_eval(ds, z, tol)
+        assert not g.escaped
+        assert _exact(g.value.rad) <= tol
+        log_2r = math.log(2 * float(ds.escape_radius))
+        least = next(n for n in range(257) if log_2r / (2 * ds.d ** n) <= tol)
+        assert abs(g.iterations_used - least) <= 1
+        gap = abs(g.value.re_mid - full.value.re_mid)
+        assert gap <= g.value.rad + full.value.rad
+    assert bounded >= 18
 
 
 def test_nonnegative_and_escaped_radius_bound():
@@ -189,6 +241,51 @@ def test_trace_low_order_rescue(monkeypatch):
     curve = equipotential_trace(DS1, F(1), n_points=16, tol=F(1, 10**8), order=12)
     assert curve.closed and calls
     assert len(curve.points) == 16 and curve.dropped == 0
+
+
+@pytest.mark.parametrize("r", [F(1), F(1, 2), F(1, 5)])
+def test_parabolic_trace_starts_below_a_divergent_psi_tail(r):
+    # X^2 + 1/4 has Boettcher radius 1; at order 48 the Psi tail estimate
+    # diverges at |x| = exp(-r), so the trace starts one level deeper
+    curve = equipotential_trace(PolyDS(Poly([F(1, 4), 0, 1])), r, n_points=8)
+    assert len(curve.points) == 8 and curve.dropped == 0
+    assert curve.closed is False
+
+
+def test_divergent_tail_fails_only_the_polish(monkeypatch):
+    # at order 12 every k = 0 sample is polished through a deeper Psi value;
+    # when that value raises, the point is dropped and the trace goes on
+    import orbitforge.green as green_mod
+
+    psi_point = green_mod._psi_point
+    calls = []
+
+    def polish_diverges(*args):
+        calls.append(None)
+        if len(calls) > 16:          # the 16 start points come first
+            raise PrecisionError("heuristic tail diverges at this radius")
+        return psi_point(*args)
+
+    monkeypatch.setattr(green_mod, "_psi_point", polish_diverges)
+    curve = equipotential_trace(DS1, F(1), n_points=16, tol=F(1, 10**8), order=12)
+    assert curve.closed and len(calls) == 32
+    assert curve.points == [] and curve.dropped == 16
+
+
+def test_divergent_tail_at_every_level_stops_at_the_degree_cap(monkeypatch):
+    import orbitforge.green as green_mod
+
+    radii = []
+
+    def diverges(ds, order, radius, theta):
+        radii.append(radius)
+        raise PrecisionError("heuristic tail diverges at this radius")
+
+    monkeypatch.setattr(green_mod, "_psi_point", diverges)
+    with pytest.raises(PrecisionError):
+        equipotential_trace(DS1, F(1), n_points=4)
+    # one try per level k = 0 .. 12, the deepest with 2^k <= 4096
+    assert len(set(radii)) == 13
 
 
 def test_trace_rejects_nonpositive_level():

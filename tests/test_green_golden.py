@@ -4,7 +4,10 @@ Each case hashes the midpoint and radius of the returned ball as mpf tuples
 (sign, mantissa, exponent, bit count), so a change in rounding anywhere in
 the ball layer shows, even when the printed digits do not move.  The digests
 were recorded before the ball layer gained its real-axis path and prebuilt
-coefficient balls.  ``python tests/test_green_golden.py`` prints the current
+coefficient balls.  Bounded orbits stop once their enclosure meets tol, so
+their ``GREEN_DIGESTS`` are taken at a tol that runs the whole 256-step
+budget, which keeps those bits; ``STOPPED_DIGESTS`` pin the same cases at
+the default tol.  ``python tests/test_green_golden.py`` prints the current
 digests.
 """
 
@@ -38,6 +41,9 @@ GREEN_CASES = {
     "cubic_bounded": (CUBIC, F(0)),
 }
 PRECISIONS = (64, 160)
+BOUNDED = ("bounded_real", "complex_bounded", "cubic_bounded")
+# below log(2R) / (2 d^256) for every map above: no early stop
+FULL_BUDGET_TOL = F(1, 10**200)
 
 HEIGHT_CASES = {
     "x2m1_1/3": (DS1, F(1, 3)),
@@ -73,9 +79,18 @@ GREEN_DIGESTS = {
     "escaping_real_d6@160": "c73d0454fcc76f590f1bf60cf07362c8234c3c33c063dd76319c4c33115ff1b6",
 }
 
+STOPPED_DIGESTS = {
+    "bounded_real@64": "6687e19499fe6cb9f623f5e3da16ec7177b4aa9722bb1c943b2c0e566a77b2e3",
+    "bounded_real@160": "4102f3c88ad77b9418c360aae53ac53dec149cbc7bce5c47370e93946277542d",
+    "complex_bounded@64": "6687e19499fe6cb9f623f5e3da16ec7177b4aa9722bb1c943b2c0e566a77b2e3",
+    "complex_bounded@160": "4102f3c88ad77b9418c360aae53ac53dec149cbc7bce5c47370e93946277542d",
+    "cubic_bounded@64": "23732d54ecc51e42916b5cfef5e1521631397d9a3435d6eafc5ff86ddc16678a",
+    "cubic_bounded@160": "8263a12e077fbb69a71ea8d7ab1dc0f961445196d63adb94315f58ffa42fcd0a",
+}
+
 HEIGHT_DIGESTS = {
-    "cubic_1/2": "c16379fbd29cae30a99beeb5de38c94f91619128d2e285992856087ebbe7bbc5",
-    "x2m1_1/3": "bbd159a04d8153fc5c4a77171b99dc9ec07f55cfaad540079a384be635c5243a",
+    "cubic_1/2": "e3112d7f9de76fe8fb5c227fd89033b25d67b9c690944945afeb1e5a85f801a1",
+    "x2m1_1/3": "b1502f9e117c1a8e12a394abf79cc7034cac324edaf4fcfb373ccf61375b683d",
     "x2m1_5/2": "c3c47f4f1f029ee505be6e36613419c79fa4b0f1fbdfc602e82eb4a74f0404f9",
     "x2m6_7/3": "7e92f77e4834e5b10681984ae718293b38543c77f8c6d03f02084912f203a722",
 }
@@ -95,7 +110,7 @@ def _mpf_key(x):
     return (sign, int(man), exp, bc)
 
 
-def _green_digest(name: str, prec: int) -> str:
+def _green_digest(name: str, prec: int, tol: F = F(1, 10**10)) -> str:
     ds, point = GREEN_CASES[name]
     with mpmath.workprec(prec):
         if isinstance(point, tuple):
@@ -104,7 +119,7 @@ def _green_digest(name: str, prec: int) -> str:
             z = CBall.from_complex(point)
         else:
             z = point
-        g = green_eval(ds, z)
+        g = green_eval(ds, z, tol)
     key = (_mpf_key(g.value.re_mid), _mpf_key(g.value.rad),
            g.iterations_used, g.escaped)
     return hashlib.sha256(repr(key).encode()).hexdigest()
@@ -131,7 +146,14 @@ def _height_digest(name: str) -> str:
 @pytest.mark.parametrize("prec", PRECISIONS)
 @pytest.mark.parametrize("name", sorted(GREEN_CASES))
 def test_green_value_bits_unchanged(name, prec):
-    assert _green_digest(name, prec) == GREEN_DIGESTS[f"{name}@{prec}"]
+    tol = FULL_BUDGET_TOL if name in BOUNDED else F(1, 10**10)
+    assert _green_digest(name, prec, tol) == GREEN_DIGESTS[f"{name}@{prec}"]
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+@pytest.mark.parametrize("name", BOUNDED)
+def test_stopped_bounded_value_bits_unchanged(name, prec):
+    assert _green_digest(name, prec) == STOPPED_DIGESTS[f"{name}@{prec}"]
 
 
 @pytest.mark.parametrize("prec", PRECISIONS)
@@ -148,6 +170,11 @@ def test_height_value_bits_unchanged(name):
 if __name__ == "__main__":     # pragma: no cover
     print("GREEN_DIGESTS = {")
     for name in sorted(GREEN_CASES):
+        tol = FULL_BUDGET_TOL if name in BOUNDED else F(1, 10**10)
+        for prec in PRECISIONS:
+            print(f'    "{name}@{prec}": "{_green_digest(name, prec, tol)}",')
+    print("}\n\nSTOPPED_DIGESTS = {")
+    for name in BOUNDED:
         for prec in PRECISIONS:
             print(f'    "{name}@{prec}": "{_green_digest(name, prec)}",')
     print("}\n\nHEIGHT_DIGESTS = {")

@@ -50,7 +50,7 @@ DIGESTS = {
     "boettcher": "8c4d20a8ae6f73d91031f2843153ce5ac1705817dee180c9a0f6432a95c95976",
     "classify": "24c7cc18a21c77d0a374b67814e5a2088a5bb90a84596dc0eef48e21af12bd80",
     "combinat": "bb5c7a6ed4ca7ca639b6ddca6df2f6e666afea784e3a53e249659e914820abdf",
-    "height": "af7ac3cc049d87a0ed8f081cd119eaafb0e701d42cfc0184a1d0b32852653f9b",
+    "height": "4116cddc99d29204d899b6873bc9d9989c9b399e62d48752930878166f352932",
     "intersect": "f3683f73ebc2b3dfddf5a85c07833c44158a53e52c9e7652c50d8e6236a0f772",
     "nu": "0f08088f89ec40ceb873966f0c564a919adb1cdf992b87c8eefd0894dfd16f48",
     "padic": "bd756b0b133c4c14d6a27211a982e6db4e3293b63c2014fcc4ae779a7d30ae41",
