@@ -60,9 +60,9 @@ class CBall:
         return CBall(rm, im_, slop)
 
     @staticmethod
-    def from_complex(z, rad=0) -> "CBall":
+    def from_complex(z) -> "CBall":
         zc = mpmath.mpmathify(z)
-        return CBall(mpf(zc.real), mpf(zc.imag), mpf(rad) + _eps() * (abs(zc) + 1))
+        return CBall(mpf(zc.real), mpf(zc.imag), _eps() * (abs(zc) + 1))
 
     @staticmethod
     def exact_int(n: int) -> "CBall":
@@ -169,7 +169,7 @@ class CBall:
 
     def exp_real(self) -> "CBall":
         """Real ball for exp(x) of a real ball."""
-        if abs(self.im_mid) > self.rad * 0 and self.im_mid != 0:
+        if self.im_mid != 0:
             raise DomainError("exp_real expects a real ball")
         lo = mpmath.exp(self.re_mid - self.rad)
         hi = mpmath.exp(self.re_mid + self.rad)
@@ -178,10 +178,10 @@ class CBall:
         return CBall(mid, mpf(0), rad)
 
 
-def rball(mid, rad=0) -> CBall:
-    """Real ball from mpf-able values."""
+def rball(mid) -> CBall:
+    """Real ball around an mpf-able value."""
     m = mpf(mid)
-    return CBall(m, mpf(0), mpf(rad) + _eps() * (abs(m) + 1))
+    return CBall(m, mpf(0), _eps() * (abs(m) + 1))
 
 
 def as_ball(z) -> CBall:

@@ -225,14 +225,16 @@ class ArchRadius:
     undecided_count: int
 
 
-def radius_archimedean(ds: PolyDS, tol: Fraction = Fraction(1, 10**10)) -> ArchRadius:
-    """R = min over escaping critical points of exp(-g(c)); 1 when none escape.
+def radius_archimedean(ds: PolyDS) -> ArchRadius:
+    """R = min over escaping critical points of exp(-g(c)), each g(c) to
+    1/10^10; 1 when none escape.
 
     Undecided critical points widen the ball to cover both cases and clear
     the certified flag.
     """
     from .green import green_eval  # local import: green depends on this module
 
+    tol = Fraction(1, 10**10)
     report = escaping_critical_points(ds)
     if not report.escaping and not report.undecided:
         return ArchRadius(rball(1), True, 0, 0)

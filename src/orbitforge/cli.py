@@ -351,8 +351,7 @@ def cmd_curve_nu(args, settings: Settings) -> dict:
         raise DomainError(f"unknown zeta argument {text!r}; use 1, -1, teich:<c>")
 
     nu = build_nu(curve, ds, p, rat(args.phi), parse_zeta(args.zeta1),
-                  parse_zeta(args.zeta2), args.k1, args.k2, args.window,
-                  settings.padic_digits)
+                  parse_zeta(args.zeta2), args.k1, args.k2, args.window)
     ledger = nu_estimates(nu)
     return {
         "p": p, "k1": args.k1, "k2": args.k2, "window": args.window,
@@ -476,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--tol", default="1/100000000")
     tr.add_argument("--out", help="csv | svg | json | <path>.csv | <path>.svg "
                                   "| <path> (JSON)")
-    tr.set_defaults(handler=cmd_green_trace, raw_output=True)
+    tr.set_defaults(handler=cmd_green_trace)
 
     pad = sub.add_parser("padic", help="p-adic series tools")
     pad_sub = pad.add_subparsers(dest="subcommand", required=True)

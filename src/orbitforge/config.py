@@ -35,7 +35,7 @@ _INT_FIELDS = {f.name for f in dataclasses.fields(Settings)
                if isinstance(f.default, int)}
 
 
-def load_settings(path: str, base: Settings = DEFAULTS) -> Settings:
+def load_settings(path: str) -> Settings:
     """Read ``key = value`` lines (TOML-like; '#' comments) into Settings."""
     updates: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -52,4 +52,4 @@ def load_settings(path: str, base: Settings = DEFAULTS) -> Settings:
                 updates[key] = Fraction(val)
             else:
                 raise ValueError(f"unknown config key: {key}")
-    return base.replace(**updates)
+    return DEFAULTS.replace(**updates)

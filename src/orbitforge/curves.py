@@ -26,8 +26,8 @@ from .boettcher import psi_series
 from .dynamics import PolyDS
 from .errors import DomainError
 from .exact import BiPoly, LaurentBlock, Poly, evaluate_series_at_block, rat
-from .factor import bivariate_irreducible, factor_rational
-from .orbits import level_polynomial, level_roots
+from .factor import bivariate_irreducible
+from .orbits import level_factors, level_polynomial, level_roots
 from .padic import (PadicScalar, PadicSeries, Radius, count_zeros_pj, kappa,
                     sup_norm)
 
@@ -175,18 +175,16 @@ class IntersectionReport:
 def _min_level_roots(ds: PolyDS, alpha: Fraction, cap: int) -> list[RootRef]:
     """Level-cap roots annotated with the least level containing each.
 
-    With g_n = f^n(X) - f^n(alpha), g_(n-1) divides g_n (u - v divides
-    f(u) - f(v)), so the points first seen at level n are roots of the
-    quotient h_n = g_n / g_(n-1).  Only h_n is factored, and only its factors
-    not seen at a lower level are certified.  Per level, rational roots come
-    first in ascending order, then the new factors' balls in factor order.
+    The points first seen at level n are roots of the quotient
+    h_n = g_n / g_(n-1) of the level polynomials g_n = f^n(X) - f^n(alpha),
+    whose factors ``level_factors`` gives; only the factors not seen at a
+    lower level are certified.  Per level, rational roots come first in
+    ascending order, then the new factors' balls in factor order.
     """
-    polys = [level_polynomial(ds, alpha, n, n)[1] for n in range(cap + 1)]
     out: list[RootRef] = []
     seen: set[Poly] = set()
-    for n, g in enumerate(polys):
-        h = g.divmod(polys[n - 1])[0] if n else g     # exact: remainder 0
-        new = [(fac, mult) for fac, mult in factor_rational(h) if fac not in seen]
+    for n, factors in enumerate(level_factors(ds, alpha, cap, cap)):
+        new = [(fac, mult) for fac, mult in factors if fac not in seen]
         seen.update(fac for fac, _mult in new)
         rational, batches = level_roots(new)
         for root, _mult in rational:
@@ -466,20 +464,21 @@ def _n_series_coeffs(curve: PlaneCurve, ds: PolyDS, order: int) -> dict:
 
 def build_nu(curve: PlaneCurve, ds: PolyDS, p: int, phi,
              zeta1: PadicScalar, zeta2: PadicScalar,
-             k1: int, k2: int, window: int,
-             digits: int = 64) -> NuSeries:
+             k1: int, k2: int, window: int) -> NuSeries:
     """Assemble nu(x) with certified tail bookkeeping.
 
     Requires good reduction at p with p coprime to d (so 1/Psi has p-integral
     coefficients and all |a_nm| <= 1), |phi|_p < 1, and the normalization
     k1 > 0, k1 >= k2, gcd(k1, k2) = 1.  Terms with n+m <= window are summed
     exactly; every omitted term is bounded by |phi|^(window+1), which the
-    attached tail certificate propagates to nonzero radii.
+    attached tail certificate propagates to nonzero radii.  p-adic values
+    carry ``settings.padic_digits`` digits.
     """
     if not (k1 > 0 and k1 >= k2 and gcd(k1, k2) == 1):
         raise DomainError("need k1 > 0, k1 >= k2, gcd(k1, k2) = 1")
     if not ds.good_reduction(p) or not ds.coprime_to_degree(p):
         raise DomainError("need good reduction at p with p coprime to d")
+    digits = ds.settings.padic_digits
     phi = phi if isinstance(phi, PadicScalar) else PadicScalar.from_rational(phi, p, digits)
     if phi.zero or phi.valuation < 1:
         raise DomainError("need |phi|_p < 1")

@@ -16,42 +16,11 @@ from typing import Optional, Union
 from .ball import CBall, as_ball, coeff_balls, horner_ball
 from .config import DEFAULTS, Settings
 from .errors import DomainError, PrecisionError, ResourceError, UndecidedError
-from .exact import Poly, integer_kth_root, rat
+from .exact import Poly, _prime_factors, _v_p, integer_kth_root, rat
 from .factor import factor_rational
 from .rootcert import certified_roots
 
 _MAX_PADIC_DIGITS = 4096   # the p-adic escape walk gives up beyond this
-
-
-def _v_p(q: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    if q == 0:
-        raise DomainError("valuation of zero")
-    v, n = 0, q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    if v:
-        return v
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
-def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class PolyDS:
@@ -382,16 +351,17 @@ class CriticalEscapeReport:
         return True
 
 
-def escaping_critical_points(ds: PolyDS,
-                             max_iter: Optional[int] = None) -> CriticalEscapeReport:
-    """Certify which critical points escape to infinity.
+def escaping_critical_points(ds: PolyDS) -> CriticalEscapeReport:
+    """Certify which critical points escape to infinity, within
+    ``settings.max_iterations`` steps.
 
-    Rational critical points are decided exactly (cycle detection certifies
-    boundedness).  Irrational ones are iterated in ball arithmetic: crossing
-    the escape radius certifies escape; anything else is reported undecided,
-    never silently dropped.
+    A rational critical point is decided exactly when its orbit is
+    preperiodic or crosses the escape radius.  Irrational ones, and rational
+    ones shown wandering only at a finite place, take the ball escape walk:
+    crossing the escape radius certifies escape; anything else is reported
+    undecided, never silently dropped.
     """
-    max_iter = ds.settings.max_iterations if max_iter is None else max_iter
+    max_iter = ds.settings.max_iterations
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
     radius = ds.escape_radius
@@ -401,34 +371,15 @@ def escaping_critical_points(ds: PolyDS,
             verdict = classify_orbit(ds, cp.exact, budget=max_iter)
             if isinstance(verdict, Preperiodic):
                 bounded.append(cp)
-            elif verdict.place.place is None or _arch_escapes(ds, cp.exact, max_iter, radius):
+                continue
+            if verdict.place.place is None:
                 escaping.append(cp)
-            else:
-                # wandering via a finite place only: complex orbit may still
-                # be bounded; fall through to the numeric test
-                if _ball_escape_step(ds, cp.ball, max_iter, radius) is not None:
-                    escaping.append(cp)
-                else:
-                    undecided.append(cp)
+                continue
+        if _ball_escape_step(ds, cp.ball, max_iter, radius) is not None:
+            escaping.append(cp)
         else:
-            if _ball_escape_step(ds, cp.ball, max_iter, radius) is not None:
-                escaping.append(cp)
-            else:
-                undecided.append(cp)
+            undecided.append(cp)
     return CriticalEscapeReport(escaping, bounded, undecided)
-
-
-_BIT_CAP = 1 << 16   # exact orbit values beyond this size stop exact loops
-
-
-def _arch_escapes(ds: PolyDS, x: Fraction, budget: int, radius: Fraction) -> bool:
-    for _ in range(budget):
-        if abs(x) > radius:
-            return True
-        if max(abs(x.numerator), x.denominator).bit_length() > _BIT_CAP:
-            return False
-        x = ds.apply(x)
-    return abs(x) > radius
 
 
 def _ball_escape_step(ds: PolyDS, z: CBall, budget: int,
@@ -451,6 +402,9 @@ def _ball_escape_step(ds: PolyDS, z: CBall, budget: int,
 # ---------------------------------------------------------------------------
 # preperiodicity over Q
 # ---------------------------------------------------------------------------
+
+_BIT_CAP = 1 << 16   # exact orbit values beyond this size stop exact loops
+
 
 @dataclass(frozen=True)
 class PlaceReport:
@@ -535,8 +489,7 @@ class GoodPlaceSearch:
         }
 
 
-def find_place_of_good_reduction_escape(ds: PolyDS, alpha: Fraction,
-                                        budget: Optional[int] = None) -> GoodPlaceSearch:
+def find_place_of_good_reduction_escape(ds: PolyDS, alpha: Fraction) -> GoodPlaceSearch:
     """Scan finite places for escape + good reduction + coprimality to d.
 
     Wandering input required.  Returns the smallest qualifying prime if one
@@ -546,10 +499,9 @@ def find_place_of_good_reduction_escape(ds: PolyDS, alpha: Fraction,
     PrecisionError rather than being reported as non-escaping.
     """
     alpha = rat(alpha)
-    verdict = classify_orbit(ds, alpha, budget)
-    if isinstance(verdict, Preperiodic):
+    if isinstance(classify_orbit(ds, alpha), Preperiodic):
         raise DomainError("point is preperiodic; no escape place exists")
-    budget = ds.settings.preperiodic_budget if budget is None else budget
+    budget = ds.settings.preperiodic_budget
     qualifying = None
     rejected = []
     for p in _candidate_primes(ds, alpha):

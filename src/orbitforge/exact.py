@@ -90,6 +90,35 @@ def integer_kth_root(n: int, k: int) -> int:
         x = y
 
 
+def _v_p(q: Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero rational."""
+    if q == 0:
+        raise DomainError("valuation of zero")
+    v, n, d = 0, q.numerator, q.denominator
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    n = abs(n)
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def rat_str(q: Fraction) -> str:
     """Render a Rat as ``"num"`` or ``"num/den"``."""
     num = _int_str(q.numerator)
@@ -450,7 +479,13 @@ class BiPoly:
 
     @staticmethod
     def from_json(data) -> "BiPoly":
-        return BiPoly({(int(i), int(j)): rat(c) for i, j, c in data})
+        """[i, j, "num/den"] terms with distinct (i, j)."""
+        terms: dict = {}
+        for i, j, c in data:
+            if (int(i), int(j)) in terms:
+                raise DomainError(f"term ({i}, {j}) is given twice")
+            terms[int(i), int(j)] = rat(c)
+        return BiPoly(terms)
 
 
 def _pow(x, n: int):

@@ -59,8 +59,7 @@ def _clip_nonneg(ball: CBall) -> CBall:
     return CBall((hi / 2), mpf(0), hi / 2)
 
 
-def green_eval(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10),
-               max_iter: Optional[int] = None) -> GreenValue:
+def green_eval(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10)) -> GreenValue:
     """Certified enclosure of the escape rate at z.
 
     When the orbit is certified past the escape radius, the returned ball has
@@ -68,10 +67,11 @@ def green_eval(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10),
     at the first step n where its radius is at most tol, or after the step
     budget if that comes first, flagged escaped=False.  Since the upper end
     bounds g(z), a point with g(z) > 2 tol is never returned as bounded.
+    The step budget is ``settings.max_iterations``.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    max_iter = ds.settings.max_iterations if max_iter is None else max_iter
+    max_iter = ds.settings.max_iterations
     if max_iter < 0:
         raise DomainError("max_iter must be >= 0")
     z = as_ball(z)
@@ -138,8 +138,7 @@ def _psi_point(ds: PolyDS, order: int, radius: mpf, theta: float) -> CBall:
 
 
 def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
-                        tol: Fraction = Fraction(1, 10**8),
-                        order: Optional[int] = None) -> LevelCurve:
+                        tol: Fraction = Fraction(1, 10**8)) -> LevelCurve:
     """Sample the level curve g = r, re-certifying every point with green_eval.
 
     The curve Psi(exp(-d^k r) e^{2 pi i theta}) of the level d^k r is pulled
@@ -153,6 +152,7 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
     first polished by pulling back a point of a deeper level.  Where the Psi
     tail estimate diverges at the start level, the trace starts one level
     deeper, within the degree cap; a divergent tail fails only a polish.
+    Psi is truncated at ``settings.series_order``.
     """
     from .boettcher import radius_archimedean
 
@@ -160,7 +160,7 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
     if r <= 0:
         raise DomainError("the potential level r must be positive")
     n_points = ds.settings.trace_points if n_points is None else n_points
-    order = ds.settings.series_order if order is None else order
+    order = ds.settings.series_order
     if n_points < 1:
         raise DomainError("n_points must be >= 1")
     arch = radius_archimedean(ds)

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
 
 from .ball import CBall, rball
-from .dynamics import PolyDS, _prime_factors, _v_p
+from .dynamics import PolyDS
 from .errors import DomainError, ResourceError
-from .exact import BiPoly, Poly, rat
+from .exact import BiPoly, Poly, _prime_factors, _v_p, rat
 from .factor import factor_rational
 from .green import green_eval
 from .rootcert import certified_roots
@@ -80,10 +81,10 @@ def canonical_height(ds: PolyDS, alpha, tol: Fraction = Fraction(1, 10**10)) -> 
         # power map: hhat equals the Weil height exactly
         num, den = abs(alpha.numerator), alpha.denominator
         h = max(num, den)
-        return HeightValue(_log_ball_int(h) if h > 1 else rball(0, 0),
+        return HeightValue(_log_ball_int(h) if h > 1 else rball(0),
                            "exact-power-map")
     bad = set(ds.bad_reduction_primes())
-    total = rball(0, 0)
+    total = rball(0)
     if alpha != 0:
         for p in _prime_factors(alpha.denominator):
             if p in bad:
@@ -158,9 +159,29 @@ def level_roots(factors) -> tuple[tuple[tuple[Fraction, int], ...],
     return tuple(rational), tuple(batches)
 
 
+def level_factors(ds: PolyDS, alpha: Fraction, n: int,
+                  m: int) -> list[list[tuple[Poly, int]]]:
+    """Factor f^n(X) - f^m(alpha) along its diagonal, the one place a level
+    polynomial is factored.  With s = min(n, m), each level
+    g_i = f^(n-s+i)(X) - f^(m-s+i)(alpha) divides g_(i+1), since u - v
+    divides f(u) - f(v).  Entry i, i = 0..s, holds the irreducible monic
+    factors of g_0 or of the exact quotient g_i / g_(i-1), with
+    multiplicities, as ``factor_rational`` gives them.  Every level's degree
+    cap is checked, ascending, before any factoring."""
+    s = min(n, m)
+    polys = [level_polynomial(ds, alpha, n - s + i, m - s + i)[1]
+             for i in range(s + 1)]
+    return [factor_rational(g.divmod(polys[i - 1])[0] if i else g)   # exact
+            for i, g in enumerate(polys)]
+
+
 def _level_set(ds: PolyDS, alpha: Fraction, n: int, m: int) -> OrbitLevelSet:
     target, g = level_polynomial(ds, alpha, n, m)
-    rational, batches = level_roots(factor_rational(g))
+    mults: dict[Poly, int] = {}
+    for fac, mult in chain.from_iterable(level_factors(ds, alpha, n, m)):
+        mults[fac] = mults.get(fac, 0) + mult
+    rational, batches = level_roots(sorted(     # factor_rational's order
+        mults.items(), key=lambda t: (t[0].degree, t[0].coeffs)))
     return OrbitLevelSet(n, m, g, target, rational, batches)
 
 

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, PrecisionError, WindowError
-from .exact import rat
+from .exact import _v_p, rat
 
 DEFAULT_DIGITS = 64
 
@@ -238,23 +238,10 @@ class Radius:
         q = rat(value)
         if q <= 0:
             raise DomainError("radius must be positive")
-        t = _exact_p_log(q, p)
-        if t is None:
+        t = _v_p(q, p)
+        if q != Fraction(p) ** t:
             raise DomainError(f"radius {q} is not an exact power of {p}")
-        return Radius(t)
-
-
-def _exact_p_log(q: Fraction, p: int) -> Optional[Fraction]:
-    if q.numerator == 1 and q.denominator != 1:
-        inner = _exact_p_log(1 / q, p)
-        return None if inner is None else -inner
-    if q.denominator != 1:
-        return None
-    n, e = q.numerator, 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return Fraction(e) if n == 1 else None
+        return Radius(Fraction(t))
 
 
 # ---------------------------------------------------------------------------

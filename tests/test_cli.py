@@ -214,6 +214,8 @@ def test_height_prints_the_parsed_alpha():
     ["orbit", "small", "--poly", '{"a": 1}', "--alpha", "1/3", "--level", "1"],
     ["curve", "special", "--poly", "[-1,0,1]", "--curve", '[[1,0]]',
      "--alpha", "1/3"],
+    ["curve", "special", "--poly", "[-1,0,1]",
+     "--curve", '[[1,0,"1"],[0,1,"2"],[1,0,"3"]]', "--alpha", "1/3"],
     ["padic", "polygon", "--p", "3", "--series", '[[0,"3"],[1]]'],
     ["padic", "polygon", "--p", "3", "--series", '[[1.5,"3"],[2,"1"]]'],
     ["padic", "polygon", "--p", "3", "--series", '[[0,"1"],[0,"1"]]'],

@@ -15,7 +15,8 @@ from orbitforge.curves import (NotSpecialUpTo, PlaneCurve, RootRef,
 from orbitforge.dynamics import PolyDS
 from orbitforge.errors import DomainError, ResourceError
 from orbitforge.exact import BiPoly, Poly
-from orbitforge.orbits import small_orbit_level
+from orbitforge.factor import factor_rational
+from orbitforge.orbits import level_polynomial, level_roots
 from orbitforge.padic import PadicScalar, teichmuller
 
 DS1 = PolyDS(Poly([-1, 0, 1]))
@@ -105,15 +106,17 @@ def test_preperiodic_alpha_warns():
 
 
 def _level_roots_reference(ds, alpha, cap):
-    """Every level 0..cap from small_orbit_level, keeping first appearances."""
+    """Every level 0..cap, each whole level polynomial factored at once,
+    keeping first appearances."""
     out, seen_values, seen_factors = [], set(), set()
     for n in range(cap + 1):
-        lvl = small_orbit_level(ds, alpha, n)
-        for root, _m in lvl.rational_roots:
+        rational, batches = level_roots(
+            factor_rational(level_polynomial(ds, alpha, n, n)[1]))
+        for root, _m in rational:
             if root not in seen_values:
                 seen_values.add(root)
                 out.append(RootRef(root, None, CBall.from_rational(root), n))
-        for batch in lvl.algebraic:
+        for batch in batches:
             if batch.factor not in seen_factors:
                 seen_factors.add(batch.factor)
                 out.extend(RootRef(None, batch.factor, ball, n)
@@ -134,12 +137,12 @@ def test_level_roots_from_quotients_match_every_level(f, alpha, cap):
 
 def test_level_roots_keep_the_degree_cap(monkeypatch):
     # the cap is checked for every level before any level is factored
-    import orbitforge.curves as curves_mod
+    import orbitforge.orbits as orbits_mod
 
     def no_factoring(_p):
         raise AssertionError("factored a level below the cap first")
 
-    monkeypatch.setattr(curves_mod, "factor_rational", no_factoring)
+    monkeypatch.setattr(orbits_mod, "factor_rational", no_factoring)
     ds = PolyDS(Poly([-1, 0, 1]), Settings(orbit_degree_cap=8))
     with pytest.raises(ResourceError, match=r"level degree 2\^4 exceeds cap 8"):
         _min_level_roots(ds, F(1, 3), 5)
@@ -151,7 +154,6 @@ def test_exact_work_runs_once_per_factor(monkeypatch):
     import orbitforge.exact as exact_mod
     import orbitforge.orbits as orbits_mod
     import orbitforge.rootcert as rootcert_mod
-    import orbitforge.curves as curves_mod
 
     factors = {r.factor for r in _level_roots_reference(DS1, F(1, 3), 4)
                if not r.exact}
@@ -170,7 +172,6 @@ def test_exact_work_runs_once_per_factor(monkeypatch):
     monkeypatch.setattr(orbits_mod, "certified_roots", certify)
     factor = counted("factor", orbits_mod.factor_rational)
     monkeypatch.setattr(orbits_mod, "factor_rational", factor)
-    monkeypatch.setattr(curves_mod, "factor_rational", factor)
 
     curve = PlaneCurve.from_terms({(1, 0): 1, (0, 1): -1})
     rep = intersect_small_orbit(curve, DS1, F(1, 3), 4)

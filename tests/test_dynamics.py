@@ -6,13 +6,13 @@ import pytest
 
 from orbitforge.config import DEFAULTS
 from orbitforge.dynamics import (PolyDS, Preperiodic, Wandering,
-                                 _rational_kth_root, _v_p, classify_orbit,
+                                 _rational_kth_root, classify_orbit,
                                  depress, detect_exceptional,
                                  escaping_critical_points,
                                  find_place_of_good_reduction_escape,
                                  normalize_monic)
 from orbitforge.errors import DomainError, PrecisionError, UndecidedError
-from orbitforge.exact import Poly, poly_iterate
+from orbitforge.exact import Poly, _v_p, poly_iterate
 
 DS = PolyDS(Poly([-1, 0, 1]))      # X^2 - 1
 
@@ -108,7 +108,7 @@ def test_escaping_critical_points_examples():
 
 def test_zero_budgets_are_not_defaults():
     with pytest.raises(DomainError):
-        escaping_critical_points(DS, max_iter=0)
+        escaping_critical_points(PolyDS(DS.f, DEFAULTS.replace(max_iterations=0)))
     # 0 -> -1 -> 0 needs two steps; a budget of 0 must not become 512
     with pytest.raises(UndecidedError):
         classify_orbit(DS, F(0), budget=0)

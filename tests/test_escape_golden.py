@@ -1,0 +1,83 @@
+"""Golden-value guard: critical escape and the archimedean Boettcher radius.
+
+For X^2 + c with c = k/4, k/8 and k/9 in [-5/2, 1/2], and for five cubics,
+each row records the escaping/bounded/undecided counts of
+``escaping_critical_points`` and the ball (as printed), ``certified`` flag
+and counts of ``radius_archimedean``.  The rows were recorded while rational
+critical points that wander at a finite place still had their own exact
+archimedean escape loop; the digests show that one ball escape walk decides
+them the same way.  ``python tests/test_escape_golden.py`` prints the
+current digests.
+"""
+
+import hashlib
+from fractions import Fraction as F
+
+import pytest
+
+from orbitforge.boettcher import radius_archimedean
+from orbitforge.dynamics import PolyDS, escaping_critical_points
+from orbitforge.exact import Poly
+
+
+def _quadratics(den: int) -> list[Poly]:
+    lo, hi = -(5 * den // 2), den // 2        # c = k/den in [-5/2, 1/2]
+    return [Poly([F(k, den), 0, 1]) for k in range(lo, hi + 1)]
+
+
+FAMILIES = {
+    "quadratic_k4": _quadratics(4),
+    "quadratic_k8": _quadratics(8),
+    "quadratic_k9": _quadratics(9),
+    "cubic": [Poly([1, -1, 0, 1]),                # irrational real critical points
+              Poly([0, 2, 0, 1]),                 # complex critical points
+              Poly([0, -3, 0, 1]),                # critical points +-1, preperiodic
+              Poly([0, 0, 1, 1]),                 # critical points 0 and -2/3
+              Poly([F(1, 9), F(-3, 4), 0, 1])],   # critical points +-1/2
+}
+
+DIGESTS = {
+    "cubic": "9c4d8f242cd8332b7c883216257d28f888a116763aa0cece578020f06c198023",
+    "quadratic_k4": "7d365fb31960dfbc2e4cf89ca0e53d1936221f443fbe86f0271883cd7de0467d",
+    "quadratic_k8": "521d3e5117c97532ba60f1d62bf4d15e469fff659bbccbcadc569884e9c53bc9",
+    "quadratic_k9": "7cd889003155f71b9cd28be101da120cbdbbd62c8516f4f49d8ab32056fc951f",
+}
+
+
+def _row(f: Poly) -> str:
+    ds = PolyDS(f)
+    rep = escaping_critical_points(ds)
+    arch = radius_archimedean(ds)
+    return (f"{f!r}: {len(rep.escaping)}/{len(rep.bounded)}/{len(rep.undecided)} "
+            f"{arch.ball!r} {arch.certified} "
+            f"{arch.escaping_count}/{arch.undecided_count}")
+
+
+def _digest(name: str) -> str:
+    text = "\n".join(_row(f) for f in FAMILIES[name])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_escape_and_radius_rows_unchanged(name):
+    assert _digest(name) == DIGESTS[name]
+
+
+def test_rational_critical_point_wandering_at_a_finite_place():
+    # X^2 + 1/9: the critical orbit 0 -> 1/9 escapes 3-adically at once but
+    # stays bounded archimedeanly (1/9 < 1/4), so the ball walk leaves it
+    # undecided; X^2 + 1/2 escapes at both places
+    inside = escaping_critical_points(PolyDS(Poly([F(1, 9), 0, 1])))
+    assert (len(inside.escaping), len(inside.bounded), len(inside.undecided)) == (0, 0, 1)
+    outside = escaping_critical_points(PolyDS(Poly([F(1, 2), 0, 1])))
+    assert (len(outside.escaping), len(outside.bounded), len(outside.undecided)) == (1, 0, 0)
+
+
+if __name__ == "__main__":     # pragma: no cover
+    for name in sorted(FAMILIES):
+        for f in FAMILIES[name]:
+            print("#", _row(f))
+    print("DIGESTS = {")
+    for name in sorted(FAMILIES):
+        print(f'    "{name}": "{_digest(name)}",')
+    print("}")

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from orbitforge.ball import CBall, eval_poly_ball
+from orbitforge.config import DEFAULTS
 from orbitforge.dynamics import PolyDS
 from orbitforge.errors import DomainError, PrecisionError
 from orbitforge.exact import Poly
@@ -238,7 +239,8 @@ def test_trace_low_order_rescue(monkeypatch):
         return certify(*args, **kwargs)
 
     monkeypatch.setattr(green_mod, "certify_solution", counting)
-    curve = equipotential_trace(DS1, F(1), n_points=16, tol=F(1, 10**8), order=12)
+    ds = PolyDS(DS1.f, DEFAULTS.replace(series_order=12))
+    curve = equipotential_trace(ds, F(1), n_points=16, tol=F(1, 10**8))
     assert curve.closed and calls
     assert len(curve.points) == 16 and curve.dropped == 0
 
@@ -267,7 +269,8 @@ def test_divergent_tail_fails_only_the_polish(monkeypatch):
         return psi_point(*args)
 
     monkeypatch.setattr(green_mod, "_psi_point", polish_diverges)
-    curve = equipotential_trace(DS1, F(1), n_points=16, tol=F(1, 10**8), order=12)
+    ds = PolyDS(DS1.f, DEFAULTS.replace(series_order=12))
+    curve = equipotential_trace(ds, F(1), n_points=16, tol=F(1, 10**8))
     assert curve.closed and len(calls) == 32
     assert curve.points == [] and curve.dropped == 16
 
@@ -300,16 +303,16 @@ def test_trace_rejects_zero_points():
 
 
 def test_zero_iteration_budget_is_kept():
-    g = green_eval(SQ, F(1, 2), max_iter=0)
+    g = green_eval(PolyDS(SQ.f, DEFAULTS.replace(max_iterations=0)), F(1, 2))
     assert g.iterations_used == 0 and not g.escaped
     assert g.value.re_mid - g.value.rad <= 0
-    with pytest.raises(DomainError):
-        green_eval(SQ, F(1, 2), max_iter=-1)
+    with pytest.raises(DomainError, match="max_iter must be >= 0"):
+        green_eval(PolyDS(SQ.f, DEFAULTS.replace(max_iterations=-1)), F(1, 2))
 
 
 def test_concurrent_green_eval_on_shared_system():
-    # green_eval is pure and the iterate memo is lock-guarded, so a shared
-    # PolyDS must give identical answers under concurrent evaluation
+    # green_eval is pure and the iterate memo takes no lock; a shared PolyDS
+    # must still give identical answers under concurrent evaluation
     from concurrent.futures import ThreadPoolExecutor
 
     ds = PolyDS(Poly([-1, 0, 1]))

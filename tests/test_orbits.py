@@ -10,9 +10,10 @@ from orbitforge.ball import eval_poly_ball
 from orbitforge.dynamics import PolyDS, Preperiodic, classify_orbit
 from orbitforge.errors import DomainError, ResourceError
 from orbitforge.exact import BiPoly, Poly
+from orbitforge.factor import factor_rational
 from orbitforge.orbits import (canonical_height, grand_orbit_points,
-                               height_balance_check, small_orbit_level,
-                               weil_height)
+                               height_balance_check, level_polynomial,
+                               level_roots, small_orbit_level, weil_height)
 
 DS1 = PolyDS(Poly([-1, 0, 1]))
 
@@ -130,6 +131,56 @@ def test_grand_orbit_examples():
 
     g3 = grand_orbit_points(DS1, F(1, 3), 0, 2)
     assert g3.rational_values() == [DS1.iterate(2)(F(1, 3))]
+
+
+X2M1, X2M2, X2M34 = Poly([-1, 0, 1]), Poly([-2, 0, 1]), Poly([F(-3, 4), 0, 1])
+CUBIC, CHEB3, X3X2 = Poly([1, -1, 0, 1]), Poly([0, -3, 0, 1]), Poly([0, 0, 1, 1])
+
+LEVEL_CASES = [
+    (X2M1, F(0), 3, 3),             # critical and periodic: repeated factors
+    (X2M1, F(1), 2, 2),             # preperiodic onto the critical cycle
+    (X2M1, F(-1), 3, 3),
+    (X2M2, F(0), 3, 3),             # critical, strictly preperiodic
+    (X2M34, F(1, 2), 3, 3),
+    (CHEB3, F(1), 2, 2),            # critical, preperiodic
+    (CHEB3, F(-1), 1, 2),
+    (CUBIC, F(1, 2), 2, 2),
+    (X3X2, F(-2, 3), 2, 2),         # rational critical point
+    (X2M1, F(1, 3), 0, 0),          # n = 0
+    (X2M1, F(1, 3), 0, 2),
+    (CUBIC, F(1, 2), 0, 1),
+    (X2M1, F(1, 3), 1, 3),          # m > n
+    (X2M2, F(1, 2), 2, 4),
+    (CHEB3, F(1, 2), 1, 2),
+    (X2M1, F(1, 3), 3, 1),          # n > m
+    (Poly.monomial(2), F(4), 2, 0),
+    (CUBIC, F(0), 2, 0),
+]
+
+
+def _seeded_level_cases(count: int, seed: int = 20090716) -> list:
+    rng = random.Random(seed)
+    maps = [X2M1, X2M2, X2M34, Poly([F(1, 4), 0, 1]), CUBIC, CHEB3, X3X2]
+    alphas = [F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(1, 3), F(2, 3), F(-3, 2)]
+    cases = []
+    while len(cases) < count:
+        f = rng.choice(maps)
+        n = rng.randrange(0, 4 if f.degree == 2 else 3)
+        cases.append((f, rng.choice(alphas), n, rng.randrange(0, 5)))
+    return cases
+
+
+@pytest.mark.parametrize("f, alpha, n, m", LEVEL_CASES + _seeded_level_cases(16))
+def test_level_sets_match_factoring_the_whole_level_polynomial(f, alpha, n, m):
+    # reference: f^n(X) - f^m(alpha) factored at once
+    ds = PolyDS(f)
+    target, g = level_polynomial(ds, alpha, n, m)
+    rational, batches = level_roots(factor_rational(g))
+    lvl = small_orbit_level(ds, alpha, n) if n == m else grand_orbit_points(ds, alpha, n, m)
+    assert (lvl.level, lvl.source_iterate, lvl.poly, lvl.target) == (n, m, g, target)
+    assert lvl.rational_roots == rational
+    assert lvl.algebraic == batches
+    assert lvl.root_count() == f.degree ** n
 
 
 def test_level_cap():
