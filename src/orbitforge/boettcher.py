@@ -5,14 +5,13 @@ Phi with Phi(f(X)) = Phi(X)^d, and convergence-radius estimates per place.
 Psi is written X^{-1} g(X) with g(0) = 1; matching coefficients in
 g(X^d) = g(X)^d + sum_i a_i X^i g(X)^{d-i} determines each new coefficient
 with a unit factor d, so the recursion is exact and never divides by zero.
-The recursion has the prefix property: the first coefficients do not depend
-on the order asked for.  So the cache keeps one Psi per map, the highest
-order computed so far, and serves every order at or below it by truncation.
-Phi is obtained by Lagrange term-by-term reversion of X / g(X), with g read
-from the cached Psi, so the recursion runs once per map unless a higher
-order is asked for later; the reversion works on integer numerators over
-powers of one common denominator of g.  The defining equation of Phi is
-kept as an independent cross-check.
+Phi is obtained by Lagrange term-by-term reversion of X / g(X), on integer
+numerators over powers of one common denominator of g.  The defining
+equation of Phi is kept as an independent cross-check.
+Both series have the prefix property (e_n = [z^(n-1)] g^n / n reads only
+g's first n coefficients), so each ``PolyDS`` holds its highest-order Psi
+and Phi so far and serves every lower order by truncation; maps share no
+series, and nothing is kept at module level.
 Both Phi residuals compose Phi with a series of positive valuation through
 ``exact.evaluate_series_at_block``.
 """
@@ -28,8 +27,6 @@ from .ball import CBall, eval_block_ball, rball
 from .dynamics import PolyDS, escaping_critical_points
 from .errors import DomainError, PrecisionError
 from .exact import LaurentBlock, Poly, _over_common, evaluate_series_at_block
-
-_CACHE: dict = {}
 
 
 def _psi_g_coeffs(f: Poly, order: int) -> list[Fraction]:
@@ -68,57 +65,58 @@ def _psi_g_coeffs(f: Poly, order: int) -> list[Fraction]:
 def psi_series(ds: PolyDS, order: int) -> LaurentBlock:
     """Truncated Psi: coefficients at exponents -1..order-1, residue 1.
 
-    A cached Psi of order >= ``order`` is truncated instead of recomputed;
-    a higher order recomputes and replaces the map's cache entry.
+    The map's memo of order >= ``order`` is truncated instead of recomputed;
+    a higher order recomputes and replaces it.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    key = ("psi", ds.f.coeffs)
-    cached = _CACHE.get(key)
-    if cached is not None and order <= cached.trunc:
-        return cached if order == cached.trunc else cached.truncate_to(order)
-    u = _psi_g_coeffs(ds.f, order)
-    block = LaurentBlock(-1, u, trunc=order)
-    _CACHE[key] = block
-    return block
+    memo = ds._psi
+    if memo is None or order > memo.trunc:
+        memo = ds._psi = LaurentBlock(-1, _psi_g_coeffs(ds.f, order), trunc=order)
+    return memo if order == memo.trunc else memo.truncate_to(order)
+
+
+def _phi_e_coeffs(psi: LaurentBlock, order: int) -> list[Fraction]:
+    """e_0..e_order of Phi = sum e_n w^n by reversion of t = z / g(z), g = X Psi.
+
+    The coefficient of t^n is [z^(n-1)] g(z)^n / n.  With g = U / ud over the
+    common denominator ud of its coefficients, g^n is held as the integer
+    numerators of U^n over ud^n, so the powers take no gcd and each e_n is
+    one division.
+    """
+    width = max(order, 1)
+    u, ud = _over_common([psi.coefficient(e) for e in range(-1, width - 1)])
+    e = [Fraction(0)] * (order + 1)
+    gi = [1] + [0] * (width - 1)          # numerators of g^(n-1) over ud^(n-1)
+    nz = [(k, c) for k, c in enumerate(u) if c != 0]
+    den = 1
+    for n in range(1, order + 1):
+        new = [0] * width
+        for k, uk in nz:
+            for idx in range(k, width):
+                g_val = gi[idx - k]
+                if g_val != 0:
+                    new[idx] += uk * g_val
+        gi = new
+        den *= ud
+        e[n] = Fraction(gi[n - 1], den * n)
+    return e
 
 
 def phi_series(ds: PolyDS, order: int) -> LaurentBlock:
     """Truncated Phi as a series in w = 1/X: w + e_2 w^2 + ... + e_order w^order.
 
-    Reversion of t = z / g(z): the coefficient of t^n is [z^(n-1)] g(z)^n / n.
-    g = X * Psi is read from ``psi_series(ds, max(order, 1))``, usually a
-    cache hit, so the Psi recursion is not run again.  With g = U / ud over
-    the common denominator ud of its coefficients, g^n is held as the integer
-    numerators of U^n over ud^n, so the powers take no gcd and each e_n is
-    one division.
+    g = X * Psi is read from ``psi_series(ds, max(order, 1))``, usually the
+    map's memo, so the Psi recursion is not run again.  The map's Phi memo
+    of order >= ``order`` is truncated instead of recomputed.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    key = ("phi", ds.f.coeffs, order)
-    if key in _CACHE:
-        return _CACHE[key]
-    width = max(order, 1)
-    psi = psi_series(ds, width)
-    u, ud = _over_common([psi.coefficient(e) for e in range(-1, width - 1)])
-    e = [Fraction(0)] * (order + 1)
-    if order >= 1:
-        gi = [1] + [0] * (width - 1)          # numerators of g^(n-1) over ud^(n-1)
-        nz = [(k, c) for k, c in enumerate(u) if c != 0]
-        den = 1
-        for n in range(1, order + 1):
-            new = [0] * width
-            for k, uk in nz:
-                for idx in range(k, width):
-                    g_val = gi[idx - k]
-                    if g_val != 0:
-                        new[idx] += uk * g_val
-            gi = new
-            den *= ud
-            e[n] = Fraction(gi[n - 1], den * n)
-    block = LaurentBlock(1, e[1:], trunc=order + 1)
-    _CACHE[key] = block
-    return block
+    memo = ds._phi
+    if memo is None or order >= memo.trunc:
+        e = _phi_e_coeffs(psi_series(ds, max(order, 1)), order)
+        memo = ds._phi = LaurentBlock(1, e[1:], trunc=order + 1)
+    return memo if order + 1 == memo.trunc else memo.truncate_to(order + 1)
 
 
 @dataclass(frozen=True)

@@ -197,15 +197,14 @@ def _min_level_roots(ds: PolyDS, alpha: Fraction, cap: int) -> list[RootRef]:
 
 def _eliminate_y(P: BiPoly, fy: Poly) -> Poly:
     """Res_Y(f_y(Y), P(X, Y)) as a polynomial in X, for a monic f_y.  A P
-    without Y gives c(X)^deg f_y and f_y = Y - b gives P(X, b), with no
-    Sylvester determinant."""
+    without Y gives c(X)^deg f_y and f_y = Y - b gives P(X, b); every other
+    case is ``exact.poly_resultant``."""
     if P.deg_y == 0:
         return P.coeffs_in("y")[0] ** fy.degree
     if fy.degree == 1:
         return P.subs_values(y=-fy.coeff(0))
     from .exact import poly_resultant
-    # result: x-slot empty (f_y has no other variable), y-slot carries X
-    return poly_resultant(BiPoly.from_y(fy), P, "y").subs_values(x=Fraction(0))
+    return poly_resultant(fy, P)
 
 
 def _divides_or_zero(factor: Poly, sub: Poly) -> bool:

@@ -26,7 +26,8 @@ _MAX_PADIC_DIGITS = 4096   # the p-adic escape walk gives up beyond this
 class PolyDS:
     """A monic polynomial map of degree >= 2 with cached iterates.
 
-    The iterate and critical-point memos are the only mutable state.
+    The iterate, critical-point and Boettcher memos are the only mutable
+    state; ``boettcher`` alone uses the last two.
     """
 
     def __init__(self, f: Poly, settings: Settings = DEFAULTS):
@@ -39,6 +40,8 @@ class PolyDS:
         self.settings = settings
         self._iterates: dict[int, Poly] = {0: Poly.x(), 1: f}
         self._crit: Optional[list["CriticalPoint"]] = None
+        self._psi = None          # highest-order Psi and Phi so far
+        self._phi = None
 
     def __repr__(self) -> str:
         return f"PolyDS({self.f!r})"
@@ -95,7 +98,8 @@ class PolyDS:
         """log_p of the p-adic escape bound max(1, max_i |a_i|_p^{1/i}).
 
         For |x|_p above this bound the leading term dominates and
-        |f(x)|_p = |x|_p^d exactly.
+        |f(x)|_p = |x|_p^d exactly: with E this exponent, v_p(x) = v escapes
+        exactly when -v > E, that is v_p(a_(d-i)) > i v for every i.
         """
         best = Fraction(0)
         d = self.d
@@ -104,17 +108,6 @@ class PolyDS:
             if a != 0:
                 best = max(best, Fraction(-_v_p(a, p), i))
         return best
-
-    def padic_dominated(self, p: int, v_x: int) -> bool:
-        """True when v_p(x) = v_x < 0 makes the leading term strictly dominant."""
-        if v_x >= 0:
-            return False
-        d = self.d
-        for i in range(1, d + 1):
-            a = self.f.coeff(d - i)
-            if a != 0 and not _v_p(a, p) > i * v_x:
-                return False
-        return True
 
     def padic_escape(self, alpha: Fraction, p: int,
                      budget: int) -> Optional[tuple[int, int]]:
@@ -129,6 +122,7 @@ class PolyDS:
         from .padic import PadicScalar   # keeps it off the CLI's cold start
 
         digits = self.settings.padic_digits
+        escape_exp = self.padic_escape_radius_exponent(p)
         while True:
             x = PadicScalar.from_rational(alpha, p, digits)
             coeffs = [PadicScalar.from_rational(c, p, digits)
@@ -140,7 +134,7 @@ class PolyDS:
                         for c in reversed(coeffs[:-1]):
                             acc = acc * x + c
                         x = acc
-                    if not x.zero and self.padic_dominated(p, x.valuation):
+                    if not x.zero and -x.valuation > escape_exp:
                         return n, x.valuation
                 return None
             except PrecisionError:
@@ -451,14 +445,14 @@ def classify_orbit(ds: PolyDS, alpha: Fraction,
     alpha = rat(alpha)
     budget = ds.settings.preperiodic_budget if budget is None else budget
     primes = _candidate_primes(ds, alpha)
+    escape_exp = {p: ds.padic_escape_radius_exponent(p) for p in primes}
     radius = ds.escape_radius
     seen = {alpha: 0}
     x = alpha
     for n in range(0, budget + 1):
         if x != 0:
             for p in primes:
-                v = _v_p(x, p)
-                if v < 0 and ds.padic_dominated(p, v):
+                if -_v_p(x, p) > escape_exp[p]:
                     report = PlaceReport(p, ds.good_reduction(p),
                                          ds.coprime_to_degree(p), n)
                     return Wandering(report)

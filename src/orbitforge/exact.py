@@ -497,53 +497,39 @@ def _pow(x, n: int):
     return out
 
 
-def _det_memo(matrix: list[list[BiPoly]]) -> BiPoly:
-    """Determinant of a BiPoly matrix by first-row expansion with memo."""
-    n = len(matrix)
-    cache: dict = {}
-
-    def det(row: int, cols: tuple[int, ...]) -> BiPoly:
-        if not cols:
-            return BiPoly({(0, 0): 1})
-        key = cols
-        if key in cache:
-            return cache[key]
-        total = BiPoly()
-        for pos, col in enumerate(cols):
-            entry = matrix[row][col]
-            if entry.is_zero:
-                continue
-            sub = det(row + 1, cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        cache[key] = total
-        return total
-
-    return det(0, tuple(range(n)))
+def _norm(f: Poly, g: Poly) -> Fraction:
+    """prod g(beta) over the roots beta of a monic f, by Euclid:
+    prod g(beta) = prod r(beta) for r = g mod f, and for r of degree k with
+    leading coefficient c, prod r(beta) = c^deg f (-1)^(k deg f) prod f(gamma)
+    over the roots gamma of r / c."""
+    acc = Fraction(1)
+    while True:
+        g = g.divmod(f)[1]
+        if g.degree < 1:
+            return acc * g.coeff(0) ** f.degree
+        c = g.lead
+        acc *= c ** f.degree * (-1 if f.degree * g.degree % 2 else 1)
+        f, g = g.scale(1 / c), f
 
 
-def poly_resultant(p: BiPoly, q: BiPoly, eliminate: Literal["x", "y"]) -> BiPoly:
-    """Sylvester resultant of p and q with respect to one variable.
+def poly_resultant(f: Poly, P: BiPoly) -> Poly:
+    """Res_Y(f(Y), P(X, Y)) for a monic f: the product of P(X, beta) over the
+    roots beta of f, a polynomial in X of degree at most deg f * deg_X P.
 
-    The eliminated variable is the named slot of *each* input.  The result is
-    a BiPoly whose x-slot carries p's surviving variable and whose y-slot
-    carries q's surviving variable.
-    """
-    pc = p.coeffs_in(eliminate)
-    qc = q.coeffs_in(eliminate)
-    n, m = len(pc) - 1, len(qc) - 1
-    if n < 1 or m < 1:
-        raise DomainError("resultant requires positive degree in the eliminated variable")
-    size = n + m
-    prow = [BiPoly.from_x(c) for c in reversed(pc)]   # p's other var -> x slot
-    qrow = [BiPoly.from_y(c) for c in reversed(qc)]   # q's other var -> y slot
-    zero = BiPoly()
-    matrix: list[list[BiPoly]] = []
-    for shift in range(m):
-        matrix.append([zero] * shift + prow + [zero] * (size - shift - n - 1))
-    for shift in range(n):
-        matrix.append([zero] * shift + qrow + [zero] * (size - shift - m - 1))
-    return _det_memo(matrix)
+    Evaluation and interpolation (Collins 1971): at X = 0, 1, ..., deg f *
+    deg_X P the value is the univariate resultant of f and P(x, Y), which
+    Newton's divided differences interpolate."""
+    if f.degree < 1 or f.lead != 1:
+        raise DomainError("resultant requires a monic f of positive degree")
+    points = range(f.degree * max(P.deg_x, 0) + 1)
+    table = [_norm(f, P.subs_values(x=Fraction(x))) for x in points]
+    for k in range(1, len(table)):           # divided differences in place
+        for i in range(len(table) - 1, k - 1, -1):
+            table[i] = (table[i] - table[i - 1]) / k
+    out = Poly()
+    for k in reversed(points):                # Newton form, Horner from the top
+        out = out * Poly([-k, 1]) + Poly([table[k]])
+    return out
 
 
 def _over_common(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:

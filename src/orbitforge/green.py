@@ -21,6 +21,7 @@ import mpmath
 from mpmath import mpf
 
 from .ball import CBall, as_ball, coeff_balls, eval_poly_ball, horner_ball
+from .config import DEFAULTS
 from .dynamics import PolyDS
 from .errors import DomainError, PrecisionError
 from .exact import rat
@@ -59,7 +60,7 @@ def _clip_nonneg(ball: CBall) -> CBall:
     return CBall((hi / 2), mpf(0), hi / 2)
 
 
-def green_eval(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10)) -> GreenValue:
+def green_eval(ds: PolyDS, z, tol: Fraction = DEFAULTS.tolerance) -> GreenValue:
     """Certified enclosure of the escape rate at z.
 
     When the orbit is certified past the escape radius, the returned ball has
@@ -118,7 +119,7 @@ def green_eval(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10)) -> GreenValue
     return GreenValue(_clip_nonneg(val), min(n, max_iter), False)
 
 
-def green_functional_check(ds: PolyDS, z, tol: Fraction = Fraction(1, 10**10)) -> CBall:
+def green_functional_check(ds: PolyDS, z, tol: Fraction = DEFAULTS.tolerance) -> CBall:
     """Residual ball for g(f(z)) - d*g(z); contains 0 for every z."""
     z = as_ball(z)
     fz = eval_poly_ball(ds.f, z)

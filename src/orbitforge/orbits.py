@@ -21,6 +21,7 @@ import mpmath
 from mpmath import mpf
 
 from .ball import CBall, rball
+from .config import DEFAULTS
 from .dynamics import PolyDS
 from .errors import DomainError, ResourceError
 from .exact import BiPoly, Poly, _prime_factors, _v_p, rat
@@ -72,7 +73,7 @@ def _padic_local_height(ds: PolyDS, alpha: Fraction, p: int,
     return CBall(hi / 2, mpf(0), hi / 2)
 
 
-def canonical_height(ds: PolyDS, alpha, tol: Fraction = Fraction(1, 10**10)) -> HeightValue:
+def canonical_height(ds: PolyDS, alpha, tol: Fraction = DEFAULTS.tolerance) -> HeightValue:
     """hhat(alpha) = lim h(f^n(alpha)) / d^n, as a certified ball of radius <= tol."""
     alpha = rat(alpha)
     if tol <= 0:
@@ -132,13 +133,20 @@ class OrbitLevelSet:
 
 def level_polynomial(ds: PolyDS, alpha: Fraction, n: int,
                      m: int) -> tuple[Fraction, Poly]:
-    """(f^m(alpha), f^n(X) - f^m(alpha)), after the level degree cap check."""
+    """(f^m(alpha), f^n(X) - f^m(alpha)), after the level degree cap check.
+    f^m(alpha), f applied m times, grows like d^m, so m > 1 is held to
+    ``max_poly_degree`` as ``PolyDS.iterate`` holds f^m."""
     if n < 0 or m < 0:
         raise DomainError("levels must be >= 0")
     if ds.d ** n > ds.settings.orbit_degree_cap:
         raise ResourceError(
             f"level degree {ds.d}^{n} exceeds cap {ds.settings.orbit_degree_cap}")
-    target = ds.iterate(m)(alpha) if m else alpha
+    if m > 1 and ds.d ** m > ds.settings.max_poly_degree:
+        raise ResourceError(
+            f"iterate degree {ds.d}^{m} exceeds cap {ds.settings.max_poly_degree}")
+    target = alpha
+    for _ in range(m):
+        target = ds.apply(target)
     return target, ds.iterate(n) - Poly([target])
 
 

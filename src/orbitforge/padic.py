@@ -16,10 +16,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Sequence
 
+from .config import DEFAULTS
 from .errors import DomainError, PrecisionError, WindowError
 from .exact import _v_p, rat
-
-DEFAULT_DIGITS = 64
 
 
 def _is_prime(p: int) -> bool:
@@ -64,7 +63,7 @@ class PadicScalar:
         return PadicScalar(p, 0, 0, 0, zero=True, small_bound=None)
 
     @staticmethod
-    def from_rational(q, p: int, digits: int = DEFAULT_DIGITS) -> "PadicScalar":
+    def from_rational(q, p: int, digits: int = DEFAULTS.padic_digits) -> "PadicScalar":
         _check_prime(p)
         _check_digits(digits)
         q = rat(q)
@@ -83,7 +82,7 @@ class PadicScalar:
 
     @staticmethod
     def from_unit(p: int, unit: int, valuation: int = 0,
-                  digits: int = DEFAULT_DIGITS) -> "PadicScalar":
+                  digits: int = DEFAULTS.padic_digits) -> "PadicScalar":
         _check_prime(p)
         _check_digits(digits)
         mod = p ** digits
@@ -146,7 +145,7 @@ class PadicScalar:
     def __pow__(self, n: int) -> "PadicScalar":
         if n < 0:
             return self.inverse() ** (-n)
-        out = PadicScalar.from_unit(self.p, 1, 0, self.precision or DEFAULT_DIGITS)
+        out = PadicScalar.from_unit(self.p, 1, 0, self.precision or DEFAULTS.padic_digits)
         base = self
         while n:
             if n & 1:
@@ -203,7 +202,7 @@ class PadicScalar:
         return self + (-other)
 
 
-def teichmuller(p: int, c: int, digits: int = DEFAULT_DIGITS) -> PadicScalar:
+def teichmuller(p: int, c: int, digits: int = DEFAULTS.padic_digits) -> PadicScalar:
     """Teichmuller lift: the unique (p-1)-th root of unity congruent to c mod p."""
     _check_prime(p)
     _check_digits(digits)
@@ -267,7 +266,7 @@ class PadicSeries:
     tail_logp: Optional[TailBound] = None
 
     @staticmethod
-    def from_coeffs(p: int, pairs, digits: int = DEFAULT_DIGITS) -> "PadicSeries":
+    def from_coeffs(p: int, pairs, digits: int = DEFAULTS.padic_digits) -> "PadicSeries":
         """Build a complete series from (exponent, rational) pairs with
         distinct exponents."""
         terms, seen = [], set()
@@ -284,7 +283,7 @@ class PadicSeries:
 
     @staticmethod
     def from_polynomial(coeffs: Sequence, p: int,
-                        digits: int = DEFAULT_DIGITS) -> "PadicSeries":
+                        digits: int = DEFAULTS.padic_digits) -> "PadicSeries":
         return PadicSeries.from_coeffs(p, enumerate(coeffs), digits)
 
     @property

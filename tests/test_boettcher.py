@@ -66,7 +66,7 @@ def test_phi_reads_g_from_psi(monkeypatch):
         return recursion(f, order)
 
     monkeypatch.setattr(boettcher, "_psi_g_coeffs", counting)
-    ds = PolyDS(Poly([F(-31, 29), F(17, 13), 0, 1]))     # not used elsewhere
+    ds = PolyDS(Poly([F(-31, 29), F(17, 13), 0, 1]))
     psi_series(ds, 23)
     phi_series(ds, 23)
     assert calls == [23]
@@ -81,7 +81,7 @@ def test_lower_order_psi_is_a_truncation_of_the_cached_one(monkeypatch):
         return recursion(f, order)
 
     monkeypatch.setattr(boettcher, "_psi_g_coeffs", counting)
-    ds = PolyDS(Poly([F(23, 19), F(-5, 11), F(2, 7), 1]))   # not used elsewhere
+    ds = PolyDS(Poly([F(23, 19), F(-5, 11), F(2, 7), 1]))
     psi_series(ds, 32)
     low = psi_series(ds, 12)
     assert calls == [32]
@@ -90,6 +90,44 @@ def test_lower_order_psi_is_a_truncation_of_the_cached_one(monkeypatch):
     assert (low.low, low.trunc, low.coeffs) == (fresh.low, fresh.trunc, fresh.coeffs)
     psi_series(ds, 40)
     assert calls == [32, 40]
+
+
+def test_lower_order_phi_is_a_truncation_of_the_memo(monkeypatch):
+    calls = []
+    reversion = boettcher._phi_e_coeffs
+
+    def counting(psi, order):
+        calls.append(order)
+        return reversion(psi, order)
+
+    monkeypatch.setattr(boettcher, "_phi_e_coeffs", counting)
+    f = Poly([F(-7, 5), F(3, 4), F(1, 6), 1])
+    ds = PolyDS(f)
+    phi_series(ds, 32)
+    low = phi_series(ds, 12)
+    assert calls == [32]
+    fresh = phi_series(PolyDS(f), 12)
+    assert calls == [32, 12]
+    assert low == fresh and repr(low) == repr(fresh)
+    for order in (0, 1, 2, 5, 16, 31):
+        assert phi_series(ds, order) == phi_series(PolyDS(f), order)
+
+
+def test_maps_share_no_series(monkeypatch):
+    calls = []
+    recursion = boettcher._psi_g_coeffs
+
+    def counting(f, order):
+        calls.append(order)
+        return recursion(f, order)
+
+    monkeypatch.setattr(boettcher, "_psi_g_coeffs", counting)
+    f = Poly([F(1, 3), 0, 1])
+    first, second = PolyDS(f), PolyDS(f)
+    assert psi_series(first, 16) == psi_series(second, 16)
+    psi_series(first, 8)
+    psi_series(second, 8)
+    assert calls == [16, 16]
 
 
 def test_phi_psi_identity_at_order_zero_is_truncated():

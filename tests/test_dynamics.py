@@ -218,7 +218,7 @@ def test_padic_escape_agrees_with_exact_orbit():
         for alpha in (F(0), F(1, 3), F(2, 9), F(4), F(-5, 3)):
             x, expected = alpha, None
             for n in range(7):
-                if x != 0 and ds.padic_dominated(3, _v_p(x, 3)):
+                if x != 0 and -_v_p(x, 3) > ds.padic_escape_radius_exponent(3):
                     expected = (n, _v_p(x, 3))
                     break
                 x = ds.apply(x)

@@ -1,12 +1,17 @@
 """Heights and orbit level sets."""
 
+import hashlib
+import io
 import math
 import random
+import signal
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
 from orbitforge.ball import eval_poly_ball
+from orbitforge.cli import main
 from orbitforge.dynamics import PolyDS, Preperiodic, classify_orbit
 from orbitforge.errors import DomainError, ResourceError
 from orbitforge.exact import BiPoly, Poly
@@ -186,6 +191,35 @@ def test_level_sets_match_factoring_the_whole_level_polynomial(f, alpha, n, m):
 def test_level_cap():
     with pytest.raises(ResourceError):
         small_orbit_level(DS1, F(1, 3), 14)
+
+
+def _cli_within(seconds, argv):
+    """stdout of one in-process CLI run, cut after ``seconds``."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    out = io.StringIO()
+    old_handler = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old_handler)
+    return out.getvalue()
+
+
+def test_grand_target_is_f_applied_m_times():
+    # f^12(1/3) under X^2 - 1 has a 4096-fold denominator; building the
+    # degree-4096 iterate to evaluate it took tens of seconds
+    out = _cli_within(10, ["orbit", "grand", "--poly", "[-1,0,1]", "--alpha", "1/3",
+                           "--n", "0", "--m", "12"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c8bcba6b8bed91d5c243f9f67ed82f6a17545d3b49b4e91692c4a1f74e2b74a1")
+    # the size of f^m(alpha) still keeps m to the iterate cap
+    with pytest.raises(ResourceError, match=r"iterate degree 2\^17 exceeds cap 65536"):
+        level_polynomial(DS1, F(1, 3), 0, 17)
 
 
 # -- height balance ---------------------------------------------------------------
