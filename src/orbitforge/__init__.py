@@ -9,6 +9,3 @@ lattice-coset combinatorics (combinat).
 """
 
 __version__ = "0.1.0"
-
-from .exact import BiPoly, LaurentBlock, Poly, Rat, rat, rat_str  # noqa: F401
-from .dynamics import PolyDS, normalize_monic  # noqa: F401

@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 
 from . import __version__
-from .ball import CBall
+from .ball import CBall  # eager: ball sets mp.prec on import, before main's workprec
 from .config import DEFAULTS, Settings, load_settings
 from .errors import DomainError, OrbitforgeError
 from .exact import BiPoly, Poly, rat, rat_str

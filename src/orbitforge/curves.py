@@ -24,7 +24,7 @@ from typing import Optional, Union
 from .ball import CBall
 from .boettcher import psi_series
 from .dynamics import PolyDS
-from .errors import DomainError
+from .errors import DomainError, WindowError
 from .exact import BiPoly, LaurentBlock, Poly, evaluate_series_at_block, rat
 from .factor import bivariate_irreducible
 from .orbits import level_factors, level_polynomial, level_roots
@@ -34,25 +34,33 @@ from .padic import (PadicScalar, PadicSeries, Radius, count_zeros_pj, kappa,
 
 @dataclass(frozen=True)
 class PlaneCurve:
-    """Primitive integer bivariate polynomial with coordinate degrees.
+    """A plane curve is its primitive integer bivariate polynomial.
 
     d1 = deg_Y P is the degree of the first coordinate function on the curve,
-    d2 = deg_X P the second.  Irreducibility is certified over Q at
-    construction; absolute irreducibility is not certified (flag only).
+    d2 = deg_X P the second.  Irreducibility over Q is decided (by sympy) each
+    time ``irreducible_q`` is read, never at construction; absolute
+    irreducibility is not certified.
     """
 
     poly: BiPoly
-    d1: int
-    d2: int
-    irreducible_q: bool
+
+    @property
+    def d1(self) -> int:
+        return self.poly.deg_y
+
+    @property
+    def d2(self) -> int:
+        return self.poly.deg_x
+
+    @property
+    def irreducible_q(self) -> bool:
+        return bivariate_irreducible(self.poly)
 
     @staticmethod
     def from_bipoly(b: BiPoly) -> "PlaneCurve":
         if b.is_zero or b.total_degree < 1:
             raise DomainError("a plane curve needs a nonconstant polynomial")
-        _, prim = b.content_primitive()
-        return PlaneCurve(prim, prim.deg_y, prim.deg_x,
-                          bivariate_irreducible(prim))
+        return PlaneCurve(b.content_primitive()[1])
 
     @staticmethod
     def from_terms(terms) -> "PlaneCurve":
@@ -409,15 +417,10 @@ def _boettcher_scaling(ds: PolyDS, a: Fraction, b: Fraction,
 
 @dataclass(frozen=True)
 class NuSeries:
-    p: int
-    curve: PlaneCurve
     k1: int
     k2: int
     phi: PadicScalar
-    zeta1: PadicScalar
-    zeta2: PadicScalar
-    window: int                     # series terms kept: all n+m <= window
-    series: PadicSeries
+    series: PadicSeries             # the terms n+m <= window, tail certified
     dropped: tuple[int, ...]        # exponents whose value fell below the tail
 
     @property
@@ -493,12 +496,10 @@ def build_nu(curve: PlaneCurve, ds: PolyDS, p: int, phi,
         z1_pow.append(z1_pow[-1] * zeta1)
         z2_pow.append(z2_pow[-1] * zeta2)
     phi_pow = [phi ** 0]
-    for _ in range(2 * window):
+    for _ in range(window):
         phi_pow.append(phi_pow[-1] * phi)
     acc: dict[int, PadicScalar] = {}
-    for (n, m), c in a_nm.items():
-        if n + m > window:
-            continue
+    for (n, m), c in a_nm.items():      # n + m <= window
         k = k1 * n + k2 * m
         term = PadicScalar.from_rational(c, p, digits) * phi_pow[n + m]
         term = term * z1_pow[n] * z2_pow[m]
@@ -526,8 +527,7 @@ def build_nu(curve: PlaneCurve, ds: PolyDS, p: int, phi,
 
     series = PadicSeries(p, tuple(sorted(kept.items())), complete=False,
                          tail_logp=tail_bound)
-    return NuSeries(p, curve, k1, k2, phi, zeta1, zeta2, window, series,
-                    tuple(dropped))
+    return NuSeries(k1, k2, phi, series, tuple(dropped))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Exact arithmetic substrate over Q.
 
-Everything symbolic in this package runs on four representations:
+Everything symbolic in this package runs on ``fractions.Fraction`` (always
+canonical: gcd 1, positive denominator), parsed from and printed as
+``"num/den"`` strings by ``rat`` and ``rat_str``, and on three
+representations built from it:
 
-* ``Rat`` -- ``fractions.Fraction`` (always canonical: gcd 1, positive
-  denominator), parsed from and printed as ``"num/den"`` strings;
 * ``Poly`` -- dense univariate polynomials, coefficient of X^i at index i;
 * ``BiPoly`` -- sparse bivariate polynomials keyed by (i, j) for X^i Y^j;
 * ``LaurentBlock`` -- truncated Laurent series: coefficients are known for
@@ -25,7 +26,6 @@ from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import DomainError, ResourceError
 
-Rat = Fraction
 
 _MINUS_VARIANTS = ("−", "–", "—")
 _LONG_LITERAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)"
@@ -33,7 +33,7 @@ _LONG_LITERAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)"
 
 
 def rat(value) -> Fraction:
-    """Parse an int, Fraction, or ``"num/den"`` string into a canonical Rat."""
+    """Parse an int, Fraction, or ``"num/den"`` string into a canonical Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -120,7 +120,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def rat_str(q: Fraction) -> str:
-    """Render a Rat as ``"num"`` or ``"num/den"``."""
+    """Render a Fraction as ``"num"`` or ``"num/den"``."""
     num = _int_str(q.numerator)
     return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
 

@@ -223,16 +223,14 @@ class HeightBalanceReport:
     fitted_constant: float          # smallest c with |diff| <= c * scale on the sample
 
 
-def height_balance_check(curve, points) -> HeightBalanceReport:
-    """Balanced height difference along exact curve points.
+def height_balance_check(poly: BiPoly, points) -> HeightBalanceReport:
+    """Balanced height difference along exact points of the curve P = 0.
 
     The coordinate-function degrees are d1 = deg_Y P (degree of x on the
     curve) and d2 = deg_X P (degree of y); the bounded combination is the
     cross pairing d2*h(x) - d1*h(y), compared against c*sqrt(1 + min(h)).
-    ``curve`` is a PlaneCurve or a bare BiPoly; points must lie on the curve
-    exactly.
+    Points must lie on the curve exactly.
     """
-    poly: BiPoly = curve.poly if hasattr(curve, "poly") else curve
     d1, d2 = poly.deg_y, poly.deg_x
     rows = []
     worst = 0.0

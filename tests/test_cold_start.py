@@ -1,4 +1,5 @@
-"""Cold start: commands that never factor over Q do not import sympy."""
+"""Cold start: commands that never factor over Q do not import sympy, and the
+exact layers import neither sympy nor mpmath."""
 
 import os
 import pathlib
@@ -31,7 +32,12 @@ for argv in (
          '[[0,"3"],[1,"1"],[2,"3"]]'],
         ["orbit", "height", "--poly", "[-1,0,1]", "--alpha", "1/3",
          "--tol", "1/1000"],
-        ["combinat", "verify", "--lemma", "box1", "--nmax", "10"]):
+        ["combinat", "verify", "--lemma", "box1", "--nmax", "10"],
+        ["curve", "nu", "--poly", "[-1,0,1]",
+         "--curve", '[[1,0,"1"],[0,1,"-1"]]', "--p", "3", "--phi", "3",
+         "--k1", "1", "--k2", "-1", "--window", "8"],
+        ["curve", "special", "--poly", "[-1,0,1]",
+         "--curve", '[[1,0,"3"],[0,0,"1"]]', "--alpha", "1/3", "--nmax", "2"]):
     run(argv)
     assert "sympy" not in sys.modules, argv
 assert len(PolyDS(Poly([-1, 0, 1])).critical_points()) == 1
@@ -43,10 +49,26 @@ assert mpmath.mp.prec == prec, (mpmath.mp.prec, prec)
 '''
 
 
-def test_non_factoring_commands_do_not_import_sympy():
+EXACT_LAYERS = r'''
+import sys
+import orbitforge.exact, orbitforge.padic, orbitforge.combinat
+loaded = sorted({"mpmath", "sympy"} & set(sys.modules))
+assert not loaded, loaded
+'''
+
+
+def _run_fresh(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_non_factoring_commands_do_not_import_sympy():
+    _run_fresh(SCRIPT)
+
+
+def test_exact_layers_import_neither_mpmath_nor_sympy():
+    _run_fresh(EXACT_LAYERS)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbitforge import curves
 from orbitforge.ball import CBall
 from orbitforge.config import Settings
 from orbitforge.curves import (NotSpecialUpTo, PlaneCurve, RootRef,
@@ -13,11 +14,11 @@ from orbitforge.curves import (NotSpecialUpTo, PlaneCurve, RootRef,
                                build_nu, commuting_linear, intersect_small_orbit,
                                is_special_curve, nu_estimates)
 from orbitforge.dynamics import PolyDS
-from orbitforge.errors import DomainError, ResourceError
+from orbitforge.errors import DomainError, ResourceError, WindowError
 from orbitforge.exact import BiPoly, Poly
-from orbitforge.factor import factor_rational
+from orbitforge.factor import bivariate_irreducible, factor_rational
 from orbitforge.orbits import level_polynomial, level_roots
-from orbitforge.padic import PadicScalar, teichmuller
+from orbitforge.padic import PadicScalar, Radius, sup_norm, teichmuller
 
 DS1 = PolyDS(Poly([-1, 0, 1]))
 CORPUS_F = [Poly([-1, 0, 1]), Poly([0, 0, 1]), Poly([-6, 0, 1]),
@@ -36,6 +37,23 @@ def test_plane_curve_construction():
     assert (conic.d1, conic.d2) == (1, 2)
     with pytest.raises(DomainError):
         PlaneCurve.from_terms({(0, 0): 3})
+
+
+def test_irreducibility_is_decided_only_when_read(monkeypatch):
+    calls = []
+
+    def counting(b):
+        calls.append(b)
+        return bivariate_irreducible(b)
+    monkeypatch.setattr(curves, "bivariate_irreducible", counting)
+    reducible = PlaneCurve.from_terms({(2, 0): 2, (0, 2): -2})    # 2(X - Y)(X + Y)
+    irreducible = PlaneCurve.from_terms({(2, 0): 1, (0, 1): -1})  # X^2 - Y
+    assert calls == []
+    assert reducible.poly == BiPoly({(2, 0): 1, (0, 2): -1})
+    for curve in (reducible, irreducible):
+        assert curve.irreducible_q == bivariate_irreducible(curve.poly)
+    assert not reducible.irreducible_q and irreducible.irreducible_q
+    assert calls == [reducible.poly, irreducible.poly] * 2
 
 
 def test_diagonal_divides_every_iterate_difference():
@@ -295,6 +313,14 @@ def test_nu_good_reduction_sup_bound():
             assert led.sup_leq_one
             assert led.lemma_holds
             assert led.pj_count_logp >= 0
+
+
+def test_nu_tail_outside_the_annulus_is_a_window_error():
+    # the tail is certified only for |x| < p^(v(phi)/|k|_inf) = p, not at p^2
+    one = _unit(3)
+    nu = build_nu(DIAG, DS1, 3, F(3), one, one, 1, -1, window=12)
+    with pytest.raises(WindowError):
+        sup_norm(nu.series, Radius.ppow(2))
 
 
 def test_nu_ledger_reports_instance_constants():
