@@ -1,78 +1,88 @@
 """Boettcher series for monic polynomials: the inverse coordinate Psi with
 Psi(X^d) = f(Psi(X)) and a pole of residue 1 at 0, its compositional inverse
-Phi with Phi(f(X)) = Phi(X)^d, and convergence-radius estimates per place.
+Phi with Phi(f(X)) = Phi(X)^d, and the archimedean convergence radius.
 
 Psi is written X^{-1} g(X) with g(0) = 1; matching coefficients in
 g(X^d) = g(X)^d + sum_i a_i X^i g(X)^{d-i} determines each new coefficient
 with a unit factor d, so the recursion is exact and never divides by zero.
 Phi is obtained by Lagrange term-by-term reversion of X / g(X), on integer
-numerators over powers of one common denominator of g.  The defining
-equation of Phi is kept as an independent cross-check.
+numerators over powers of one common denominator of g, multiplied by the
+truncated convolution of ``exact``.  The defining equation of Phi is kept as
+an independent cross-check.
 Both series have the prefix property (e_n = [z^(n-1)] g^n / n reads only
 g's first n coefficients), so each ``PolyDS`` holds its highest-order Psi
-and Phi so far and serves every lower order by truncation; maps share no
-series, and nothing is kept at module level.
+and Phi so far and serves every lower order by truncation.  Psi is kept with
+the columns of g^j its recursion fills, so a higher order resumes where the
+last one stopped.  Maps share no series, and nothing is kept at module level.
 Both Phi residuals compose Phi with a series of positive valuation through
-``exact.evaluate_series_at_block``.
+``exact.evaluate_series_at_block``, by Horner's rule over one denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
+from typing import Optional
+
 import mpmath
 
 from .ball import CBall, eval_block_ball, rball
 from .dynamics import PolyDS, escaping_critical_points
 from .errors import DomainError, PrecisionError
-from .exact import LaurentBlock, Poly, _over_common, evaluate_series_at_block
+from .exact import (LaurentBlock, Poly, _convolve, _over_common,
+                    evaluate_series_at_block)
 
 
-def _psi_g_coeffs(f: Poly, order: int) -> list[Fraction]:
-    """Coefficients u_0..u_order of g with Psi = X^{-1} g(X)."""
+def _psi_g_coeffs(f: Poly, order: int,
+                  pw: Optional[list[list[Fraction]]] = None) -> list[Fraction]:
+    """Coefficients u_0..u_order of g with Psi = X^{-1} g(X).
+
+    ``pw[j][n]`` is the coefficient of X^n in g^j for j = 0..d, filled jointly
+    with u = pw[1].  Given the columns of an earlier call on the same map,
+    the recursion resumes after them and extends them in place.
+    """
     d = f.degree
     a = [f.coeff(d - i) for i in range(d + 1)]  # a[0] = 1 leading
-    u = [Fraction(1)] + [Fraction(0)] * order
-    # pw[j][n] = coefficient of X^n in g^j, filled jointly with u
-    pw = [[Fraction(0)] * (order + 1) for _ in range(d + 1)]
-    pw[0][0] = Fraction(1)
-    for j in range(1, d + 1):
-        pw[j][0] = Fraction(1)
-    for n in range(1, order + 1):
+    pw = [] if pw is None else pw
+    if not pw:
+        pw.extend([Fraction(1)] for _ in range(d + 1))
+    u = pw[1]
+    for n in range(len(u), order + 1):
         # provisional column with u[n] = 0
-        pw[1][n] = Fraction(0)
+        pw[0].append(Fraction(0))
+        u.append(Fraction(0))
         for j in range(2, d + 1):
             s = Fraction(0)
             prev = pw[j - 1]
             for k in range(0, n + 1):
                 if u[k] != 0 and prev[n - k] != 0:
                     s += u[k] * prev[n - k]
-            pw[j][n] = s
+            pw[j].append(s)
         rhs = pw[d][n]
         for i in range(1, min(d, n) + 1):
             if a[i] != 0:
                 rhs += a[i] * pw[d - i][n - i]
         lhs = u[n // d] if n % d == 0 else Fraction(0)
-        u[n] = (lhs - rhs) / d
+        un = (lhs - rhs) / d
         # fix the provisional column: adding u_n X^n changes [X^n] g^j by j*u_n
-        if u[n] != 0:
+        if un != 0:
             for j in range(1, d + 1):
-                pw[j][n] += j * u[n]
-    return u
+                pw[j][n] += j * un
+    return u[:order + 1]
 
 
 def psi_series(ds: PolyDS, order: int) -> LaurentBlock:
     """Truncated Psi: coefficients at exponents -1..order-1, residue 1.
 
     The map's memo of order >= ``order`` is truncated instead of recomputed;
-    a higher order recomputes and replaces it.
+    a higher order resumes the recursion from the memo's columns of g^j.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    memo = ds._psi
+    memo, pw = ds._psi or (None, [])
     if memo is None or order > memo.trunc:
-        memo = ds._psi = LaurentBlock(-1, _psi_g_coeffs(ds.f, order), trunc=order)
+        memo = LaurentBlock(-1, _psi_g_coeffs(ds.f, order, pw), trunc=order)
+        ds._psi = (memo, pw)
     return memo if order == memo.trunc else memo.truncate_to(order)
 
 
@@ -87,17 +97,10 @@ def _phi_e_coeffs(psi: LaurentBlock, order: int) -> list[Fraction]:
     width = max(order, 1)
     u, ud = _over_common([psi.coefficient(e) for e in range(-1, width - 1)])
     e = [Fraction(0)] * (order + 1)
-    gi = [1] + [0] * (width - 1)          # numerators of g^(n-1) over ud^(n-1)
-    nz = [(k, c) for k, c in enumerate(u) if c != 0]
+    gi = [1]                              # numerators of g^(n-1) over ud^(n-1)
     den = 1
     for n in range(1, order + 1):
-        new = [0] * width
-        for k, uk in nz:
-            for idx in range(k, width):
-                g_val = gi[idx - k]
-                if g_val != 0:
-                    new[idx] += uk * g_val
-        gi = new
+        gi = _convolve(u, gi, width)
         den *= ud
         e[n] = Fraction(gi[n - 1], den * n)
     return e
@@ -117,23 +120,6 @@ def phi_series(ds: PolyDS, order: int) -> LaurentBlock:
         e = _phi_e_coeffs(psi_series(ds, max(order, 1)), order)
         memo = ds._phi = LaurentBlock(1, e[1:], trunc=order + 1)
     return memo if order + 1 == memo.trunc else memo.truncate_to(order + 1)
-
-
-@dataclass(frozen=True)
-class BoettcherPair:
-    psi: LaurentBlock     # series in X around 0, lowest exponent -1
-    phi: LaurentBlock     # series in w = 1/X
-    order: int
-    ds: PolyDS
-
-    def verify(self) -> bool:
-        return (psi_equation_residual(self.ds, self.order).known_is_zero()
-                and phi_equation_residual(self.ds, self.order).known_is_zero()
-                and phi_psi_identity_residual(self.ds, self.order).known_is_zero())
-
-
-def boettcher_pair(ds: PolyDS, order: int) -> BoettcherPair:
-    return BoettcherPair(psi_series(ds, order), phi_series(ds, order), order, ds)
 
 
 def psi_equation_residual(ds: PolyDS, order: int) -> LaurentBlock:
@@ -193,26 +179,6 @@ def evaluate_psi(ds: PolyDS, order: int, x: CBall) -> CBall:
     tail = (2 * scale * q ** (first_unknown - e_last) * absx ** first_unknown
             / (1 - q * absx))
     return val.widen(tail)
-
-
-class NonArchRadius(Enum):
-    ONE = "one"
-    LEQ_ONE_UNKNOWN = "leq-one-unknown"
-
-
-def radius_nonarch(ds: PolyDS, p: int) -> NonArchRadius:
-    """Boettcher convergence radius at a finite prime.
-
-    Good reduction with p coprime to d makes every Psi coefficient p-integral
-    (the recursion only divides by d), so the series converges on the open
-    unit disc and the radius is 1 for non-exceptional maps.  Otherwise only
-    the general bound (<= 1 for non-exceptional f) is reported.
-    """
-    if p < 2:
-        raise DomainError("p must be a prime")
-    if ds.good_reduction(p) and ds.coprime_to_degree(p):
-        return NonArchRadius.ONE
-    return NonArchRadius.LEQ_ONE_UNKNOWN
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ class PolyDS:
         self.settings = settings
         self._iterates: dict[int, Poly] = {0: Poly.x(), 1: f}
         self._crit: Optional[list["CriticalPoint"]] = None
-        self._psi = None          # highest-order Psi and Phi so far
-        self._phi = None
+        self._psi = None          # highest-order Psi so far, with its g^j columns
+        self._phi = None          # highest-order Phi so far
 
     def __repr__(self) -> str:
         return f"PolyDS({self.f!r})"

@@ -539,6 +539,20 @@ def _over_common(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _convolve(a: Sequence[int], b: Sequence[int], width: int) -> list[int]:
+    """The first ``width`` coefficients of the product of two integer
+    coefficient lists: the one convolution loop of the series layer."""
+    out = [0] * width
+    nonzero_b = [(j, y) for j, y in enumerate(b[:width]) if y]
+    for i, x in enumerate(a[:width]):
+        if x:
+            for j, y in nonzero_b:
+                if i + j >= width:
+                    break
+                out[i + j] += x * y
+    return out
+
+
 class LaurentBlock:
     """Truncated Laurent series with exact coefficients.
 
@@ -546,9 +560,10 @@ class LaurentBlock:
     implicitly zero elsewhere below ``trunc_order``.  ``trunc_order=None``
     marks a full Laurent polynomial.
 
-    The product puts each operand over its common denominator once,
-    convolves the integer numerators, and divides each output coefficient
-    by the product of the two denominators: one gcd per output coefficient
+    The product, the inverse and ``evaluate_series_at_block`` put each
+    operand over its common denominator once, run on the integer numerators
+    (the product and the composition through ``_convolve``), and reduce each
+    output coefficient once at the end: one gcd per output coefficient
     instead of one per term, the layout of FLINT's ``fmpq_poly``.
     """
 
@@ -681,18 +696,8 @@ class LaurentBlock:
             return LaurentBlock.zero(t)
         na, da = _over_common(self.coeffs)
         nb, db = _over_common(other.coeffs)
-        nonzero_b = [(j, b) for j, b in enumerate(nb) if b != 0]
-        width = hi - lo + 1
-        out = [0] * width
-        for i, a in enumerate(na):
-            if a == 0:
-                continue
-            for j, b in nonzero_b:
-                k = i + j
-                if k >= width:
-                    break
-                out[k] += a * b
         den = da * db
+        out = _convolve(na, nb, hi - lo + 1)
         return LaurentBlock(lo, [Fraction(n, den) for n in out], t)
 
     def scale(self, c) -> "LaurentBlock":
@@ -708,27 +713,16 @@ class LaurentBlock:
         return result
 
     def compose_monomial(self, k: int) -> "LaurentBlock":
-        """Substitute x -> x^k (k nonzero)."""
-        if k == 0:
-            raise DomainError("monomial substitution needs a nonzero exponent")
-        if k > 0:
-            if not self.coeffs:
-                t = None if self.trunc is None else self.trunc * k
-                return LaurentBlock.zero(t)
-            out = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
-            for i, c in enumerate(self.coeffs):
-                out[i * k] = c
-            t = None if self.trunc is None else self.trunc * k
-            return LaurentBlock(self.low * k, out, t)
-        if self.trunc is not None:
-            raise DomainError(
-                "x -> x^k with k < 0 requires a full block (trunc_order=None)")
+        """Substitute x -> x^k (k positive)."""
+        if k <= 0:
+            raise DomainError("monomial substitution needs a positive exponent")
+        t = None if self.trunc is None else self.trunc * k
         if not self.coeffs:
-            return LaurentBlock.zero(None)
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * (-k) + 1)
+            return LaurentBlock.zero(t)
+        out = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
         for i, c in enumerate(self.coeffs):
-            out[(len(self.coeffs) - 1 - i) * (-k)] = c
-        return LaurentBlock(self.top * k, out, None)
+            out[i * k] = c
+        return LaurentBlock(self.low * k, out, t)
 
     def truncate_to(self, t: int) -> "LaurentBlock":
         new_t = t if self.trunc is None else min(t, self.trunc)
@@ -736,22 +730,34 @@ class LaurentBlock:
 
     def inverse(self) -> "LaurentBlock":
         """Multiplicative inverse of a truncated block, known to the
-        matching order."""
+        matching order.
+
+        With the block x^low * A / a over the common denominator a, the
+        inverse is x^-low * a * sum_n B_n x^n / A_0^(n+1), where the integers
+        B_0 = 1, B_n = -sum_j A_j * A_0^(j-1) * B_(n-j) need no division;
+        each coefficient is reduced once at the end.
+        """
         if self.trunc is None:
             raise DomainError("only a truncated block can be inverted")
         if not self.coeffs:
             raise DomainError("cannot invert a block with no known nonzero term")
         nterms = self.trunc - self.low
-        a = self.coeffs
-        inv = [Fraction(0)] * nterms
-        inv[0] = 1 / a[0]
+        nums, den = _over_common(self.coeffs)
+        a0 = nums[0]
+        scaled = [(j, c * a0 ** (j - 1)) for j, c in enumerate(nums) if j and c]
+        b = [1]
         for n in range(1, nterms):
-            s = Fraction(0)
-            for j in range(1, min(n, len(a) - 1) + 1):
-                if a[j] != 0:
-                    s += a[j] * inv[n - j]
-            inv[n] = -s / a[0]
-        return LaurentBlock(-self.low, inv, -self.low + nterms)
+            s = 0
+            for j, c in scaled:
+                if j > n:
+                    break
+                s += c * b[n - j]
+            b.append(-s)
+        out, a0_pow = [], 1
+        for bn in b:
+            a0_pow *= a0
+            out.append(Fraction(den * bn, a0_pow))
+        return LaurentBlock(-self.low, out, -self.low + nterms)
 
     def compose_poly(self, p: Poly) -> "LaurentBlock":
         """Evaluate the polynomial p at this block (Horner)."""
@@ -768,23 +774,34 @@ def evaluate_series_at_block(coeffs: Sequence[Fraction],
 
     This is the one place where a series is composed with a block: Phi with
     w_f = 1/f(1/w), with 1/Psi and with 1/L(1/w).  ``arg`` must be known to
-    start at exponent 1 or later, so arg^k starts at k or later.  The sum
-    starts as ``LaurentBlock.zero(arg.trunc)``, so it is known exactly as far
-    as ``arg`` is, and the powers stop at the first one that starts at or
-    beyond ``arg.trunc``: a truncated argument costs at most ``arg.trunc``
-    products, however long ``coeffs`` is.
+    start at exponent low >= 1, and the sum is known exactly as far as
+    ``arg`` is.  Only the terms with k * low < ``arg.trunc`` reach that far,
+    so a truncated argument costs fewer than ``arg.trunc`` steps, however
+    long ``coeffs`` is.
+
+    The sum runs by Horner's rule on integers: with arg = x^low * A / a and
+    c_k = C_k / D over common denominators, H <- H * x^low * A + C_j * a^(n-j)
+    for j = n-1 .. 0 from H = C_n, each product truncated where it can no
+    longer reach below ``arg.trunc``.  Then every coefficient is H_e / (D a^n),
+    reduced once.
     """
     start = arg._known_start()
-    if start is not None and start < 1:
+    if start is None:                          # exact zero: the constant term
+        return LaurentBlock(0, coeffs[:1])
+    if start < 1:
         raise DomainError("series composition needs an argument of positive valuation")
-    total = LaurentBlock.zero(arg.trunc)
-    power = LaurentBlock.monomial(0, 1, None)
-    for k, c in enumerate(coeffs):
-        if k:
-            power = power * arg
-            start = power._known_start()
-            if start is None or (arg.trunc is not None and start >= arg.trunc):
-                break
-        if c != 0:
-            total = total + power.scale(c)
-    return total
+    t = arg.trunc
+    n = len(coeffs) - 1 if t is None else min(len(coeffs) - 1, (t - 1) // start)
+    if n < 0:
+        return LaurentBlock.zero(t)
+    nums, d = _over_common(coeffs[:n + 1])
+    A, a = _over_common(arg.coeffs)
+    h, a_pow = [nums[n]], 1
+    for j in range(n - 1, -1, -1):
+        a_pow *= a
+        # H_j is needed below t - j*low; exact arguments keep every term
+        width = len(h) + start + len(A) - 1 if t is None else t - j * start
+        h = [0] * start + _convolve(h, A, width - start)
+        h[0] += nums[j] * a_pow
+    den = d * a_pow
+    return LaurentBlock(0, [Fraction(c, den) for c in h], t)

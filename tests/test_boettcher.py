@@ -6,10 +6,9 @@ from fractions import Fraction as F
 import mpmath
 
 from orbitforge import boettcher
-from orbitforge.boettcher import (NonArchRadius, boettcher_pair,
-                                  phi_equation_residual, phi_psi_identity_residual,
+from orbitforge.boettcher import (phi_equation_residual, phi_psi_identity_residual,
                                   phi_series, psi_equation_residual, psi_series,
-                                  radius_archimedean, radius_nonarch)
+                                  radius_archimedean)
 from orbitforge.dynamics import PolyDS
 from orbitforge.exact import LaurentBlock, Poly
 
@@ -61,9 +60,9 @@ def test_phi_reads_g_from_psi(monkeypatch):
     calls = []
     recursion = boettcher._psi_g_coeffs
 
-    def counting(f, order):
+    def counting(f, order, pw=None):
         calls.append(order)
-        return recursion(f, order)
+        return recursion(f, order, pw)
 
     monkeypatch.setattr(boettcher, "_psi_g_coeffs", counting)
     ds = PolyDS(Poly([F(-31, 29), F(17, 13), 0, 1]))
@@ -76,9 +75,9 @@ def test_lower_order_psi_is_a_truncation_of_the_cached_one(monkeypatch):
     calls = []
     recursion = boettcher._psi_g_coeffs
 
-    def counting(f, order):
+    def counting(f, order, pw=None):
         calls.append(order)
-        return recursion(f, order)
+        return recursion(f, order, pw)
 
     monkeypatch.setattr(boettcher, "_psi_g_coeffs", counting)
     ds = PolyDS(Poly([F(23, 19), F(-5, 11), F(2, 7), 1]))
@@ -90,6 +89,27 @@ def test_lower_order_psi_is_a_truncation_of_the_cached_one(monkeypatch):
     assert (low.low, low.trunc, low.coeffs) == (fresh.low, fresh.trunc, fresh.coeffs)
     psi_series(ds, 40)
     assert calls == [32, 40]
+
+
+def test_ascending_orders_resume_the_psi_recursion(monkeypatch):
+    computed = []
+    recursion = boettcher._psi_g_coeffs
+
+    def counting(f, order, pw=None):
+        # the recursion computes u_n for n past the columns it is given
+        computed.extend(range(len(pw[1]) if pw else 1, order + 1))
+        return recursion(f, order, pw)
+
+    monkeypatch.setattr(boettcher, "_psi_g_coeffs", counting)
+    f = Poly([F(-7, 5), F(3, 4), F(1, 6), 1])
+    ds = PolyDS(f)
+    blocks = [psi_series(ds, order) for order in (12, 18, 32)]
+    assert psi_series(ds, 18) == blocks[1]
+    assert computed == list(range(1, 33))          # each u_n once
+    monkeypatch.setattr(boettcher, "_psi_g_coeffs", recursion)
+    for order, block in zip((12, 18, 32), blocks):
+        fresh = psi_series(PolyDS(f), order)
+        assert block == fresh and repr(block) == repr(fresh)
 
 
 def test_lower_order_phi_is_a_truncation_of_the_memo(monkeypatch):
@@ -117,9 +137,9 @@ def test_maps_share_no_series(monkeypatch):
     calls = []
     recursion = boettcher._psi_g_coeffs
 
-    def counting(f, order):
+    def counting(f, order, pw=None):
         calls.append(order)
-        return recursion(f, order)
+        return recursion(f, order, pw)
 
     monkeypatch.setattr(boettcher, "_psi_g_coeffs", counting)
     f = Poly([F(1, 3), 0, 1])
@@ -134,11 +154,6 @@ def test_phi_psi_identity_at_order_zero_is_truncated():
     # nothing is known at order 0: the residual is O(x), not an exact -x
     ds = PolyDS(Poly([F(1, 4), 0, 1]))
     assert phi_psi_identity_residual(ds, 0) == LaurentBlock.zero(1)
-
-
-def test_boettcher_pair_verify():
-    pair = boettcher_pair(PolyDS(Poly([-1, 0, 1])), 20)
-    assert pair.verify()
 
 
 def test_psi_p_integral_at_good_coprime_primes():
@@ -158,14 +173,6 @@ def test_psi_not_p_integral_when_p_divides_degree():
     # divides by d; the radius report must not claim One there
     psi = psi_series(PolyDS(Poly([-1, 0, 1])), 8)
     assert psi.coefficient(1).denominator % 2 == 0
-
-
-def test_radius_nonarch():
-    ds = PolyDS(Poly([-1, 0, 1]))
-    assert radius_nonarch(ds, 3) is NonArchRadius.ONE
-    assert radius_nonarch(ds, 2) is NonArchRadius.LEQ_ONE_UNKNOWN
-    bad = PolyDS(Poly([F(-1, 5), 0, 1]))
-    assert radius_nonarch(bad, 5) is NonArchRadius.LEQ_ONE_UNKNOWN
 
 
 def test_radius_archimedean_cases():

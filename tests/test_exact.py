@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitforge import exact
 from orbitforge.errors import DomainError, ResourceError
 from orbitforge.exact import (BiPoly, LaurentBlock, Poly, evaluate_series_at_block,
                               poly_iterate, poly_resultant, rat, rat_str)
@@ -121,8 +122,9 @@ def test_resultant_evaluation_property(coeffs, a):
 def test_block_monomial_substitution():
     inv = LaurentBlock.monomial(-1, 1)
     assert inv.compose_monomial(2) == LaurentBlock.monomial(-2, 1)
-    with pytest.raises(DomainError):
-        inv.compose_monomial(0)
+    for k in (0, -1):
+        with pytest.raises(DomainError):
+            inv.compose_monomial(k)
 
 
 def test_block_product_example():
@@ -264,18 +266,19 @@ def test_series_at_block_edge_cases(coeffs, arg):
 
 
 def test_series_at_block_stops_at_trunc(monkeypatch):
-    products = []
-    mul = LaurentBlock.__mul__
+    steps = []
+    convolve = exact._convolve
 
-    def counting(a, b):
-        products.append(1)
-        return mul(a, b)
+    def counting(a, b, width):
+        steps.append(width)
+        return convolve(a, b, width)
 
-    monkeypatch.setattr(LaurentBlock, "__mul__", counting)
+    monkeypatch.setattr(exact, "_convolve", counting)
     arg = LaurentBlock(3, [F(1), F(1, 2), F(2)], trunc=20)
     evaluate_series_at_block([F(1)] * 100, arg)
-    # arg^7 starts at 21, beyond trunc: it is the last power formed
-    assert len(products) == 7
+    # arg^6 starts at 18 and arg^7 at 21, beyond trunc: c_0..c_6 take six
+    # Horner steps, however many coefficients follow
+    assert len(steps) == 6
 
 
 @pytest.mark.parametrize("arg", [
@@ -320,20 +323,45 @@ def test_block_inverse_roundtrip():
                for e in range(prod.low, prod.trunc) if e != 0)
 
 
+def _reference_inverse(b: LaurentBlock) -> LaurentBlock:
+    """The Fraction recursion, one division by the leading coefficient per term."""
+    nterms = b.trunc - b.low
+    a = b.coeffs
+    inv = [F(0)] * nterms
+    inv[0] = 1 / a[0]
+    for n in range(1, nterms):
+        s = F(0)
+        for j in range(1, min(n, len(a) - 1) + 1):
+            if a[j] != 0:
+                s += a[j] * inv[n - j]
+        inv[n] = -s / a[0]
+    return LaurentBlock(-b.low, inv, -b.low + nterms)
+
+
+def test_block_inverse_equals_fraction_recursion():
+    rng = random.Random(1637)
+    leads = (F(1), F(-1), F(2), F(-3), F(5, 7), F(-(10**12 + 39), 11),
+             F(1, 10**12 + 39), F(7**25, 2**70))
+    dens = (1, 2, 3, 36, 10**12 + 39, 7**25)
+    cases = [LaurentBlock(-2, [F(-3), F(1, 2)], trunc=-1),       # nterms = 1
+             LaurentBlock(3, [F(5, 7)], trunc=9)]                # a monomial
+    for _ in range(300):
+        low = rng.randint(-4, 4)
+        coeffs = [rng.choice(leads)] + [
+            F(rng.randint(-10**6, 10**6), rng.choice(dens))
+            if rng.random() < 0.7 else F(0)                      # interior zeros
+            for _ in range(rng.randint(0, 8))]
+        cases.append(LaurentBlock(low, coeffs, trunc=low + rng.randint(1, 12)))
+    for b in cases:
+        got, want = b.inverse(), _reference_inverse(b)
+        assert _block_key(got) == _block_key(want) and repr(got) == repr(want), b
+
+
 def test_block_inverse_needs_a_truncated_block():
     with pytest.raises(DomainError):
         LaurentBlock.monomial(-1, 1).inverse()
     with pytest.raises(DomainError):
         LaurentBlock(0, [1, 2]).inverse()
-
-
-def test_negative_monomial_substitution_needs_full_block():
-    trunc = LaurentBlock(0, [1, 2], trunc=5)
-    with pytest.raises(DomainError):
-        trunc.compose_monomial(-1)
-    full = LaurentBlock(-1, [1, 0, 2])        # exact Laurent polynomial
-    flipped = full.compose_monomial(-1)
-    assert flipped.coefficient(1) == 1 and flipped.coefficient(-1) == 2
 
 
 def test_poly_json_roundtrip():

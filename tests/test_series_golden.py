@@ -12,6 +12,10 @@ orders of ``NU_ORDERS``, and ``commuting_linear`` with its Boettcher scaling
 at n = 1 and 2, on the same maps plus three that commute with X -> -X + b.
 Their digests were recorded before the powers of 1/Psi and the composition
 with Phi moved onto ``exact.evaluate_series_at_block``.
+The last guard covers blocks whose leading coefficient is not 1:
+``LaurentBlock.inverse`` of a + b*w + c*w^2 with a in {2, -3, 5/7}, and the
+composition of Phi with w / (a + b*w + c*w^2).  Its digests were recorded
+before both moved onto integer numerators.
 ``python tests/test_series_golden.py`` prints the current digests.
 """
 
@@ -25,7 +29,7 @@ from orbitforge.boettcher import (phi_equation_residual, phi_psi_identity_residu
                                   phi_series, psi_equation_residual, psi_series)
 from orbitforge.curves import PlaneCurve, _n_series_coeffs, commuting_linear
 from orbitforge.dynamics import PolyDS
-from orbitforge.exact import Poly
+from orbitforge.exact import LaurentBlock, Poly, evaluate_series_at_block
 
 ORDERS = (0, 1, 2, 8, 24, 40)
 
@@ -203,6 +207,50 @@ LINEAR_DIGESTS = {
 }
 
 
+def _lead_blocks() -> dict:
+    """a + b*w + c*w^2 + O(w^24), seeded b and c, at three lowest exponents."""
+    rng = random.Random(20261020)
+    blocks = {}
+    for name, lead in (("two", F(2)), ("minus3", F(-3)), ("five7", F(5, 7))):
+        tail = [F(rng.randint(-9, 9), rng.choice([1, 4, 11, 10**12 + 39]))
+                for _ in range(2)]
+        for low in (-1, 0, 2):
+            blocks[f"{name}/low{low}"] = LaurentBlock(low, [lead] + tail, trunc=low + 24)
+    return blocks
+
+
+LEAD_BLOCKS = _lead_blocks()
+
+LEAD_DIGESTS = {
+    "five7/low-1": "ec2dc2c3fb13bad938468a858727d7e24e54e7902fa5c1b0f065b73c8ab758b0",
+    "five7/low0": "7d508aea7406fdfee016eede71f355b196b9986c671d284ae232ffbfec71eb27",
+    "five7/low2": "a3440eb0090263e0e3108f9f76c0154f319328aeb2dc978527c6bb5a736fdf48",
+    "minus3/low-1": "96d81ed47eff4616c6eb0c5bc7ca8e5836733f40391aa4c4427241b01eded8d0",
+    "minus3/low0": "4a18a85deaa69cb5ba38de99ebccc050adca79570e8a8c7ecb36d83c832b4c76",
+    "minus3/low2": "06e17c9e2dd93ba932c93da11f7de4d9f8f5d2b570cdc6eef8cc557953fb98d2",
+    "two/low-1": "32260f89812b6833d3b36a2894d4a896ac80410eab7ec7ffc175c04dc620abc5",
+    "two/low0": "4cc1b2bb4896426040d72e271096fd01299f51745ab458187a8217315cc8d6f0",
+    "two/low2": "cb4b69edb05bff19379cdcb0ed21b7b028ceb7e08fc83c9b40bb0dc12354d8af",
+}
+
+
+def _lead_digest(block_name: str) -> str:
+    """The inverse, and Phi of two corpus maps composed with w over the block."""
+    block = LEAD_BLOCKS[block_name]
+    inv = block.inverse()
+    rows = [(inv.low, tuple((c.numerator, c.denominator) for c in inv.coeffs),
+             inv.trunc)]
+    # w / (a + b*w + c*w^2): shift the block to start at exponent 0 first
+    unit = LaurentBlock(0, block.coeffs, trunc=24)
+    arg = (LaurentBlock.monomial(1, 1) * unit.inverse()).truncate_to(25)
+    for map_name in ("d2_rat", "d3_int"):
+        phi = phi_series(PolyDS(MAPS[map_name]), 24)
+        b = evaluate_series_at_block([phi.coefficient(k) for k in range(25)], arg)
+        rows.append((b.low, tuple((c.numerator, c.denominator) for c in b.coeffs),
+                     b.trunc))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
 def _nu_digest(curve_name: str, map_name: str) -> str:
     ds = PolyDS(MAPS[map_name])
     rows = []
@@ -237,6 +285,11 @@ def test_commuting_linear_unchanged(map_name):
     assert _linear_digest(map_name) == LINEAR_DIGESTS[map_name]
 
 
+@pytest.mark.parametrize("block_name", sorted(LEAD_BLOCKS))
+def test_non_unit_lead_unchanged(block_name):
+    assert _lead_digest(block_name) == LEAD_DIGESTS[block_name]
+
+
 if __name__ == "__main__":     # pragma: no cover
     print("DIGESTS = {")
     for map_name in sorted(MAPS):
@@ -251,4 +304,8 @@ if __name__ == "__main__":     # pragma: no cover
     print("LINEAR_DIGESTS = {")
     for map_name in sorted(LINEAR_MAPS):
         print(f'    "{map_name}": "{_linear_digest(map_name)}",')
+    print("}")
+    print("LEAD_DIGESTS = {")
+    for block_name in sorted(LEAD_BLOCKS):
+        print(f'    "{block_name}": "{_lead_digest(block_name)}",')
     print("}")
