@@ -27,7 +27,7 @@ from .dynamics import PolyDS
 from .errors import DomainError, WindowError
 from .exact import BiPoly, LaurentBlock, Poly, evaluate_series_at_block, rat
 from .factor import bivariate_irreducible
-from .orbits import level_factors, level_polynomial, level_roots
+from .orbits import level_polynomial, level_root_groups
 from .padic import (PadicScalar, PadicSeries, Radius, count_zeros_pj, kappa,
                     sup_norm)
 
@@ -185,21 +185,24 @@ def _min_level_roots(ds: PolyDS, alpha: Fraction, cap: int) -> list[RootRef]:
 
     The points first seen at level n are roots of the quotient
     h_n = g_n / g_(n-1) of the level polynomials g_n = f^n(X) - f^n(alpha),
-    whose factors ``level_factors`` gives; only the factors not seen at a
-    lower level are certified.  Per level, rational roots come first in
+    whose factors ``level_factors`` gives; ``level_root_groups`` pulls all
+    of them back from f^cap(alpha) at once, one preimage step at a time,
+    and attaches the balls to the factors.  A factor already seen at a
+    lower level is skipped.  Per level, rational roots come first in
     ascending order, then the new factors' balls in factor order.
     """
     out: list[RootRef] = []
-    seen: set[Poly] = set()
-    for n, factors in enumerate(level_factors(ds, alpha, cap, cap)):
-        new = [(fac, mult) for fac, mult in factors if fac not in seen]
-        seen.update(fac for fac, _mult in new)
-        rational, batches = level_roots(new)
+    seen: set = set()               # rational roots and nonlinear factors
+    for n, (rational, batches) in enumerate(level_root_groups(ds, alpha, cap, cap)):
         for root, _mult in rational:
-            out.append(RootRef(root, None, CBall.from_rational(root), n))
+            if root not in seen:
+                seen.add(root)
+                out.append(RootRef(root, None, CBall.from_rational(root), n))
         for batch in batches:
-            for ball in batch.roots:
-                out.append(RootRef(None, batch.factor, ball, n))
+            if batch.factor not in seen:
+                seen.add(batch.factor)
+                out.extend(RootRef(None, batch.factor, ball, n)
+                           for ball in batch.roots)
     return out
 
 
@@ -283,8 +286,8 @@ def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict) -> Optional[bo
     roots y' of f_y with P(x, y') = 0, is the degree of gcd(P(x, Y), f_y)
     over Q(x).  k = deg f_y decides True.  Short of that the balls decide:
     P(x, y) excludes 0, or exactly k of the certified root balls of f_y,
-    y's own among them, make P(x, .) contain 0 (each partner's ball does, so
-    those k balls are the partners).
+    the one ball that meets y's among them, make P(x, .) contain 0 (each
+    partner's ball does, so those k balls are the partners).
 
     Everything exact depends only on (f_x, f_y) and is kept in ``memo``, one
     dict per curve; ``memo[("roots", f_y)]`` holds the root balls of f_y,
@@ -308,10 +311,15 @@ def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict) -> Optional[bo
 
     from .rootcert import certified_roots
     balls = _once(memo, ("roots", fy), lambda: certified_roots(fy))
-    plausible = _once(memo, ("plausible", x, fy), lambda: sum(
-        P.eval_with(x.ball, b, convert=CBall.from_rational).contains_zero()
-        for b in balls))
-    return True if plausible == k and y.ball in balls else None
+    plausible = _once(memo, ("plausible", x, fy), lambda: [
+        b for b in balls
+        if P.eval_with(x.ball, b, convert=CBall.from_rational).contains_zero()])
+    # y's root lies in one of the disjoint balls of f_y: the only one that
+    # meets y's ball, when only one does
+    own = [b for b in balls if (b - y.ball).contains_zero()]
+    if len(plausible) == k and len(own) == 1 and own[0] in plausible:
+        return True
+    return None
 
 
 def intersect_small_orbit(curve: PlaneCurve, ds: PolyDS, alpha,

@@ -126,9 +126,11 @@ def rat_str(q: Fraction) -> str:
 
 
 class Poly:
-    """Dense univariate polynomial over Q; immutable and hashable."""
+    """Dense univariate polynomial over Q; immutable and hashable.  The hash
+    is computed on first use and kept: polynomials key memos, and hashing
+    a tuple of large Fractions is not cheap."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable = ()):  # ascending degree
         cs = [rat(c) for c in coeffs]
@@ -180,7 +182,12 @@ class Poly:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.coeffs)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         if self.is_zero:

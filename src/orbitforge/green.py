@@ -25,7 +25,7 @@ from .config import DEFAULTS
 from .dynamics import PolyDS
 from .errors import DomainError, PrecisionError
 from .exact import rat
-from .rootcert import approximate_solutions, certify_solution
+from .rootcert import certify_solution, preimages
 
 
 @dataclass(frozen=True)
@@ -144,16 +144,18 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
 
     The curve Psi(exp(-d^k r) e^{2 pi i theta}) of the level d^k r is pulled
     back one step at a time, k >= 0 the first level deep inside the Boettcher
-    disc: each step solves f(z) = w, a degree-d equation, certified by
-    ``rootcert.certify_solution`` with the ball w as target.  The d^k sheets of
-    each base angle are ordered by argument (ties by real part).  A failed step
-    drops every sheet below it, and a failed level check drops its point, so
-    points plus dropped equal d^k times the number of base angles (before the
-    list is cut to n_points).  At k = 0 a point that fails the level check is
-    first polished by pulling back a point of a deeper level.  Where the Psi
-    tail estimate diverges at the start level, the trace starts one level
-    deeper, within the degree cap; a divergent tail fails only a polish.
-    Psi is truncated at ``settings.series_order``.
+    disc.  Each step is ``rootcert.preimages``, the d certified solutions of
+    f(z) = w for the ball w (the quadratic formula in ball arithmetic for
+    d = 2, interval Newton otherwise), the step that also pulls orbit level
+    sets back.  The d^k sheets of each base angle are ordered by argument
+    (ties by real part).  A failed step (a None solution) drops every sheet
+    below it, and a failed level check drops its point, so points plus
+    dropped equal d^k times the number of base angles (before the list is
+    cut to n_points).  At k = 0 a point that fails the level check is first
+    polished by pulling back a point of a deeper level.  Where the Psi tail
+    estimate diverges at the start level, the trace starts one level deeper,
+    within the degree cap; a divergent tail fails only a polish.  Psi is
+    truncated at ``settings.series_order``.
     """
     from .boettcher import radius_archimedean
 
@@ -192,9 +194,8 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
         level = [start]
         for _ in range(k):
             # a failed step (None) has no sheets below it
-            level = [certify_solution(ds.f, CBall.from_complex(approx), w, dp)
-                     for w in level if w is not None
-                     for approx in approximate_solutions(ds.f, w)]
+            level = [z for w in level if w is not None
+                     for z in preimages(ds.f, w, dp)]
         layer = []
         for pt in level:
             accepted = None if pt is None else _certify_level(ds, pt, r, tol)

@@ -14,20 +14,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from fractions import Fraction
+from typing import Optional
 
 import mpmath
 from mpmath import mpf
 
-from .ball import CBall, rball
+from .ball import CBall, coeff_balls, horner_ball, rball
 from .config import DEFAULTS
 from .dynamics import PolyDS
 from .errors import DomainError, ResourceError
 from .exact import BiPoly, Poly, _prime_factors, _v_p, rat
 from .factor import factor_rational
 from .green import green_eval
-from .rootcert import certified_roots
+from .rootcert import certified_roots, preimages
 
 
 @dataclass(frozen=True)
@@ -150,19 +150,22 @@ def level_polynomial(ds: PolyDS, alpha: Fraction, n: int,
     return target, ds.iterate(n) - Poly([target])
 
 
-def level_roots(factors) -> tuple[tuple[tuple[Fraction, int], ...],
-                                  tuple[AlgebraicRootBatch, ...]]:
+def level_roots(factors, certified: Optional[dict] = None) -> tuple[
+        tuple[tuple[Fraction, int], ...], tuple[AlgebraicRootBatch, ...]]:
     """Roots of (irreducible monic factor, multiplicity) pairs: ascending
-    exact rational roots, and certified balls for each nonlinear factor in
-    the given order."""
+    exact rational roots, and ``certified_roots`` balls for each nonlinear
+    factor in the given order.  A caller that passes a ``certified`` dict
+    (factor -> balls) across calls certifies each factor once."""
+    certified = {} if certified is None else certified
     rational: list[tuple[Fraction, int]] = []
     batches: list[AlgebraicRootBatch] = []
     for factor, mult in factors:
         if factor.degree == 1:
             rational.append((-factor.coeff(0), mult))
-        else:
-            batches.append(AlgebraicRootBatch(
-                factor, mult, tuple(certified_roots(factor))))
+            continue
+        if factor not in certified:
+            certified[factor] = tuple(certified_roots(factor))
+        batches.append(AlgebraicRootBatch(factor, mult, certified[factor]))
     rational.sort()
     return tuple(rational), tuple(batches)
 
@@ -183,14 +186,140 @@ def level_factors(ds: PolyDS, alpha: Fraction, n: int,
             for i, g in enumerate(polys)]
 
 
+def _exact(x: mpf) -> Fraction:
+    sign, man, exp, _bits = x._mpf_
+    man = -man if sign else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _holds(ball: CBall, q: Fraction) -> bool:
+    """The rational q lies in the ball, decided exactly."""
+    re, im, rad = _exact(ball.re_mid) - q, _exact(ball.im_mid), _exact(ball.rad)
+    return re * re + im * im <= rad * rad
+
+
+def _pull_back(f: Poly, df: Poly, balls: list,
+               depth: int) -> Optional[list[CBall]]:
+    """The balls ``depth`` preimage steps below ``balls``; None once any
+    solution is uncertified."""
+    for _ in range(depth):
+        if None in balls:
+            return None
+        balls = [z for w in balls for z in preimages(f, w, df)]
+    return None if None in balls else balls
+
+
+def _pull_back_tree(ds: PolyDS, alpha: Fraction, n: int, m: int,
+                    levels) -> list[Optional[list[CBall]]]:
+    """Balls of the solutions of f^n(X) = f^m(alpha) by entry of
+    ``levels`` (``level_factors``' output), None where not certified.
+
+    The tree pulls back from the exact target a_0 = f^m(alpha).  Along the
+    alpha-path a_j = f^(m-j)(alpha), j <= s = min(n, m), exactly one of the
+    preimages of a_(j-1) must hold a_j (decided exactly, so the others
+    exclude it), and the path goes on from a_j's own ball.  The subtrees of
+    the other preimages hold the roots of g_i that are not roots of g_(i-1),
+    i = s - j + 1; the subtree of a_s holds g_0's.  An entry with no
+    nonlinear factor needs no balls and is not pulled back."""
+    f, df, s = ds.f, ds.f.derivative(), min(n, m)
+    a_s = alpha
+    for _ in range(m - s):
+        a_s = ds.apply(a_s)
+    path = [a_s]
+    for _ in range(s):
+        path.append(ds.apply(path[-1]))
+    path.reverse()                                # path[j] = a_j
+    wanted = [any(fac.degree > 1 for fac, _mult in factors) for factors in levels]
+    out: list[Optional[list[CBall]]] = [None] * (s + 1)
+    for j in range(1, s + 1):
+        kids = preimages(f, CBall.from_rational(path[j - 1]), df)
+        on_path = [z for z in kids if z is not None and _holds(z, path[j])]
+        if len(on_path) != 1:
+            return out                            # entries <= s - j + 1 fail
+        if wanted[s - j + 1]:
+            out[s - j + 1] = _pull_back(
+                f, df, [z for z in kids if z is not on_path[0]], n - j)
+    if wanted[0]:
+        out[0] = _pull_back(f, df, [CBall.from_rational(path[s])], n - s)
+    return out
+
+
+def _by_count(factors, balls) -> Optional[tuple]:
+    """``level_roots(factors)`` with the pulled-back ``balls`` as the
+    certificates, or None unless counting proves they hold exactly the
+    factors' roots.  Each ball holds one root of the entry's quotient, so
+    deg-many pairwise disjoint balls of a squarefree quotient hold all its
+    roots, one each.  A rational root takes the one ball holding it
+    (exactly); a single nonlinear factor owns the rest, and several must
+    each contain 0 on exactly deg F balls, no ball claimed twice."""
+    if (balls is None or any(mult > 1 for _fac, mult in factors)
+            or len(balls) != sum(fac.degree for fac, _mult in factors)):
+        return None
+    for i, a in enumerate(balls):
+        if any((a - b).contains_zero() for b in balls[:i]):
+            return None
+    rest = list(balls)
+    rational = []
+    for fac, _mult in factors:
+        if fac.degree == 1:
+            root = -fac.coeff(0)
+            hits = [i for i, b in enumerate(rest) if _holds(b, root)]
+            if len(hits) != 1:
+                return None
+            del rest[hits[0]]
+            rational.append((root, 1))
+    nonlinear = [fac for fac, _mult in factors if fac.degree > 1]
+    if len(nonlinear) == 1:
+        owned = {nonlinear[0]: rest}
+    else:
+        owned, claimed = {}, set()
+        for fac in nonlinear:
+            cballs = coeff_balls(fac)
+            mine = {i for i, b in enumerate(rest)
+                    if horner_ball(cballs, b).contains_zero()}
+            if len(mine) != fac.degree or mine & claimed:
+                return None
+            claimed |= mine
+            owned[fac] = [rest[i] for i in mine]
+    return tuple(sorted(rational)), tuple(
+        AlgebraicRootBatch(fac, 1, tuple(sorted(
+            owned[fac], key=lambda b: (b.re_mid, b.im_mid))))
+        for fac in nonlinear)
+
+
+def level_root_groups(ds: PolyDS, alpha: Fraction, n: int, m: int) -> list:
+    """For each entry i of ``level_factors(ds, alpha, n, m)``, the roots of
+    its factors as ``level_roots`` gives them: ascending rationals, then
+    the nonlinear factors' balls in factor order, each sorted by (real,
+    imaginary) midpoint.  The balls come from one pull-back tree of
+    f^m(alpha) (``_pull_back_tree``), attached to the factors by counting
+    (``_by_count``); an entry whose balls fail either step, such as one
+    with a repeated root or one below a critical value, takes
+    ``level_roots``, which certifies each factor alone, once."""
+    levels = level_factors(ds, alpha, n, m)
+    trees = _pull_back_tree(ds, alpha, n, m, levels)
+    certified: dict = {}            # a factor in two failed entries
+    return [_by_count(factors, balls) or level_roots(factors, certified)
+            for factors, balls in zip(levels, trees)]
+
+
 def _level_set(ds: PolyDS, alpha: Fraction, n: int, m: int) -> OrbitLevelSet:
+    """The level set f^n(X) = f^m(alpha) from ``level_root_groups``: equal
+    factors of different entries merge, their multiplicities added."""
     target, g = level_polynomial(ds, alpha, n, m)
-    mults: dict[Poly, int] = {}
-    for fac, mult in chain.from_iterable(level_factors(ds, alpha, n, m)):
-        mults[fac] = mults.get(fac, 0) + mult
-    rational, batches = level_roots(sorted(     # factor_rational's order
-        mults.items(), key=lambda t: (t[0].degree, t[0].coeffs)))
-    return OrbitLevelSet(n, m, g, target, rational, batches)
+    rational: dict[Fraction, int] = {}
+    batches: dict[Poly, AlgebraicRootBatch] = {}
+    for roots, algebraic in level_root_groups(ds, alpha, n, m):
+        for root, mult in roots:
+            rational[root] = rational.get(root, 0) + mult
+        for b in algebraic:
+            seen = batches.get(b.factor)
+            batches[b.factor] = b if seen is None else AlgebraicRootBatch(
+                b.factor, seen.multiplicity + b.multiplicity, seen.roots)
+    return OrbitLevelSet(      # factor_rational's order
+        n, m, g, target, tuple(sorted(rational.items())),
+        tuple(batches[fac] for fac in sorted(
+            batches, key=lambda fac: (fac.degree, fac.coeffs))))
 
 
 def small_orbit_level(ds: PolyDS, alpha, n: int) -> OrbitLevelSet:

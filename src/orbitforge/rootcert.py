@@ -1,12 +1,21 @@
 """Certified complex solutions of p(z) = t for exact rational polynomials p.
 
-Solutions are first approximated numerically (mpmath), polished by plain
-Newton steps, then certified by one interval-Newton step (R. E. Moore,
-*Interval Analysis*, 1966): for a ball B around an approximation z0, if
-``N = z0 - (p(z0) - t)/p'(B)`` is contained in B, then B (hence N) contains
-exactly one solution.  The target t is an optional ball; without it the
-equation is p(z) = 0.  Inputs are expected squarefree; irreducible factors
-over Q always are.
+The one pull-back step is ``preimages(f, w)``: the d solutions of f(z) = w
+for a target ball w, each as a ball that holds exactly one solution of
+f(z) = w' for every w' in w, or None where that solution is not certified.
+Chaining it from an exact value gives every point of an iterated preimage
+f^(-n)(t): the orbit level sets (``orbits``) and the equipotential traces
+(``green``).  A monic quadratic step is the quadratic formula in ball
+arithmetic; any other degree approximates the solutions numerically
+(mpmath), polishes them by plain Newton steps and certifies each by one
+interval-Newton step (R. E. Moore, *Interval Analysis*, 1966): for a ball B
+around an approximation z0, if ``N = z0 - (p(z0) - t)/p'(B)`` is contained
+in B, then B (hence N) contains exactly one solution.
+
+``certified_roots`` certifies all roots of one squarefree polynomial the
+same way and checks that its balls are pairwise disjoint; the level sets use
+it only where a pull-back cannot be certified, and critical points use it
+directly.
 """
 
 from __future__ import annotations
@@ -67,6 +76,47 @@ def certify_solution(p: Poly, guess: CBall, target: Optional[CBall] = None,
                 return newton
         rho *= 4
     return None
+
+
+def _quadratic_preimages(f: Poly, w: CBall) -> list[Optional[CBall]]:
+    """Both solutions of z^2 + bz + c = w: z = -b/2 +- s, s^2 = u with
+    u = w - c + b^2/4.  When rad(u) <= |mid u|/2, every u' in u has
+    Re(u' conj(u0)) > 0, so the branch s(u') with Re(s(u') conj(s0)) > 0,
+    s0 = sqrt(mid u), satisfies |s(u') + s0| >= |s0| and
+    |s(u') - s0| = |u' - u0| / |s(u') + s0| <= rad(u)/|s0|."""
+    b = f.coeff(1)
+    shift = b * b / 4 - f.coeff(0)
+    u = w + CBall.from_rational(shift) if shift else w
+    lo = u.abs_lower()
+    if lo == 0 or lo < u.rad:                       # rad(u) > |mid u| / 2
+        return [None, None]
+    s = CBall.from_complex(mpmath.sqrt(u.mid))      # the eps slop of sqrt
+    s_lo = s.abs_lower()                            # <= |s0|
+    if s_lo == 0:
+        return [None, None]
+    s = s.widen(mpmath.fdiv(u.rad, s_lo, rounding="u"))
+    if b:
+        half = CBall.from_rational(-b / 2)
+        roots = [half + s, half - s]
+    else:
+        roots = [s, -s]
+    if (roots[0] - roots[1]).contains_zero():
+        return [None, None]
+    return roots
+
+
+def preimages(f: Poly, w: CBall, df: Optional[Poly] = None) -> list[Optional[CBall]]:
+    """The deg f solutions of f(z) = w, one entry each: a ball holding
+    exactly one solution of f(z) = w' for every w' in the ball w, or None
+    where that solution could not be certified.  A monic quadratic uses the
+    quadratic formula in ball arithmetic (both entries None when w meets or
+    nears the critical value); other degrees certify each numerical solution
+    by interval Newton, ``df`` being f' when the caller has it."""
+    if f.degree == 2 and f.lead == 1:
+        return _quadratic_preimages(f, w)
+    df = f.derivative() if df is None else df
+    return [certify_solution(f, CBall.from_complex(approx), w, df)
+            for approx in approximate_solutions(f, w)]
 
 
 def certified_roots(p: Poly) -> list[CBall]:

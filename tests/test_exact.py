@@ -59,6 +59,20 @@ def test_rat_parses_decimals_past_the_int_digit_limit():
             rat(bad)
 
 
+def test_poly_hash_is_kept_and_immutability_holds():
+    big = F(3**200 + 1, 2**150)
+    p, q = Poly([big, -1, F(1, 7), 1]), Poly([big, -1, F(1, 7), 1, 0])
+    assert p == q and p is not q
+    assert hash(p) == hash(q) == hash(p) == hash(p.coeffs)
+    assert {p: 1}[q] == 1
+    assert hash(Poly([])) == hash(Poly.zero())
+    with pytest.raises(AttributeError, match="immutable"):
+        p.coeffs = ()
+    with pytest.raises(AttributeError, match="immutable"):
+        p._hash = 0
+    assert hash(p) == hash(p.coeffs)
+
+
 def test_compose_examples():
     sq = Poly([0, 0, 1])
     assert sq.compose(X2_MINUS_1) == Poly([1, 0, -2, 0, 1])   # (X^2-1)^2

@@ -165,14 +165,15 @@ def test_trace_pullback_counts_uncertified_roots(monkeypatch):
     # dropped and counted: points + dropped = d^k * n_base
     import orbitforge.green as green_mod
 
-    certify = green_mod.certify_solution
+    preimages = green_mod.preimages
     calls = []
 
     def first_fails(*args, **kwargs):
         calls.append(None)
-        return None if len(calls) == 1 else certify(*args, **kwargs)
+        solutions = preimages(*args, **kwargs)
+        return [None] + solutions[1:] if len(calls) == 1 else solutions
 
-    monkeypatch.setattr(green_mod, "certify_solution", first_fails)
+    monkeypatch.setattr(green_mod, "preimages", first_fails)
     curve = equipotential_trace(DS6, F(1, 5), n_points=16, tol=F(1, 10**6))
     assert not curve.closed
     assert curve.dropped == 4 and len(curve.points) == 12
@@ -211,14 +212,14 @@ def test_trace_pullback_solves_only_degree_d_equations(monkeypatch):
     # every pull-back step is one solve of f(z) = w, never f^k(z) = w
     import orbitforge.green as green_mod
 
-    approximate = green_mod.approximate_solutions
+    preimages = green_mod.preimages
     degrees = []
 
-    def recording(p, target=None):
+    def recording(p, target, dp=None):
         degrees.append(p.degree)
-        return approximate(p, target)
+        return preimages(p, target, dp)
 
-    monkeypatch.setattr(green_mod, "approximate_solutions", recording)
+    monkeypatch.setattr(green_mod, "preimages", recording)
     for ds, r in ((DS6, F(1, 5)), (DS1, F(1, 20)), (PolyDS(Poly([0, -3, 0, 1])), F(1, 5))):
         degrees.clear()
         curve = equipotential_trace(ds, r, n_points=8, tol=F(1, 10**6))

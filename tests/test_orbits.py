@@ -184,8 +184,42 @@ def test_level_sets_match_factoring_the_whole_level_polynomial(f, alpha, n, m):
     lvl = small_orbit_level(ds, alpha, n) if n == m else grand_orbit_points(ds, alpha, n, m)
     assert (lvl.level, lvl.source_iterate, lvl.poly, lvl.target) == (n, m, g, target)
     assert lvl.rational_roots == rational
-    assert lvl.algebraic == batches
+    # pulled-back balls certify the same roots in the same order
+    assert [(b.factor, b.multiplicity, len(b.roots)) for b in lvl.algebraic] == \
+        [(b.factor, b.multiplicity, len(b.roots)) for b in batches]
+    for mine, theirs in zip(lvl.algebraic, batches):
+        for a, b in zip(mine.roots, theirs.roots):
+            assert (a - b).contains_zero()
     assert lvl.root_count() == f.degree ** n
+
+
+def test_level_roots_are_pulled_back_unless_alpha_is_critical(monkeypatch):
+    # the README orbit small and curve intersect commands certify no level
+    # factor on its own; at the critical alpha = 0 of X^2 - 1 the step onto
+    # f(0) = -1 fails, and only the entries below it take certified_roots
+    import orbitforge.orbits as orbits_mod
+    import orbitforge.rootcert as rootcert_mod
+
+    certify = rootcert_mod.certified_roots
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return certify(p)
+
+    monkeypatch.setattr(orbits_mod, "certified_roots", counting)
+    monkeypatch.setattr(rootcert_mod, "certified_roots", counting)
+    for argv in (["orbit", "small", "--poly", "[-1,0,1]", "--alpha", "1/3",
+                  "--level", "2"],
+                 ["curve", "intersect", "--poly", "[-1,0,1]",
+                  "--curve", '[[1,0,"1"],[0,1,"-1"]]', "--alpha", "1/3",
+                  "--cap", "3"]):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+    assert calls == []
+    lvl = small_orbit_level(DS1, F(0), 3)
+    assert calls == [b.factor for b in lvl.algebraic]
+    assert all(b.roots == tuple(certify(b.factor)) for b in lvl.algebraic)
 
 
 def test_level_cap():

@@ -5,7 +5,9 @@ Each example runs in-process through ``cli.main``; the sha256 of its stdout
 digest recorded before the numeric core was consolidated (the SVG trace at
 the README's full ``--n 256``: before equipotential traces were pulled back
 one step at a time; ``combinat verify`` at the README's full ``--nmax 60``:
-before box counts took their closed form).  The CSV trace is scaled down to
+before box counts took their closed form; ``orbit small`` and ``curve
+intersect``: after level roots were pulled back from f^n(alpha), which
+changed only their printed ``rad``).  The CSV trace is scaled down to
 ``--n 16``, as the full README command takes seconds.
 ``python tests/test_readme_golden.py`` prints the current digests.
 """
@@ -51,10 +53,10 @@ DIGESTS = {
     "classify": "24c7cc18a21c77d0a374b67814e5a2088a5bb90a84596dc0eef48e21af12bd80",
     "combinat": "bb5c7a6ed4ca7ca639b6ddca6df2f6e666afea784e3a53e249659e914820abdf",
     "height": "4116cddc99d29204d899b6873bc9d9989c9b399e62d48752930878166f352932",
-    "intersect": "f3683f73ebc2b3dfddf5a85c07833c44158a53e52c9e7652c50d8e6236a0f772",
+    "intersect": "cf94ef03026bcc8a65fd265705db8bca421efa1d469ff44fc4803ffdb1337fe0",
     "nu": "0f08088f89ec40ceb873966f0c564a919adb1cdf992b87c8eefd0894dfd16f48",
     "padic": "bd756b0b133c4c14d6a27211a982e6db4e3293b63c2014fcc4ae779a7d30ae41",
-    "small": "82a6647f60b08553731621bbe62b3c2ce4ffe4c10f1d87f67e706c676ecf37a8",
+    "small": "492affa43bcf9fd91eb4a29850750086ce1a1021a3315ff08570bee007e9255c",
     "special": "48a5b01ab85d540c41382917ca45500904b53b68f5b77aaf446c136ca3045ab0",
     "trace_csv": "686f700b11d74265f5264db345c34d9d19c207fbeee0605ea76803a8fccbf6aa",
     "trace_svg": "b2ea91b15e9375ad833320ca755434ceaf1311636a50b6327fc6ce528e3bf13d",
