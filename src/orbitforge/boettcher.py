@@ -25,10 +25,12 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath
+from mpmath.libmp import (fone, from_int, from_rational, fzero, mpf_add, mpf_div,
+                          mpf_mul, mpf_pow_int, mpf_sqrt, mpf_sub)
 
 from .ball import CBall, eval_block_ball, rball
 from .dynamics import PolyDS, escaping_critical_points
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 from .exact import (LaurentBlock, Poly, _convolve, _over_common,
                     evaluate_series_at_block)
 
@@ -152,33 +154,46 @@ def phi_psi_identity_residual(ds: PolyDS, order: int) -> LaurentBlock:
     return total - LaurentBlock.monomial(1, 1, trunc=total.trunc)
 
 
-def evaluate_psi(ds: PolyDS, order: int, x: CBall) -> CBall:
-    """Numeric Psi(x) from the truncated series plus a tail estimate.
+def evaluate_psi(ds: PolyDS, order: int, x: CBall, arch: ArchRadius) -> CBall:
+    """Certified ball for Psi(x): the truncated series plus a bound on the rest.
 
-    The tail is a geometric bound extrapolated from the last 5 computed
-    coefficients, widened by 2; it is an estimate, not a certificate, so the
-    value is heuristic.  Callers needing rigor must re-certify it (the Green
-    module does).
+    Psi = sum u_m x^(m-1) is univalent on |x| < R, and ``arch.ball`` (from
+    ``radius_archimedean``) encloses R; let R_lo be its lower end.  The area
+    theorem (Gronwall 1914; Pommerenke 1975, ch. 1) for R_lo Psi(R_lo / z)
+    on |z| > 1 gives sum_{n>=1} n |u_(n+1)|^2 R_lo^(2(n+1)) <= 1.  With A
+    that sum over the computed n < order, s >= |x| and q = (s / R_lo)^2,
+    Cauchy-Schwarz bounds the omitted terms by
+    sqrt(1 - A) sqrt(q^order / (order R_lo^2 (1 - q))).  Every step rounds
+    outward.  Raises DomainError unless s < R_lo.
     """
+    if order < 1:
+        raise DomainError("order must be >= 1")
+    r_lo = mpmath.fsub(arch.ball.re_mid, arch.ball.rad, rounding="d")
+    s = x.abs_upper()
+    if not s < r_lo:
+        raise DomainError("Psi is certified only inside its disc |x| < R")
     psi = psi_series(ds, order)
-    val = eval_block_ball(psi, x)
-    absx = x.abs_upper()
-    window = [(e, mpmath.mpf(float(abs(c)))) for e, c in psi.known_terms()][-5:]
-    if not window:
-        return val                   # finitely many terms, e.g. f = X^d
-    # per-exponent growth rate from consecutive nonzero terms
-    q = mpmath.mpf(1)
-    for (e1, c1), (e2, c2) in zip(window, window[1:]):
-        q = max(q, (c2 / c1) ** (mpmath.mpf(1) / (e2 - e1)))
-    e_last = window[-1][0]
-    scale = max(c * q ** (e_last - e) for e, c in window)
-    first_unknown = psi.trunc if psi.trunc is not None else psi.top + 1
-    if q * absx >= 1:
-        raise PrecisionError(
-            "heuristic tail diverges at this radius; raise the series order")
-    tail = (2 * scale * q ** (first_unknown - e_last) * absx ** first_unknown
-            / (1 - q * absx))
-    return val.widen(tail)
+    # on raw mpf tuples, each operation rounded to the safe side ("d" toward
+    # 0, "u" away from it, on positive numbers): this runs on every call
+    prec = mpmath.mp.prec
+    r2 = mpf_mul(r_lo._mpf_, r_lo._mpf_, prec, "d")
+    t = mpf_div(s._mpf_, r_lo._mpf_, prec, "u")
+    q = mpf_mul(t, t, prec, "u")
+    # A / R_lo^2 = sum n u_(n+1)^2 R_lo^(2n), by Horner's rule
+    area = fzero
+    for n in range(order - 1, 0, -1):
+        u = psi.coefficient(n)                                 # u_(n+1)
+        if u:
+            term = from_rational(n * u.numerator ** 2, u.denominator ** 2, prec, "d")
+            area = mpf_add(area, term, prec, "d")
+        area = mpf_mul(area, r2, prec, "d")
+    area = mpf_mul(area, r2, prec, "d")
+    num = mpf_mul(mpf_sub(fone, area, prec, "u"), mpf_pow_int(q, order, prec, "u"),
+                  prec, "u")
+    den = mpf_mul(mpf_mul(from_int(order), r2, prec, "d"), mpf_sub(fone, q, prec, "d"),
+                  prec, "d")
+    tail = mpmath.mpf(mpf_sqrt(mpf_div(num, den, prec, "u"), prec, "u"))
+    return eval_block_ball(psi, x).widen(tail)
 
 
 @dataclass(frozen=True)

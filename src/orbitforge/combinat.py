@@ -21,13 +21,6 @@ from .errors import DomainError
 from .exact import integer_kth_root, rat
 
 
-def pow_le(k: int, N: int, c: Fraction) -> bool:
-    """Exact test k <= N^c for k >= 0, N >= 1, c >= 0 rational."""
-    if k < 0:
-        return True
-    return k ** c.denominator <= N ** c.numerator
-
-
 def floor_pow(N: int, c: Fraction) -> int:
     """floor(N^c) for N >= 1 and rational c = p/q >= 0: the integer q-th
     root of N^p."""

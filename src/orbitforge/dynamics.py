@@ -8,7 +8,6 @@ places of good reduction witnessing escape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -78,14 +77,6 @@ class PolyDS:
         R = 1 + sum_i |a_i|; then |f(z)| >= |z|^d / R > |z| for |z| > R.
         """
         return 1 + self.coeff_abs_sum
-
-    def height_comparison_constant(self) -> float:
-        """Exposed comparison constant sum_i log+|a_i| + log 2 for |h - hhat|."""
-        total = math.log(2.0)
-        for c in self.f.coeffs[:-1]:
-            if abs(c) > 1:
-                total += math.log(float(abs(c)))
-        return total
 
     def good_reduction(self, p: int) -> bool:
         """Good reduction at p: every non-leading coefficient is p-integral."""
@@ -335,14 +326,6 @@ class CriticalEscapeReport:
     escaping: list[CriticalPoint]
     bounded: list[CriticalPoint]
     undecided: list[CriticalPoint]
-
-    @property
-    def julia_connected(self) -> Optional[bool]:
-        if self.escaping:
-            return False
-        if self.undecided:
-            return None
-        return True
 
 
 def escaping_critical_points(ds: PolyDS) -> CriticalEscapeReport:

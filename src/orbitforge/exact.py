@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 
 
 _MINUS_VARIANTS = ("−", "–", "—")
@@ -291,21 +291,6 @@ class Poly:
     @staticmethod
     def from_json(data: Sequence) -> "Poly":
         return Poly([rat(c) for c in data])
-
-
-def poly_iterate(f: Poly, n: int, max_degree: int = 1 << 16) -> Poly:
-    """n-th compositional iterate of f; the 0-th iterate is X."""
-    if n < 0:
-        raise DomainError("iterate count must be >= 0")
-    if f.degree < 1:
-        raise DomainError("iteration requires degree >= 1")
-    if f.degree >= 2 and f.degree ** n > max_degree:
-        raise ResourceError(
-            f"iterate degree {f.degree}^{n} exceeds the cap {max_degree}")
-    out = Poly.x()
-    for _ in range(n):
-        out = out.compose(f)
-    return out
 
 
 class BiPoly:

@@ -132,10 +132,10 @@ def _unit_sample(theta: float) -> CBall:
     return CBall.from_complex(mpmath.expjpi(2 * mpmath.mpf(theta)))
 
 
-def _psi_point(ds: PolyDS, order: int, radius: mpf, theta: float) -> CBall:
+def _psi_point(ds: PolyDS, order: int, radius: mpf, theta: float, arch) -> CBall:
     from .boettcher import evaluate_psi
     x = _unit_sample(theta) * CBall(radius, mpf(0), mpf(0))
-    return evaluate_psi(ds, order, x)
+    return evaluate_psi(ds, order, x, arch)
 
 
 def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
@@ -152,10 +152,10 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
     below it, and a failed level check drops its point, so points plus
     dropped equal d^k times the number of base angles (before the list is
     cut to n_points).  At k = 0 a point that fails the level check is first
-    polished by pulling back a point of a deeper level.  Where the Psi tail
-    estimate diverges at the start level, the trace starts one level deeper,
-    within the degree cap; a divergent tail fails only a polish.  Psi is
-    truncated at ``settings.series_order``.
+    polished by pulling back a point of a deeper level.  Every Psi value is
+    a certified ball (``boettcher.evaluate_psi``): the start radius is at
+    most half the lower end R_lo of the Boettcher radius, where the area
+    theorem bounds the tail of Psi truncated at ``settings.series_order``.
     """
     from .boettcher import radius_archimedean
 
@@ -167,25 +167,16 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
     if n_points < 1:
         raise DomainError("n_points must be >= 1")
     arch = radius_archimedean(ds)
-    r_lo = max(arch.ball.re_mid - arch.ball.rad, mpf("0.05"))
-    safe = r_lo / 2
+    safe = (arch.ball.re_mid - arch.ball.rad) / 2
     rho = mpmath.exp(-mpf(r.numerator) / mpf(r.denominator))
     k = 0
     while rho ** (ds.d ** k) > safe:
         k += 1
         if ds.d ** k > ds.settings.orbit_degree_cap:
             raise DomainError("level too shallow to trace within the degree cap")
-    while True:
-        n_base = max(1, -(-n_points // ds.d ** k))
-        try:
-            starts = [_psi_point(ds, order, rho ** (ds.d ** k), j / n_base)
-                      for j in range(n_base)]
-            break
-        except PrecisionError:
-            # Psi's tail diverges this far out; it converges one level deeper
-            if ds.d ** (k + 1) > ds.settings.orbit_degree_cap:
-                raise
-            k += 1
+    n_base = max(1, -(-n_points // ds.d ** k))
+    starts = [_psi_point(ds, order, rho ** (ds.d ** k), j / n_base, arch)
+              for j in range(n_base)]
     dp = ds.f.derivative()
 
     points: list[TracePoint] = []
@@ -208,11 +199,8 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
                 guesses = [pt]
                 for _ in range(kk - 1):
                     guesses.append(eval_poly_ball(ds.f, guesses[-1]))
-                try:
-                    refined = _psi_point(ds, order, rho ** (ds.d ** kk),
-                                         (theta * ds.d ** kk) % 1.0)
-                except PrecisionError:
-                    refined = None
+                refined = _psi_point(ds, order, rho ** (ds.d ** kk),
+                                     (theta * ds.d ** kk) % 1.0, arch)
                 for guess in reversed(guesses):
                     if refined is not None:
                         refined = certify_solution(ds.f, guess, refined, dp)

@@ -6,13 +6,13 @@ exactly; at a bad-reduction prime the p-adic orbit either certifiably escapes
 (the term becomes exact) or stays bounded, leaving a one-sided enclosure that
 shrinks like d^-n; at the archimedean place the Green module supplies a
 certified ball.  The sum is a rigorous enclosure of hhat, so doubling
-hhat(f(x)) = d*hhat(x) and vanishing on preperiodic points hold at tolerance
-by construction.
+hhat(f(x)) = d*hhat(x) holds at tolerance by construction.  A preperiodic
+point, found by the exact orbit walk of ``classify_orbit``, has hhat = 0
+exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -22,9 +22,9 @@ from mpmath import mpf
 
 from .ball import CBall, coeff_balls, horner_ball, rball
 from .config import DEFAULTS
-from .dynamics import PolyDS
-from .errors import DomainError, ResourceError
-from .exact import BiPoly, Poly, _prime_factors, _v_p, rat
+from .dynamics import PolyDS, Preperiodic, classify_orbit
+from .errors import DomainError, ResourceError, UndecidedError
+from .exact import Poly, _prime_factors, _v_p, rat
 from .factor import factor_rational
 from .green import green_eval
 from .rootcert import certified_roots, preimages
@@ -33,18 +33,13 @@ from .rootcert import certified_roots, preimages
 @dataclass(frozen=True)
 class HeightValue:
     value: CBall                  # real ball, natural-log units
-    method: str                   # "limit" | "exact-power-map"
+    method: str                   # "limit" | "exact-power-map" | "preperiodic"
 
     def contains_zero(self) -> bool:
         return self.value.re_mid - self.value.rad <= 0
 
     def excludes_zero(self) -> bool:
         return self.value.re_mid - self.value.rad > 0
-
-
-def weil_height(q: Fraction) -> float:
-    q = rat(q)
-    return float(mpmath.log(max(abs(q.numerator), q.denominator)))
 
 
 def _log_ball_int(n: int) -> CBall:
@@ -74,7 +69,10 @@ def _padic_local_height(ds: PolyDS, alpha: Fraction, p: int,
 
 
 def canonical_height(ds: PolyDS, alpha, tol: Fraction = DEFAULTS.tolerance) -> HeightValue:
-    """hhat(alpha) = lim h(f^n(alpha)) / d^n, as a certified ball of radius <= tol."""
+    """hhat(alpha) = lim h(f^n(alpha)) / d^n, as a certified ball of radius <= tol.
+
+    When the ball holds 0 and ``classify_orbit`` proves alpha preperiodic,
+    hhat = 0 exactly."""
     alpha = rat(alpha)
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -98,8 +96,15 @@ def canonical_height(ds: PolyDS, alpha, tol: Fraction = DEFAULTS.tolerance) -> H
     for p in sorted(bad):
         total = total + _padic_local_height(ds, alpha, p, part_tol)
     g = green_eval(ds, CBall.from_rational(alpha), tol / 2)
-    total = total + g.value
-    return HeightValue(total, "limit")
+    height = HeightValue(total + g.value, "limit")
+    if height.contains_zero():
+        # only then can alpha be preperiodic; the exact walk decides it
+        try:
+            if isinstance(classify_orbit(ds, alpha), Preperiodic):
+                return HeightValue(CBall.exact_int(0), "preperiodic")
+        except UndecidedError:
+            pass                # the ball still encloses hhat
+    return height
 
 
 # ---------------------------------------------------------------------------
@@ -330,46 +335,3 @@ def small_orbit_level(ds: PolyDS, alpha, n: int) -> OrbitLevelSet:
 def grand_orbit_points(ds: PolyDS, alpha, n: int, m: int) -> OrbitLevelSet:
     """Solutions of f^n(X) = f^m(alpha)."""
     return _level_set(ds, rat(alpha), n, m)
-
-
-# ---------------------------------------------------------------------------
-# height balance along a curve
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HeightBalanceRow:
-    x: Fraction
-    y: Fraction
-    difference: float               # d1*h(x) - d2*h(y)
-    scale: float                    # sqrt(1 + min(h(x), h(y)))
-
-
-@dataclass(frozen=True)
-class HeightBalanceReport:
-    d1: int
-    d2: int
-    rows: tuple[HeightBalanceRow, ...]
-    fitted_constant: float          # smallest c with |diff| <= c * scale on the sample
-
-
-def height_balance_check(poly: BiPoly, points) -> HeightBalanceReport:
-    """Balanced height difference along exact points of the curve P = 0.
-
-    The coordinate-function degrees are d1 = deg_Y P (degree of x on the
-    curve) and d2 = deg_X P (degree of y); the bounded combination is the
-    cross pairing d2*h(x) - d1*h(y), compared against c*sqrt(1 + min(h)).
-    Points must lie on the curve exactly.
-    """
-    d1, d2 = poly.deg_y, poly.deg_x
-    rows = []
-    worst = 0.0
-    for x, y in points:
-        x, y = rat(x), rat(y)
-        if poly.eval(x, y) != 0:
-            raise DomainError(f"point ({x}, {y}) is not on the curve")
-        hx, hy = weil_height(x), weil_height(y)
-        diff = d2 * hx - d1 * hy
-        scale = math.sqrt(1 + min(hx, hy))
-        rows.append(HeightBalanceRow(x, y, diff, scale))
-        worst = max(worst, abs(diff) / scale)
-    return HeightBalanceReport(d1, d2, tuple(rows), worst)

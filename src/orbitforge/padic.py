@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .config import DEFAULTS
@@ -444,18 +443,6 @@ def count_zeros_from_polygon(g: PadicSeries, r1, r) -> Fraction:
 # cyclotomic degrees
 # ---------------------------------------------------------------------------
 
-def multiplicative_order(a: int, n: int) -> int:
-    if n == 1:
-        return 1
-    if gcd(a, n) != 1:
-        raise DomainError("order needs gcd(a, n) = 1")
-    order, x = 1, a % n
-    while x != 1:
-        x = x * a % n
-        order += 1
-    return order
-
-
 def cyclotomic_degree_local(N: int, p: int) -> int:
     """[Q_p(zeta_N) : Q_p] = phi(p^a) * ord of p modulo N/p^a, a = v_p(N)."""
     if N < 1:
@@ -467,4 +454,8 @@ def cyclotomic_degree_local(N: int, p: int) -> int:
         M //= p
         a += 1
     ram = (p - 1) * p ** (a - 1) if a >= 1 else 1
-    return ram * multiplicative_order(p, M)
+    order, x = 1, p % M
+    while M > 1 and x != 1:          # the order of p modulo M, prime to p
+        x = x * p % M
+        order += 1
+    return ram * order

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction as F
 
 import mpmath
+import pytest
 
 from orbitforge import boettcher
 from orbitforge.boettcher import (phi_equation_residual, phi_psi_identity_residual,
                                   phi_series, psi_equation_residual, psi_series,
                                   radius_archimedean)
 from orbitforge.dynamics import PolyDS
+from orbitforge.errors import DomainError
 from orbitforge.exact import LaurentBlock, Poly
 
 
@@ -212,11 +214,56 @@ def test_evaluate_psi_returns_the_ball():
     from orbitforge.ball import CBall
     from orbitforge.boettcher import evaluate_psi
     x = CBall.from_rational(F(1, 4))
-    exact = evaluate_psi(PolyDS(Poly.monomial(2)), 8, x)     # Psi(x) = 1/x
+    sq_map = PolyDS(Poly.monomial(2))
+    exact = evaluate_psi(sq_map, 8, x, radius_archimedean(sq_map))   # Psi = 1/x
     assert isinstance(exact, CBall) and exact.contains_value(F(4))
     ds = PolyDS(Poly([-1, 0, 1]))
-    val = evaluate_psi(ds, 24, x)
+    arch = radius_archimedean(ds)
+    val = evaluate_psi(ds, 24, x, arch)
     assert isinstance(val, CBall)
-    # Psi(x)^2 - 1 = Psi(x^2), up to the heuristic tail
-    sq = evaluate_psi(ds, 24, CBall.from_rational(F(1, 16)))
-    assert abs(val.mid ** 2 - 1 - sq.mid) < 1e-6
+    # Psi(x)^2 - 1 = Psi(x^2), and both balls are certified
+    sq = evaluate_psi(ds, 24, CBall.from_rational(F(1, 16)), arch)
+    assert (val * val - CBall.exact_int(1) - sq).contains_zero()
+
+
+CERTIFIED_TAIL_MAPS = [[F(1, 4), 0, 1], [-1, 0, 1], [F(-3, 4), 0, 1], [F(1, 2), 0, 1],
+                       [1, -1, 0, 1], [-6, 0, 1]]
+
+
+@pytest.mark.parametrize("coeffs", CERTIFIED_TAIL_MAPS)
+def test_psi_tail_is_certified(coeffs):
+    # the order-48 ball holds the order-200 ball (its exact partial sum plus
+    # its own certified tail) at the start radii of traces at r = 1 and 2,
+    # chosen as equipotential_trace chooses them, and at 0.9 R_lo
+    from orbitforge.ball import CBall
+    from orbitforge.boettcher import evaluate_psi
+    ds = PolyDS(Poly(coeffs))
+    arch = radius_archimedean(ds)
+    r_lo = arch.ball.re_mid - arch.ball.rad
+    radii = [r_lo * mpmath.mpf(0.9)]
+    for r in (1, 2):
+        rho, k = mpmath.exp(-r), 0
+        while rho ** (ds.d ** k) > r_lo / 2:
+            k += 1
+        radii.append(rho ** (ds.d ** k))
+    for s in radii:
+        for theta in (0, 1 / 7, 5 / 12):
+            x = CBall.from_complex(mpmath.expjpi(2 * mpmath.mpf(theta)) * s)
+            low, high = evaluate_psi(ds, 48, x, arch), evaluate_psi(ds, 200, x, arch)
+            assert low.contains(high)
+            assert high.rad < low.rad
+
+
+def test_evaluate_psi_refuses_points_outside_its_disc():
+    from orbitforge.ball import CBall
+    from orbitforge.boettcher import evaluate_psi
+    for coeffs in ([-1, 0, 1], [-6, 0, 1]):
+        ds = PolyDS(Poly(coeffs))
+        arch = radius_archimedean(ds)
+        r_lo = arch.ball.re_mid - arch.ball.rad
+        for s in (r_lo, r_lo * 2):
+            with pytest.raises(DomainError):
+                evaluate_psi(ds, 48, CBall(s, mpmath.mpf(0), mpmath.mpf(0)), arch)
+        # just inside, the ball is wide but finite
+        inside = CBall(r_lo * mpmath.mpf(0.99), mpmath.mpf(0), mpmath.mpf(0))
+        assert mpmath.isfinite(evaluate_psi(ds, 48, inside, arch).rad)

@@ -11,8 +11,13 @@ from hypothesis import strategies as st
 from orbitforge.combinat import (LatticeCoset, coset_points_in_box,
                                  decompose_root_pair, e_branch_holds,
                                  find_primitive_decomposition, floor_pow,
-                                 gcd_shift, pow_le)
+                                 gcd_shift)
 from orbitforge.errors import DomainError
+
+
+def pow_le(k: int, N: int, c: F) -> bool:
+    """Reference: the exact test k <= N^c for k >= 0, N >= 1, c >= 0."""
+    return k ** c.denominator <= N ** c.numerator
 
 
 def test_floor_pow_exactness():

@@ -8,11 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitforge import exact
+from orbitforge.dynamics import PolyDS
 from orbitforge.errors import DomainError, ResourceError
 from orbitforge.exact import (BiPoly, LaurentBlock, Poly, evaluate_series_at_block,
-                              poly_iterate, poly_resultant, rat, rat_str)
+                              poly_resultant, rat, rat_str)
 
 X2_MINUS_1 = Poly([-1, 0, 1])
+
+
+def _iterate(f: Poly, n: int) -> Poly:
+    """The n-th compositional iterate of f by n compositions; X for n = 0."""
+    out = Poly.x()
+    for _ in range(n):
+        out = out.compose(f)
+    return out
 
 
 def test_rational_canonicalization():
@@ -82,14 +91,16 @@ def test_compose_examples():
 
 
 def test_iterate_examples():
-    assert poly_iterate(X2_MINUS_1, 0) == Poly.x()
-    assert poly_iterate(Poly([0, 0, 1]), 3) == Poly.monomial(8)
-    assert poly_iterate(X2_MINUS_1, 2) == Poly([0, 0, -2, 0, 1])
+    assert PolyDS(X2_MINUS_1).iterate(0) == Poly.x()
+    assert PolyDS(Poly([0, 0, 1])).iterate(3) == Poly.monomial(8)
+    assert PolyDS(X2_MINUS_1).iterate(2) == Poly([0, 0, -2, 0, 1])
+    assert PolyDS(X2_MINUS_1).iterate(3) == _iterate(X2_MINUS_1, 3)
 
 
 def test_iterate_degree_guard():
+    # 2^20 exceeds the default max_poly_degree 2^16
     with pytest.raises(ResourceError):
-        poly_iterate(Poly([0, 0, 1]), 20, max_degree=2**16)
+        PolyDS(Poly([0, 0, 1])).iterate(20)
 
 
 small_coeff = st.integers(min_value=-3, max_value=3)
@@ -103,9 +114,11 @@ def test_iterate_homomorphism(lower, m, n):
     f = Poly(lower + [1])     # monic, degree = len(lower)
     if f.degree < 1:
         return
-    lhs = poly_iterate(f, m + n)
-    rhs = poly_iterate(f, m).compose(poly_iterate(f, n))
+    lhs = _iterate(f, m + n)
+    rhs = _iterate(f, m).compose(_iterate(f, n))
     assert lhs == rhs
+    if f.degree >= 2:
+        assert PolyDS(f).iterate(m + n) == lhs
 
 
 def test_resultant_examples():

@@ -185,10 +185,12 @@ def test_trace_stepwise_matches_one_shot_pullback():
     # points, sheet by sheet
     import mpmath
 
+    from orbitforge.boettcher import radius_archimedean
     from orbitforge.green import _certify_level, _psi_point
     from orbitforge.rootcert import approximate_solutions, certify_solution
 
     r, tol = F(1, 5), F(1, 10**6)
+    arch = radius_archimedean(DS6)
     curve = equipotential_trace(DS6, r, n_points=16, tol=tol)
     assert curve.dropped == 0 and len(curve.points) == 16
     assert max(pt.sheet for pt in curve.points) == 7          # k = 3
@@ -196,7 +198,7 @@ def test_trace_stepwise_matches_one_shot_pullback():
     dF3 = F3.derivative()
     deep_rho = mpmath.exp(-mpmath.mpf(r.numerator) / r.denominator) ** 8
     for theta in sorted({pt.theta for pt in curve.points}):
-        target = _psi_point(DS6, DS6.settings.series_order, deep_rho, theta)
+        target = _psi_point(DS6, DS6.settings.series_order, deep_rho, theta, arch)
         reference = []
         for approx in approximate_solutions(F3, target):
             root = certify_solution(F3, CBall.from_complex(approx), target, dF3)
@@ -248,48 +250,12 @@ def test_trace_low_order_rescue(monkeypatch):
 
 @pytest.mark.parametrize("r", [F(1), F(1, 2), F(1, 5)])
 def test_parabolic_trace_starts_below_a_divergent_psi_tail(r):
-    # X^2 + 1/4 has Boettcher radius 1; at order 48 the Psi tail estimate
-    # diverges at |x| = exp(-r), so the trace starts one level deeper
+    # X^2 + 1/4 has Boettcher radius 1 (its critical point 0 is parabolic, so
+    # undecided); the certified Psi tail holds at |x| = exp(-1) <= 1/2, so
+    # r = 1 starts at k = 0, while r = 1/2 and 1/5 start one level deeper
     curve = equipotential_trace(PolyDS(Poly([F(1, 4), 0, 1])), r, n_points=8)
     assert len(curve.points) == 8 and curve.dropped == 0
-    assert curve.closed is False
-
-
-def test_divergent_tail_fails_only_the_polish(monkeypatch):
-    # at order 12 every k = 0 sample is polished through a deeper Psi value;
-    # when that value raises, the point is dropped and the trace goes on
-    import orbitforge.green as green_mod
-
-    psi_point = green_mod._psi_point
-    calls = []
-
-    def polish_diverges(*args):
-        calls.append(None)
-        if len(calls) > 16:          # the 16 start points come first
-            raise PrecisionError("heuristic tail diverges at this radius")
-        return psi_point(*args)
-
-    monkeypatch.setattr(green_mod, "_psi_point", polish_diverges)
-    ds = PolyDS(DS1.f, DEFAULTS.replace(series_order=12))
-    curve = equipotential_trace(ds, F(1), n_points=16, tol=F(1, 10**8))
-    assert curve.closed and len(calls) == 32
-    assert curve.points == [] and curve.dropped == 16
-
-
-def test_divergent_tail_at_every_level_stops_at_the_degree_cap(monkeypatch):
-    import orbitforge.green as green_mod
-
-    radii = []
-
-    def diverges(ds, order, radius, theta):
-        radii.append(radius)
-        raise PrecisionError("heuristic tail diverges at this radius")
-
-    monkeypatch.setattr(green_mod, "_psi_point", diverges)
-    with pytest.raises(PrecisionError):
-        equipotential_trace(DS1, F(1), n_points=4)
-    # one try per level k = 0 .. 12, the deepest with 2^k <= 4096
-    assert len(set(radii)) == 13
+    assert curve.closed is (r == 1)
 
 
 def test_trace_rejects_nonpositive_level():

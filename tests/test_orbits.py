@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import math
 import random
 import signal
@@ -13,12 +14,11 @@ import pytest
 from orbitforge.ball import eval_poly_ball
 from orbitforge.cli import main
 from orbitforge.dynamics import PolyDS, Preperiodic, classify_orbit
-from orbitforge.errors import DomainError, ResourceError
-from orbitforge.exact import BiPoly, Poly
+from orbitforge.errors import ResourceError
+from orbitforge.exact import Poly
 from orbitforge.factor import factor_rational
 from orbitforge.orbits import (canonical_height, grand_orbit_points,
-                               height_balance_check, level_polynomial,
-                               level_roots, small_orbit_level, weil_height)
+                               level_polynomial, level_roots, small_orbit_level)
 
 DS1 = PolyDS(Poly([-1, 0, 1]))
 
@@ -36,6 +36,18 @@ def test_preperiodic_height_contains_zero():
     h = canonical_height(DS1, F(0))
     assert h.contains_zero()
     assert float(h.value.rad) < 1e-10
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_preperiodic_height_is_exact_zero(alpha):
+    # 0 and -1 form a 2-cycle of X^2 - 1, so hhat = 0 exactly
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["orbit", "height", "--poly", "[-1,0,1]", "--alpha", alpha])
+    doc = json.loads(out.getvalue())
+    assert code == 0 and doc["contains_zero"] is True
+    assert doc["value"] == {"im": "0", "rad": "0", "re": "0"}
+    assert doc["method"] == "preperiodic"
 
 
 def test_wandering_height_excludes_zero():
@@ -57,12 +69,15 @@ def test_height_doubling_random():
 
 
 def test_height_vs_weil_comparison_constant():
-    c_f = DS1.height_comparison_constant()
+    # |h(alpha) - hhat(alpha)| <= sum_i log+|a_i| + log 2, with h the Weil
+    # height log max(|num|, den); for X^2 - 1 the constant is log 2
+    c_f = math.log(2.0) + sum(math.log(abs(c)) for c in DS1.f.coeffs[:-1] if abs(c) > 1)
     rng = random.Random(7)
     for _ in range(100):
         alpha = F(rng.randint(-40, 40), rng.randint(1, 40))
+        weil = math.log(max(abs(alpha.numerator), alpha.denominator))
         h_hat = float(canonical_height(DS1, alpha).value.re_mid)
-        assert abs(weil_height(alpha) - h_hat) <= c_f + 1e-9
+        assert abs(weil - h_hat) <= c_f + 1e-9
 
 
 def test_bad_reduction_prime_contribution():
@@ -254,24 +269,3 @@ def test_grand_target_is_f_applied_m_times():
     # the size of f^m(alpha) still keeps m to the iterate cap
     with pytest.raises(ResourceError, match=r"iterate degree 2\^17 exceeds cap 65536"):
         level_polynomial(DS1, F(1, 3), 0, 17)
-
-
-# -- height balance ---------------------------------------------------------------
-
-def test_height_balance_examples():
-    diag = BiPoly({(0, 1): 1, (1, 0): -1})          # Y - X
-    rep = height_balance_check(diag, [(F(5), F(5)), (F(-3, 2), F(-3, 2))])
-    assert all(row.difference == 0 for row in rep.rows)
-
-    parab = BiPoly({(0, 1): 1, (2, 0): -1})         # Y - X^2
-    rep2 = height_balance_check(parab, [(F(2), F(4)), (F(3), F(9))])
-    assert all(row.difference == 0 for row in rep2.rows)
-    assert (rep2.d1, rep2.d2) == (1, 2)
-
-    graph = BiPoly({(0, 1): 1, (2, 0): -1, (0, 0): 1})    # Y - (X^2 - 1)
-    pts = [(F(n), F(n * n - 1)) for n in range(2, 21)]
-    rep3 = height_balance_check(graph, pts)
-    assert rep3.fitted_constant < 2.0
-
-    with pytest.raises(DomainError):
-        height_balance_check(diag, [(F(1), F(2))])
