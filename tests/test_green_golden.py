@@ -7,8 +7,11 @@ were recorded before the ball layer gained its real-axis path and prebuilt
 coefficient balls.  Bounded orbits stop once their enclosure meets tol, so
 their ``GREEN_DIGESTS`` are taken at a tol that runs the whole 256-step
 budget, which keeps those bits; ``STOPPED_DIGESTS`` pin the same cases at
-the default tol.  ``python tests/test_green_golden.py`` prints the current
-digests.
+the default tol.  ``PSI_DIGESTS`` pin ``evaluate_psi`` at order 48, complex
+points and Psi's large-denominator coefficients included, each against a
+fixed Boettcher radius built from an exact rational, so that they do not
+depend on how that radius is computed.  ``python tests/test_green_golden.py``
+prints the current digests.
 """
 
 import hashlib
@@ -17,8 +20,10 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from mpmath import mpf
 
 from orbitforge.ball import CBall, eval_poly_ball
+from orbitforge.boettcher import ArchRadius, evaluate_psi
 from orbitforge.dynamics import PolyDS
 from orbitforge.exact import Poly
 from orbitforge.green import green_eval
@@ -59,6 +64,18 @@ ORBIT_CASES = {
     "complex": (DS1, (F(1, 10), F(1, 10))),
     "cubic": (CUBIC, (F(1, 2), F(-1, 3))),
 }
+
+# name -> (map, rational Boettcher radius R); every case starts at |x| =
+# e^-1, the r = 1 trace level, which is k = 0 for each of these maps
+PSI_CASES = {
+    "x2p1/4": (PolyDS(Poly([F(1, 4), 0, 1])), F(1)),
+    "x2m1": (DS1, F(1)),
+    "x2m3/4": (PolyDS(Poly([F(-3, 4), 0, 1])), F(1)),
+    "x2p1/2": (PolyDS(Poly([F(1, 2), 0, 1])), F(963, 1000)),
+    "cubic": (CUBIC, F(916, 1000)),
+}
+PSI_ORDER = 48
+PSI_ANGLES = (0.0, 0.125, 0.3)       # theta: x = e^-1 exp(2 pi i theta)
 
 GREEN_DIGESTS = {
     "bounded_real@64": "267fa0be7bcdc5dc36d0991d86fc6ce47d56de58ddcbf5e7c4fef625c21e5011",
@@ -104,6 +121,19 @@ ORBIT_DIGESTS = {
     "real@160": "05717afa867f14faff948c8f722a4c91aa5bb6b95496ba9bc725c04afd144780",
 }
 
+PSI_DIGESTS = {
+    "cubic@64": "fafbe011ba15b1e91fd500130ef6a6efd00d4a6f34e742dd1f0c847eab0bb2bc",
+    "cubic@160": "6e8997c0dc5bf3c164f57c3e04d302969e641cc2f627f944d672cee918526d73",
+    "x2m1@64": "3cef49cd212f6fdd5c480a3fde4e2c30a42e644eb305168e2833472bd5fdb53d",
+    "x2m1@160": "8985e14891be344cf7e9c95bad65d484ff5b708968aff258a4eb7bc366fcf274",
+    "x2m3/4@64": "e7b5f836271e28fcea9500c0eb8383165ed314bbbfc61bf89ed8d53040849fb7",
+    "x2m3/4@160": "ed630442c534bd84dc6f20b2cf0b540a5b0b21f4fbe6f3e135c7834c9144f802",
+    "x2p1/2@64": "73070dbf655ba92b0519eaef71a2294d04a4c7cd2c803497b0ecebcc40c74a69",
+    "x2p1/2@160": "bc69a8573e589227ea4f6d8c84008891c292c2bb418eb451d8f59b0ec223074e",
+    "x2p1/4@64": "aff8302b4c36de640851f4d7f3fb3144149cb2be774fc49c618040c65f446e99",
+    "x2p1/4@160": "649931f489326d28bed27de71d2345159f5229eb44c44da6a0a03e91c6f80f06",
+}
+
 
 def _mpf_key(x):
     sign, man, exp, bc = x._mpf_
@@ -136,6 +166,20 @@ def _orbit_digest(name: str, prec: int) -> str:
     return hashlib.sha256(repr(balls).encode()).hexdigest()
 
 
+def _psi_digest(name: str, prec: int) -> str:
+    ds, radius = PSI_CASES[name]
+    with mpmath.workprec(prec):
+        arch = ArchRadius(CBall.from_rational(radius), True, 0, 0)
+        s = CBall(mpmath.exp(-1), mpf(0), mpf(0))
+        balls = []
+        for theta in PSI_ANGLES:
+            x = CBall.from_complex(mpmath.expjpi(2 * mpf(theta))) * s
+            psi = evaluate_psi(ds, PSI_ORDER, x, arch)
+            balls.append((_mpf_key(psi.re_mid), _mpf_key(psi.im_mid),
+                          _mpf_key(psi.rad)))
+    return hashlib.sha256(repr(balls).encode()).hexdigest()
+
+
 def _height_digest(name: str) -> str:
     ds, alpha = HEIGHT_CASES[name]
     h = canonical_height(ds, alpha)
@@ -162,6 +206,12 @@ def test_ball_orbit_bits_unchanged(name, prec):
     assert _orbit_digest(name, prec) == ORBIT_DIGESTS[f"{name}@{prec}"]
 
 
+@pytest.mark.parametrize("prec", PRECISIONS)
+@pytest.mark.parametrize("name", sorted(PSI_CASES))
+def test_psi_value_bits_unchanged(name, prec):
+    assert _psi_digest(name, prec) == PSI_DIGESTS[f"{name}@{prec}"]
+
+
 @pytest.mark.parametrize("name", sorted(HEIGHT_CASES))
 def test_height_value_bits_unchanged(name):
     assert _height_digest(name) == HEIGHT_DIGESTS[name]
@@ -184,4 +234,8 @@ if __name__ == "__main__":     # pragma: no cover
     for name in sorted(ORBIT_CASES):
         for prec in PRECISIONS:
             print(f'    "{name}@{prec}": "{_orbit_digest(name, prec)}",')
+    print("}\n\nPSI_DIGESTS = {")
+    for name in sorted(PSI_CASES):
+        for prec in PRECISIONS:
+            print(f'    "{name}@{prec}": "{_psi_digest(name, prec)}",')
     print("}", file=sys.stdout)
