@@ -91,7 +91,7 @@ def green_eval(ds: PolyDS, z, tol: Fraction = DEFAULTS.tolerance) -> GreenValue:
     n = 0
     escaped_at = None
     while n <= max_iter + 200:
-        lo, hi = cur.abs_lower(), cur.abs_upper()
+        lo, hi = cur.abs_bounds()
         d_n = mpf(d) ** n
         # one-sided bound g(z) = g(z_n)/d^n <= log(2 max(|z_n|, R)) / d^n
         upper = min(upper, (mpmath.log(2 * hi) if hi > r_up else log_2r) / d_n)

@@ -2,9 +2,11 @@
 
 Real balls (imaginary midpoint exactly 0) add, multiply and take absolute
 values in real arithmetic; each result must equal, bit for bit, the generic
-complex formula written out here through ``mpmath.mpc``.  Loops that
-evaluate one polynomial many times must build its coefficient balls once.
-Laurent blocks are evaluated by one Horner pass.
+complex formula written out here through ``mpmath.mpc``.  Horner's rule on
+raw triples must equal the same formulas applied step by step to ``CBall``s
+built through mpf objects.  Loops that evaluate one polynomial many times
+must build its coefficient balls once.  Laurent blocks are evaluated by one
+Horner pass.
 """
 
 import random
@@ -14,7 +16,8 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from orbitforge.ball import CBall, eval_block_ball
+from orbitforge import ball
+from orbitforge.ball import CBall, coeff_balls, eval_block_ball, horner_ball
 from orbitforge.boettcher import psi_series
 from orbitforge.dynamics import PolyDS
 from orbitforge.exact import LaurentBlock, Poly
@@ -93,41 +96,97 @@ def test_complex_operand_takes_the_complex_path(prec):
     with mpmath.workprec(prec):
         x = _random_real_ball(rng, prec)
         z = CBall(mpf(3) / 7, mpf(-2) / 9, mpmath.ldexp(1, -prec))
-        for a, b in ((x, z), (z, x), (z, z)):
+        with mpmath.workprec(2 * prec):     # parts longer than prec: mpc rounds them
+            long = CBall(mpf(3) / 7, mpf(-2) / 9, mpmath.ldexp(1, -prec))
+        for a, b in ((x, z), (z, x), (z, z), (x, long), (long, z), (long, long)):
             assert (a * b).im_mid != 0
             assert _fields(a * b) == _bits(*_generic_mul(a, b))
             assert _fields(a + b) == _bits(*_generic_add(a, b))
         assert _abs_bits(z) == _bits(*_generic_abs(z))
 
 
+def _generic_ball(re: F, im: F = F(0)) -> CBall:
+    """The ball of a rational through mpf objects: mpf(num) / mpf(den)."""
+    r, i = (mpf(q.numerator) / mpf(q.denominator) for q in (re, im))
+    return CBall(r, i, _eps() * (abs(r) + abs(i) + 1))
+
+
+def _generic_horner(balls, z: CBall) -> CBall:
+    if not balls:
+        return CBall(mpf(0), mpf(0), mpf(0))
+    acc = balls[-1]
+    for b in reversed(balls[:-1]):
+        acc = CBall(*_generic_add(CBall(*_generic_mul(acc, z)), b))
+    return acc
+
+
+def _random_ball(rng, prec):
+    """A real, complex or purely imaginary ball; zero midpoints and zero
+    radii included."""
+    x = _random_real_ball(rng, prec)
+    kind = rng.random()
+    if kind < 0.3:
+        return x
+    im = _random_mid(rng, prec)
+    return CBall(mpf(0) if kind < 0.45 else x.re_mid, im, x.rad)
+
+
+def _random_rational(rng):
+    if rng.random() < 0.3:          # Psi-sized: beyond 160 bits
+        return F(rng.getrandbits(190) - 2 ** 189, rng.getrandbits(230) | 1)
+    return F(rng.randint(-50, 50), rng.randint(1, 30))
+
+
+def _triples(balls):
+    return tuple((b.re_mid._mpf_, b.im_mid._mpf_, b.rad._mpf_) for b in balls)
+
+
+@pytest.mark.parametrize("prec", (64, 160))
+def test_horner_matches_the_operator_formulas(prec):
+    rng = random.Random(prec + 2)
+    with mpmath.workprec(prec):
+        for n in (0, 1, 2, 3, 7):
+            for _ in range(40):
+                z = _random_ball(rng, prec)
+                rationals = [_random_rational(rng) if rng.random() < 0.8 else F(0)
+                             for _ in range(n)]
+                p = Poly(rationals)
+                want = _generic_horner([_generic_ball(c) for c in p.coeffs], z)
+                assert _fields(horner_ball(coeff_balls(p), z)) == _fields(want)
+                balls = [_random_ball(rng, prec) for _ in range(n)]
+                want = _generic_horner(balls, z)
+                assert _fields(horner_ball(_triples(balls), z)) == _fields(want)
+
+
 @pytest.fixture
-def from_rational_calls(monkeypatch):
-    """Every call to ``CBall.from_rational`` made during the test."""
+def rational_calls(monkeypatch):
+    """Every Fraction-to-ball conversion made during the test: the one rule
+    behind ``CBall.from_rational`` and ``coeff_balls``."""
     calls = []
-    original = CBall.from_rational
+    original = ball._rational
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(CBall, "from_rational", staticmethod(counting))
+    monkeypatch.setattr(ball, "_rational", counting)
     return calls
 
 
-def test_green_eval_builds_coefficient_balls_once(from_rational_calls):
+def test_green_eval_builds_coefficient_balls_once(rational_calls):
     ds = PolyDS(Poly([-1, 0, 1]))
     g = green_eval(ds, F(1, 3), F(1, 10**100))       # no early stop
     assert not g.escaped and g.iterations_used == 256
     # the start point and the deg f + 1 coefficients
-    assert len(from_rational_calls) <= ds.d + 2
+    assert len(rational_calls) <= ds.d + 2
 
 
-def test_certify_solution_builds_coefficient_balls_once(from_rational_calls):
+def test_certify_solution_builds_coefficient_balls_once(rational_calls):
     p = Poly([-2, 0, 1])
     dp = p.derivative()
     root = certify_solution(p, CBall.from_complex(1.4))
     assert root is not None and abs(float(root.re_mid) - 2 ** 0.5) < 1e-12
-    assert len(from_rational_calls) <= p.degree + dp.degree + 2
+    assert len(rational_calls) <= p.degree + dp.degree + 2
 
 
 def _block_cases(rng):
@@ -185,13 +244,14 @@ def test_block_value_contains_the_exact_sum(prec):
 
 def test_block_value_takes_one_horner_pass(monkeypatch):
     products = []
-    original = CBall.__mul__
+    original = ball._mul
 
-    def counting(self, other):
+    def counting(*args):
         products.append(None)
-        return original(self, other)
+        return original(*args)
 
-    monkeypatch.setattr(CBall, "__mul__", counting)
+    # the one product rule: Horner's steps and CBall's * both call it
+    monkeypatch.setattr(ball, "_mul", counting)
     z = CBall.from_rational(F(1, 5), F(1, 7))
     blocks = [psi_series(PolyDS(Poly([-1, 0, 1])), 48),
               psi_series(PolyDS(Poly([1, -1, 0, 1])), 48),
