@@ -40,7 +40,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import (fone, fzero, from_int, mpc_mul, mpf_abs, mpf_add, mpf_div,
-                          mpf_gt, mpf_hypot, mpf_mul, mpf_sub, normalize)
+                          mpf_exp, mpf_gt, mpf_hypot, mpf_mul, mpf_sub, normalize)
 
 from .config import DEFAULTS
 from .errors import DomainError, PrecisionError
@@ -240,11 +240,14 @@ class CBall:
         return CBall(mid, mpf(0), rad)
 
     def exp_real(self) -> "CBall":
-        """Real ball for exp(x) of a real ball."""
+        """Real ball for exp(x) of a real ball: the ends re -+ rad are rounded
+        outward, exp down at the lower end and up at the upper one."""
         if self.im_mid != 0:
             raise DomainError("exp_real expects a real ball")
-        lo = mpmath.exp(self.re_mid - self.rad)
-        hi = mpmath.exp(self.re_mid + self.rad)
+        prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
+        re, rad = self.re_mid._mpf_, self.rad._mpf_
+        lo = make(mpf_exp(mpf_sub(re, rad, prec, "d"), prec, "d"))
+        hi = make(mpf_exp(mpf_add(re, rad, prec, "u"), prec, "u"))
         mid = (lo + hi) / 2
         rad = (hi - lo) / 2 + _eps() * (abs(mid) + 1)
         return CBall(mid, mpf(0), rad)

@@ -158,6 +158,16 @@ def test_horner_matches_the_operator_formulas(prec):
                 assert _fields(horner_ball(_triples(balls), z)) == _fields(want)
 
 
+@pytest.mark.parametrize("x, rad_exp", [(100, -155), (40, -156), (-100, -155)])
+def test_exp_real_encloses_both_ends(x, rad_exp):
+    # at 160 bits, x -+ 2^rad_exp rounded to nearest is x itself
+    with mpmath.workprec(160):
+        b = CBall(mpf(x), mpf(0), mpmath.ldexp(1, rad_exp)).exp_real()
+    with mpmath.workprec(600):
+        for end in (x - mpmath.ldexp(1, rad_exp), x + mpmath.ldexp(1, rad_exp)):
+            assert abs(mpmath.exp(end) - b.re_mid) <= b.rad
+
+
 @pytest.fixture
 def rational_calls(monkeypatch):
     """Every Fraction-to-ball conversion made during the test: the one rule
