@@ -225,9 +225,6 @@ class CBall:
                 base = base * base
         return out
 
-    def conjugate(self) -> "CBall":
-        return CBall(self.re_mid, -self.im_mid, self.rad)
-
     # -- real interval helpers ---------------------------------------------
     def log_abs(self) -> "CBall":
         """Real ball enclosing log|z|; requires the ball to exclude zero."""

@@ -20,7 +20,6 @@ Both Phi residuals compose Phi with a series of positive valuation through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -154,10 +153,10 @@ def phi_psi_identity_residual(ds: PolyDS, order: int) -> LaurentBlock:
     return total - LaurentBlock.monomial(1, 1, trunc=total.trunc)
 
 
-def evaluate_psi(ds: PolyDS, order: int, x: CBall, arch: ArchRadius) -> CBall:
+def evaluate_psi(ds: PolyDS, order: int, x: CBall, radius: CBall) -> CBall:
     """Certified ball for Psi(x): the truncated series plus a bound on the rest.
 
-    Psi = sum u_m x^(m-1) is univalent on |x| < R, and ``arch.ball`` (from
+    Psi = sum u_m x^(m-1) is univalent on |x| < R, and ``radius`` (from
     ``radius_archimedean``) encloses R; let R_lo be its lower end.  The area
     theorem (Gronwall 1914; Pommerenke 1975, ch. 1) for R_lo Psi(R_lo / z)
     on |z| > 1 gives sum_{n>=1} n |u_(n+1)|^2 R_lo^(2(n+1)) <= 1.  With A
@@ -168,7 +167,7 @@ def evaluate_psi(ds: PolyDS, order: int, x: CBall, arch: ArchRadius) -> CBall:
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    r_lo = mpmath.fsub(arch.ball.re_mid, arch.ball.rad, rounding="d")
+    r_lo = mpmath.fsub(radius.re_mid, radius.rad, rounding="d")
     s = x.abs_upper()
     if not s < r_lo:
         raise DomainError("Psi is certified only inside its disc |x| < R")
@@ -196,42 +195,23 @@ def evaluate_psi(ds: PolyDS, order: int, x: CBall, arch: ArchRadius) -> CBall:
     return eval_block_ball(psi, x).widen(tail)
 
 
-@dataclass(frozen=True)
-class ArchRadius:
-    ball: CBall
-    certified: bool          # False when undecided critical points widen the result
-    escaping_count: int
-    undecided_count: int
+def radius_archimedean(ds: PolyDS) -> CBall:
+    """Ball for R = min over escaping critical points of exp(-g(c)); 1 when
+    none escape.
 
-
-def radius_archimedean(ds: PolyDS) -> ArchRadius:
-    """R = min over escaping critical points of exp(-g(c)), each g(c) to
-    1/10^10; 1 when none escape.
-
-    Undecided critical points widen the ball to cover both cases and clear
-    the certified flag.
+    Each g(c) is the Green value to 1/10^10 that ``escaping_critical_points``
+    computed while deciding c.  An undecided point c has g(c) in [0, U], so
+    exp(-g(c)) may reach down to exp(-U) while the connected case (radius 1)
+    stays possible: undecided points widen the ball to cover both.
     """
-    from .green import green_eval  # local import: green depends on this module
-
-    tol = Fraction(1, 10**10)
     report = escaping_critical_points(ds)
-    if not report.escaping and not report.undecided:
-        return ArchRadius(rball(1), True, 0, 0)
-    candidates = []
-    for cp in report.escaping:
-        g = green_eval(ds, cp.ball, tol)
-        candidates.append((-g.value).exp_real())
-    best = min(candidates, key=lambda b: b.re_mid - b.rad, default=rball(1))
-    if report.undecided:
-        # an undecided point c has g(c) in [0, U]; exp(-g(c)) may reach
-        # down to exp(-U), and the connected case (radius 1) stays possible
-        lo = best.re_mid - best.rad
-        for cp in report.undecided:
-            g = green_eval(ds, cp.ball, tol)
-            lo = min(lo, (-g.value).exp_real().re_mid - g.value.rad)
-        lo = max(lo, mpmath.mpf(0))
-        hi = mpmath.mpf(1)
-        mid = (lo + hi) / 2
-        return ArchRadius(CBall(mid, mpmath.mpf(0), (hi - lo) / 2),
-                          False, len(report.escaping), len(report.undecided))
-    return ArchRadius(best, True, len(report.escaping), 0)
+    best = min(((-g.value).exp_real() for _cp, g in report.escaping),
+               key=lambda b: b.re_mid - b.rad, default=rball(1))
+    if not report.undecided:
+        return best
+    lo = best.re_mid - best.rad
+    for _cp, g in report.undecided:
+        lo = min(lo, (-g.value).exp_real().re_mid - g.value.rad)
+    lo = max(lo, mpmath.mpf(0))
+    hi = mpmath.mpf(1)
+    return CBall((lo + hi) / 2, mpmath.mpf(0), (hi - lo) / 2)

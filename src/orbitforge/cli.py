@@ -103,10 +103,10 @@ def parse_curve(text: str) -> "PlaneCurve":
 # ---------------------------------------------------------------------------
 
 def cmd_dynamics_classify(args, settings: Settings) -> dict:
-    ds, conj = normalize_monic(parse_poly(args.poly), settings)
+    ds, scale = normalize_monic(parse_poly(args.poly), settings)
     result: dict = {"poly": ds.f.to_json()}
-    if conj.rational and conj.scale != 1:
-        result["monic_conjugacy_scale"] = rat_str(conj.scale)
+    if scale is not None and scale != 1:
+        result["monic_conjugacy_scale"] = rat_str(scale)
     verdict = detect_exceptional(ds)
     result["exceptional"] = {
         "kind": verdict.kind, "over_extension": verdict.over_extension}
@@ -231,7 +231,7 @@ def cmd_padic_polygon(args, settings: Settings) -> dict:
             "r1": rat_str(r1), "r": rat_str(r),
             "kappa_r1": k1,
             "log_a_kappa_logp": rat_str(Fraction(-dict(series.terms)[k1].valuation)),
-            "sup_logp": rat_str(sup_r.logp),
+            "sup_logp": rat_str(sup_r),
             "count_logp": rat_str(n_identity),
             "count_from_slopes_logp": rat_str(n_slopes),
             "identity_residual": rat_str(n_identity - n_slopes),

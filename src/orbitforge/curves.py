@@ -22,8 +22,8 @@ from math import gcd
 from typing import Optional, Union
 
 from .ball import CBall
-from .boettcher import psi_series
-from .dynamics import PolyDS
+from .boettcher import phi_series, psi_series
+from .dynamics import PolyDS, Preperiodic, classify_orbit
 from .errors import DomainError, WindowError
 from .exact import BiPoly, LaurentBlock, Poly, evaluate_series_at_block, rat
 from .factor import bivariate_irreducible
@@ -36,21 +36,13 @@ from .padic import (PadicScalar, PadicSeries, Radius, count_zeros_pj, kappa,
 class PlaneCurve:
     """A plane curve is its primitive integer bivariate polynomial.
 
-    d1 = deg_Y P is the degree of the first coordinate function on the curve,
-    d2 = deg_X P the second.  Irreducibility over Q is decided (by sympy) each
+    deg_Y P is the degree of the first coordinate function on the curve,
+    deg_X P the second.  Irreducibility over Q is decided (by sympy) each
     time ``irreducible_q`` is read, never at construction; absolute
     irreducibility is not certified.
     """
 
     poly: BiPoly
-
-    @property
-    def d1(self) -> int:
-        return self.poly.deg_y
-
-    @property
-    def d2(self) -> int:
-        return self.poly.deg_x
 
     @property
     def irreducible_q(self) -> bool:
@@ -294,7 +286,7 @@ def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict) -> Optional[bo
     certified here when the caller has not supplied them.  No precision is
     changed."""
     if x.exact and y.exact:
-        return P.eval(x.value, y.value) == 0
+        return P.eval_with(x.value, y.value) == 0
     fx, fy = _min_poly(x), _min_poly(y)
     res = _once(memo, ("resultant", fy), lambda: _eliminate_y(P, fy))
     if res.is_zero:
@@ -335,8 +327,6 @@ def intersect_small_orbit(curve: PlaneCurve, ds: PolyDS, alpha,
     A curve whose certified count exceeds the Bezout-style cap deg(P)*d^cap
     while being classified non-special is flagged.
     """
-    from .dynamics import Preperiodic, classify_orbit
-
     alpha = rat(alpha)
     warn = isinstance(classify_orbit(ds, alpha), Preperiodic)
     verdict = is_special_curve(curve, ds, alpha, nmax if nmax is not None else level_cap)
@@ -407,7 +397,6 @@ def commuting_linear(ds: PolyDS, n: int, check_boettcher: bool = True,
 def _boettcher_scaling(ds: PolyDS, a: Fraction, b: Fraction,
                        order: int) -> Optional[Fraction]:
     """zeta with Phi(aX + b) = zeta * Phi(X) up to truncation, else None."""
-    from .boettcher import phi_series
     phi = phi_series(ds, order)
     # w_L = 1/(aX+b) as a series in w = 1/X: w/(a + b w)
     denom = LaurentBlock(0, [a, b], trunc=order + 1)
@@ -564,22 +553,22 @@ def nu_estimates(nu: NuSeries) -> NuLedger:
     k1_ = kappa(nu.series, Radius.ppow(0))
     vphi = Fraction(nu.phi.valuation)
     lhs = Fraction(-k1_)
-    # log|nu|_1 / log|phi| = sup1.logp / (-vphi)
-    rhs = nu.kinf * sup1.logp / (-vphi)
+    # log|nu|_1 / log|phi| = sup1 / (-vphi)
+    rhs = nu.kinf * sup1 / (-vphi)
     t_top = nu.annulus_top_logp()
     t = t_top / 2
     pj = count_zeros_pj(nu.series, Radius.ppow(0), Radius.ppow(t))
-    zero_bound = Fraction(-k1_) - sup1.logp / t
+    zero_bound = Fraction(-k1_) - sup1 / t
     c1 = Fraction(nu.kinf) * t / vphi
-    bound12 = 2 * c1 * nu.kinf * (-sup1.logp) / vphi
+    bound12 = 2 * c1 * nu.kinf * (-sup1) / vphi
     return NuLedger(
-        sup1_logp=sup1.logp,
+        sup1_logp=sup1,
         kappa1=k1_,
         kinf=nu.kinf,
         lemma_lhs=lhs,
         lemma_rhs=rhs,
         lemma_holds=lhs <= rhs,
-        sup_leq_one=sup1.logp <= 0,
+        sup_leq_one=sup1 <= 0,
         t_used=t,
         pj_count_logp=pj,
         zero_bound=zero_bound,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .ball import CBall, as_ball, coeff_balls, horner_ball
 from .config import DEFAULTS, Settings
@@ -18,6 +18,9 @@ from .errors import DomainError, PrecisionError, ResourceError, UndecidedError
 from .exact import Poly, _prime_factors, _v_p, integer_kth_root, rat
 from .factor import factor_rational
 from .rootcert import certified_roots
+
+if TYPE_CHECKING:
+    from .green import GreenValue
 
 _MAX_PADIC_DIGITS = 4096   # the p-adic escape walk gives up beyond this
 
@@ -172,14 +175,6 @@ def _critical_points(f: Poly) -> list[CriticalPoint]:
 # monic normalization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearConjugacy:
-    """The map L(x) = c*x used to pass to a monic model (L o g o L^{-1})."""
-
-    scale: Union[Fraction, CBall]
-    rational: bool
-
-
 def _rational_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
     """Exact real k-th root of q over Q, or None.  k >= 1."""
     if k == 1:
@@ -196,20 +191,21 @@ def _rational_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
     return Fraction(sign * rn, rd)
 
 
-def normalize_monic(g: Poly, settings: Settings = DEFAULTS) -> tuple[PolyDS, LinearConjugacy]:
-    """Monic model of g by the conjugation L(x) = c*x with c^(d-1) = lead(g).
+def normalize_monic(g: Poly, settings: Settings = DEFAULTS) -> tuple[PolyDS, Optional[Fraction]]:
+    """Monic model of g by the conjugation L(x) = c*x with c^(d-1) = lead(g),
+    with the scale c, or None when no rational c exists.
 
-    The conjugate has coefficients a_i * c^i / lead(g); a rational c is
-    preferred.  When no rational c exists the conjugate is returned only if
-    its coefficients happen to be rational anyway (each needed power c^i is a
-    rational root); in that case the recorded scale is a certified ball.
+    The conjugate L o g o L^{-1} has coefficients a_i * c^i / lead(g); a
+    rational c is preferred.  When no rational c exists the conjugate is
+    returned only if its coefficients happen to be rational anyway (each
+    needed power c^i is a rational root).
     """
     if g.degree < 2:
         raise DomainError("normalization requires degree >= 2")
     d = g.degree
     a0 = g.lead
     if a0 == 1:
-        return PolyDS(g, settings), LinearConjugacy(Fraction(1), True)
+        return PolyDS(g, settings), Fraction(1)
     c = _rational_kth_root(a0, d - 1)
     if c is not None and d % 2 == 0 and c < 0:
         # prefer the positive representative when both signs work
@@ -217,8 +213,7 @@ def normalize_monic(g: Poly, settings: Settings = DEFAULTS) -> tuple[PolyDS, Lin
     if c is not None:
         # ascending: coefficient of X^j in the conjugate is a_{d-j} c^{d-j} / a0
         coeffs = [g.coeffs[j] * c ** (d - j) / a0 for j in range(d + 1)]
-        conj = Poly(coeffs)
-        return PolyDS(conj, settings), LinearConjugacy(c, True)
+        return PolyDS(Poly(coeffs), settings), c
     # No rational c.  Coefficient i needs c^i = a0^(i/(d-1)) to be rational.
     coeffs_desc = []
     for i in range(0, d + 1):
@@ -235,16 +230,7 @@ def normalize_monic(g: Poly, settings: Settings = DEFAULTS) -> tuple[PolyDS, Lin
                 "no monic conjugate with rational coefficients exists "
                 f"(coefficient of X^{d - i} needs an irrational scaling)")
         coeffs_desc.append(a_i * power / a0)
-    conj = Poly(list(reversed(coeffs_desc)))
-    # numeric record of the irrational (possibly complex) scale
-    import mpmath
-    mag = mpmath.power(abs(mpmath.mpf(a0.numerator) / mpmath.mpf(a0.denominator)),
-                       mpmath.mpf(1) / (d - 1))
-    if a0 > 0:
-        scale_ball = CBall.from_complex(mag)
-    else:
-        scale_ball = CBall.from_complex(mag * mpmath.exp(1j * mpmath.pi / (d - 1)))
-    return PolyDS(conj, settings), LinearConjugacy(scale_ball, False)
+    return PolyDS(Poly(list(reversed(coeffs_desc))), settings), None
 
 
 # ---------------------------------------------------------------------------
@@ -323,50 +309,54 @@ def detect_exceptional(ds: PolyDS) -> ExceptionalVerdict:
 
 @dataclass(frozen=True)
 class CriticalEscapeReport:
-    escaping: list[CriticalPoint]
+    escaping: list[tuple[CriticalPoint, "GreenValue"]]
     bounded: list[CriticalPoint]
-    undecided: list[CriticalPoint]
+    undecided: list[tuple[CriticalPoint, "GreenValue"]]
 
 
 def escaping_critical_points(ds: PolyDS) -> CriticalEscapeReport:
     """Certify which critical points escape to infinity, within
-    ``settings.max_iterations`` steps.
+    ``settings.max_iterations`` steps, with the Green value of each one
+    that is not proven bounded.
 
     A rational critical point is decided exactly when its orbit is
-    preperiodic or crosses the escape radius.  Irrational ones, and rational
-    ones shown wandering only at a finite place, take the ball escape walk:
-    crossing the escape radius certifies escape; anything else is reported
-    undecided, never silently dropped.
+    preperiodic (bounded) or crosses the escape radius (escaping).  Every
+    other critical point takes one ``green_eval`` to 1/10^10: its ``escaped``
+    certifies escape, and anything else is reported undecided, never
+    silently dropped.  An orbit that escapes so slowly that the one-sided
+    bound reaches 2/10^10 first is undecided too.  The Green values of the
+    escaping and undecided points are kept for ``radius_archimedean``.
     """
+    from .green import green_eval   # local import: green depends on this module
+
     max_iter = ds.settings.max_iterations
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
-    radius = ds.escape_radius
+    tol = Fraction(1, 10**10)
     escaping, bounded, undecided = [], [], []
     for cp in ds.critical_points():
+        escapes = False
         if cp.exact is not None:
             verdict = classify_orbit(ds, cp.exact, budget=max_iter)
             if isinstance(verdict, Preperiodic):
                 bounded.append(cp)
                 continue
-            if verdict.place.place is None:
-                escaping.append(cp)
-                continue
-        if _ball_escape_step(ds, cp.ball, max_iter, radius) is not None:
-            escaping.append(cp)
-        else:
-            undecided.append(cp)
+            escapes = verdict.place.place is None
+        g = green_eval(ds, cp.ball, tol)
+        (escaping if escapes or g.escaped else undecided).append((cp, g))
     return CriticalEscapeReport(escaping, bounded, undecided)
 
 
-def _ball_escape_step(ds: PolyDS, z: CBall, budget: int,
-                      radius: Fraction) -> Optional[int]:
-    """Least n <= budget with |f^n(z)| certified above radius, or None."""
+def _ball_escape_step(ds: PolyDS, z: CBall) -> Optional[int]:
+    """Least n <= ``settings.max_iterations`` with |f^n(z)| certified above
+    the escape radius, or None: the archimedean ``escape_iterate`` of
+    ``find_place_of_good_reduction_escape``."""
     from mpmath import mpf
+    radius = ds.escape_radius
     bound = mpf(radius.numerator) / mpf(radius.denominator)
     f_balls = coeff_balls(ds.f)
     blow_up = mpf(10) ** 40
-    for n in range(budget + 1):
+    for n in range(ds.settings.max_iterations + 1):
         if n:
             z = horner_ball(f_balls, z)
             if z.rad > blow_up:         # radius blow-up: no decision possible
@@ -490,7 +480,6 @@ def find_place_of_good_reduction_escape(ds: PolyDS, alpha: Fraction) -> GoodPlac
             qualifying = report
         elif not (report.good_reduction and report.coprime_to_d):
             rejected.append(report)
-    n = _ball_escape_step(ds, as_ball(alpha), ds.settings.max_iterations,
-                          ds.escape_radius)
+    n = _ball_escape_step(ds, as_ball(alpha))
     arch = None if n is None else PlaceReport(None, None, None, n)
     return GoodPlaceSearch(qualifying, arch, rejected)

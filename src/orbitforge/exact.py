@@ -373,14 +373,9 @@ class BiPoly:
         c = rat(c)
         return BiPoly({k: c * v for k, v in self.terms})
 
-    def eval(self, x: Fraction, y: Fraction) -> Fraction:
-        total = Fraction(0)
-        for (i, j), c in self.terms:
-            total += c * x**i * y**j
-        return total
-
     def eval_with(self, x, y, convert=lambda c: c):
-        """Evaluate in any ring (e.g. complex balls) accepting + and *."""
+        """P(x, y) in any ring accepting + and *: exactly on Fractions, or
+        on complex balls with ``convert`` turning coefficients into balls."""
         by_i: dict = {}
         for (i, j), c in self.terms:
             by_i.setdefault(i, []).append((j, c))

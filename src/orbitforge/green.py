@@ -21,7 +21,6 @@ import mpmath
 from mpmath import mpf
 
 from .ball import CBall, as_ball, coeff_balls, eval_poly_ball, horner_ball
-from .config import DEFAULTS
 from .dynamics import PolyDS
 from .errors import DomainError, PrecisionError
 from .exact import rat
@@ -60,7 +59,7 @@ def _clip_nonneg(ball: CBall) -> CBall:
     return CBall((hi / 2), mpf(0), hi / 2)
 
 
-def green_eval(ds: PolyDS, z, tol: Fraction = DEFAULTS.tolerance) -> GreenValue:
+def green_eval(ds: PolyDS, z, tol: Optional[Fraction] = None) -> GreenValue:
     """Certified enclosure of the escape rate at z.
 
     When the orbit is certified past the escape radius, the returned ball has
@@ -68,8 +67,10 @@ def green_eval(ds: PolyDS, z, tol: Fraction = DEFAULTS.tolerance) -> GreenValue:
     at the first step n where its radius is at most tol, or after the step
     budget if that comes first, flagged escaped=False.  Since the upper end
     bounds g(z), a point with g(z) > 2 tol is never returned as bounded.
-    The step budget is ``settings.max_iterations``.
+    The step budget is ``settings.max_iterations`` and tol defaults to
+    ``settings.tolerance``, both the map's.
     """
+    tol = ds.settings.tolerance if tol is None else tol
     if tol <= 0:
         raise DomainError("tol must be positive")
     max_iter = ds.settings.max_iterations
@@ -119,8 +120,9 @@ def green_eval(ds: PolyDS, z, tol: Fraction = DEFAULTS.tolerance) -> GreenValue:
     return GreenValue(_clip_nonneg(val), min(n, max_iter), False)
 
 
-def green_functional_check(ds: PolyDS, z, tol: Fraction = DEFAULTS.tolerance) -> CBall:
-    """Residual ball for g(f(z)) - d*g(z); contains 0 for every z."""
+def green_functional_check(ds: PolyDS, z, tol: Optional[Fraction] = None) -> CBall:
+    """Residual ball for g(f(z)) - d*g(z); contains 0 for every z.  tol
+    defaults to the map's ``settings.tolerance``, as in ``green_eval``."""
     z = as_ball(z)
     fz = eval_poly_ball(ds.f, z)
     g1 = green_eval(ds, fz, tol)
@@ -132,10 +134,10 @@ def _unit_sample(theta: float) -> CBall:
     return CBall.from_complex(mpmath.expjpi(2 * mpmath.mpf(theta)))
 
 
-def _psi_point(ds: PolyDS, order: int, radius: mpf, theta: float, arch) -> CBall:
+def _psi_point(ds: PolyDS, order: int, s: mpf, theta: float, radius: CBall) -> CBall:
     from .boettcher import evaluate_psi
-    x = _unit_sample(theta) * CBall(radius, mpf(0), mpf(0))
-    return evaluate_psi(ds, order, x, arch)
+    x = _unit_sample(theta) * CBall(s, mpf(0), mpf(0))
+    return evaluate_psi(ds, order, x, radius)
 
 
 def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
@@ -166,8 +168,8 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
     order = ds.settings.series_order
     if n_points < 1:
         raise DomainError("n_points must be >= 1")
-    arch = radius_archimedean(ds)
-    safe = (arch.ball.re_mid - arch.ball.rad) / 2
+    radius = radius_archimedean(ds)
+    safe = (radius.re_mid - radius.rad) / 2
     rho = mpmath.exp(-mpf(r.numerator) / mpf(r.denominator))
     k = 0
     while rho ** (ds.d ** k) > safe:
@@ -175,7 +177,7 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
         if ds.d ** k > ds.settings.orbit_degree_cap:
             raise DomainError("level too shallow to trace within the degree cap")
     n_base = max(1, -(-n_points // ds.d ** k))
-    starts = [_psi_point(ds, order, rho ** (ds.d ** k), j / n_base, arch)
+    starts = [_psi_point(ds, order, rho ** (ds.d ** k), j / n_base, radius)
               for j in range(n_base)]
     dp = ds.f.derivative()
 
@@ -200,7 +202,7 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
                 for _ in range(kk - 1):
                     guesses.append(eval_poly_ball(ds.f, guesses[-1]))
                 refined = _psi_point(ds, order, rho ** (ds.d ** kk),
-                                     (theta * ds.d ** kk) % 1.0, arch)
+                                     (theta * ds.d ** kk) % 1.0, radius)
                 for guess in reversed(guesses):
                     if refined is not None:
                         refined = certify_solution(ds.f, guess, refined, dp)

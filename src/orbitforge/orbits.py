@@ -21,7 +21,6 @@ import mpmath
 from mpmath import mpf
 
 from .ball import CBall, coeff_balls, horner_ball, rball
-from .config import DEFAULTS
 from .dynamics import PolyDS, Preperiodic, classify_orbit
 from .errors import DomainError, ResourceError, UndecidedError
 from .exact import Poly, _prime_factors, _v_p, rat
@@ -68,12 +67,14 @@ def _padic_local_height(ds: PolyDS, alpha: Fraction, p: int,
     return CBall(hi / 2, mpf(0), hi / 2)
 
 
-def canonical_height(ds: PolyDS, alpha, tol: Fraction = DEFAULTS.tolerance) -> HeightValue:
-    """hhat(alpha) = lim h(f^n(alpha)) / d^n, as a certified ball of radius <= tol.
+def canonical_height(ds: PolyDS, alpha, tol: Optional[Fraction] = None) -> HeightValue:
+    """hhat(alpha) = lim h(f^n(alpha)) / d^n, as a certified ball of radius <= tol
+    (by default the map's ``settings.tolerance``).
 
     When the ball holds 0 and ``classify_orbit`` proves alpha preperiodic,
     hhat = 0 exactly."""
     alpha = rat(alpha)
+    tol = ds.settings.tolerance if tol is None else tol
     if tol <= 0:
         raise DomainError("tol must be positive")
     if ds.f == Poly.monomial(ds.d):

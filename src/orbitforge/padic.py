@@ -303,24 +303,16 @@ def _term_logp(n: int, scalar: PadicScalar, t: Fraction) -> Optional[Fraction]:
     return None if up is None else up + n * t
 
 
-def sup_norm(g: PadicSeries, r) -> PNorm:
-    """|g|_r = sup_n |a_n| r^n, exact, as a PNorm carrying log_p of the value."""
+def sup_norm(g: PadicSeries, r) -> Fraction:
+    """log_p of |g|_r = sup_n |a_n| r^n, exact."""
     val, _ = _sup_and_kappa(g, Radius.coerce(r, g.p).t)
-    return PNorm(g.p, val)
+    return val
 
 
 def kappa(g: PadicSeries, r) -> int:
     """inf of the exponents attaining the sup norm at radius r."""
     _, k = _sup_and_kappa(g, Radius.coerce(r, g.p).t)
     return k
-
-
-@dataclass(frozen=True)
-class PNorm:
-    """A positive real of the form p^logp, kept in exact log_p units."""
-
-    p: int
-    logp: Fraction
 
 
 def _sup_and_kappa(g: PadicSeries, t: Fraction) -> tuple[Fraction, int]:

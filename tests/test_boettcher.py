@@ -179,19 +179,39 @@ def test_psi_not_p_integral_when_p_divides_degree():
 
 def test_radius_archimedean_cases():
     one = radius_archimedean(PolyDS(Poly.monomial(2)))
-    assert one.certified and one.ball.contains_value(F(1))
+    assert one.rad < 1e-10 and one.contains_value(F(1))
 
     conn = radius_archimedean(PolyDS(Poly([-1, 0, 1])))
-    assert conn.certified and conn.ball.contains_value(F(1))
+    assert conn.rad < 1e-10 and conn.contains_value(F(1))
 
     disc = radius_archimedean(PolyDS(Poly([-6, 0, 1])))
-    assert disc.certified
-    assert float(disc.ball.re_mid) < 1
+    assert float(disc.re_mid) < 1 and disc.rad < 1e-10     # no undecided point
     # R = exp(-g(0)) with g(0) the escape rate of the critical orbit
     from orbitforge.green import green_eval
     g0 = green_eval(PolyDS(Poly([-6, 0, 1])), F(0), F(1, 10**12))
     expected = mpmath.exp(-g0.value.re_mid)
-    assert abs(disc.ball.re_mid - expected) < 1e-10
+    assert abs(disc.re_mid - expected) < 1e-10
+
+
+def test_radius_walks_each_critical_orbit_once(monkeypatch):
+    # X^2 + 1/4: green_eval's one-sided bound leaves the parabolic critical
+    # orbit undecided after 33 steps; a separate 256-step escape walk before
+    # it made 289 ball Horner steps in all
+    import sys
+
+    from orbitforge import ball
+    steps = []
+    original = ball.horner_ball
+
+    def counting(*args):
+        steps.append(1)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orbitforge") and getattr(module, "horner_ball", None) is original:
+            monkeypatch.setattr(module, "horner_ball", counting)
+    radius_archimedean(PolyDS(Poly([F(1, 4), 0, 1])))
+    assert 0 < len(steps) <= 40
 
 
 def test_phi_matches_iterated_root_numerically():
@@ -218,11 +238,11 @@ def test_evaluate_psi_returns_the_ball():
     exact = evaluate_psi(sq_map, 8, x, radius_archimedean(sq_map))   # Psi = 1/x
     assert isinstance(exact, CBall) and exact.contains_value(F(4))
     ds = PolyDS(Poly([-1, 0, 1]))
-    arch = radius_archimedean(ds)
-    val = evaluate_psi(ds, 24, x, arch)
+    radius = radius_archimedean(ds)
+    val = evaluate_psi(ds, 24, x, radius)
     assert isinstance(val, CBall)
     # Psi(x)^2 - 1 = Psi(x^2), and both balls are certified
-    sq = evaluate_psi(ds, 24, CBall.from_rational(F(1, 16)), arch)
+    sq = evaluate_psi(ds, 24, CBall.from_rational(F(1, 16)), radius)
     assert (val * val - CBall.exact_int(1) - sq).contains_zero()
 
 
@@ -238,8 +258,8 @@ def test_psi_tail_is_certified(coeffs):
     from orbitforge.ball import CBall
     from orbitforge.boettcher import evaluate_psi
     ds = PolyDS(Poly(coeffs))
-    arch = radius_archimedean(ds)
-    r_lo = arch.ball.re_mid - arch.ball.rad
+    radius = radius_archimedean(ds)
+    r_lo = radius.re_mid - radius.rad
     radii = [r_lo * mpmath.mpf(0.9)]
     for r in (1, 2):
         rho, k = mpmath.exp(-r), 0
@@ -249,7 +269,7 @@ def test_psi_tail_is_certified(coeffs):
     for s in radii:
         for theta in (0, 1 / 7, 5 / 12):
             x = CBall.from_complex(mpmath.expjpi(2 * mpmath.mpf(theta)) * s)
-            low, high = evaluate_psi(ds, 48, x, arch), evaluate_psi(ds, 200, x, arch)
+            low, high = evaluate_psi(ds, 48, x, radius), evaluate_psi(ds, 200, x, radius)
             assert low.contains(high)
             assert high.rad < low.rad
 
@@ -259,11 +279,11 @@ def test_evaluate_psi_refuses_points_outside_its_disc():
     from orbitforge.boettcher import evaluate_psi
     for coeffs in ([-1, 0, 1], [-6, 0, 1]):
         ds = PolyDS(Poly(coeffs))
-        arch = radius_archimedean(ds)
-        r_lo = arch.ball.re_mid - arch.ball.rad
+        radius = radius_archimedean(ds)
+        r_lo = radius.re_mid - radius.rad
         for s in (r_lo, r_lo * 2):
             with pytest.raises(DomainError):
-                evaluate_psi(ds, 48, CBall(s, mpmath.mpf(0), mpmath.mpf(0)), arch)
+                evaluate_psi(ds, 48, CBall(s, mpmath.mpf(0), mpmath.mpf(0)), radius)
         # just inside, the ball is wide but finite
         inside = CBall(r_lo * mpmath.mpf(0.99), mpmath.mpf(0), mpmath.mpf(0))
-        assert mpmath.isfinite(evaluate_psi(ds, 48, inside, arch).rad)
+        assert mpmath.isfinite(evaluate_psi(ds, 48, inside, radius).rad)

@@ -32,9 +32,9 @@ LINE = PlaneCurve.from_terms({(1, 0): 1, (0, 1): -1, (0, 0): -1})  # X - Y - 1
 
 def test_plane_curve_construction():
     assert DIAG.irreducible_q
-    assert (DIAG.d1, DIAG.d2) == (1, 1)
+    assert (DIAG.poly.deg_y, DIAG.poly.deg_x) == (1, 1)
     conic = PlaneCurve.from_terms({(2, 0): 1, (0, 1): -1})
-    assert (conic.d1, conic.d2) == (1, 2)
+    assert (conic.poly.deg_y, conic.poly.deg_x) == (1, 2)
     with pytest.raises(DomainError):
         PlaneCurve.from_terms({(0, 0): 3})
 

@@ -2,19 +2,23 @@
 
 For X^2 + c with c = k/4, k/8 and k/9 in [-5/2, 1/2], and for five cubics,
 each row records the escaping/bounded/undecided counts of
-``escaping_critical_points`` and the ball (as printed), ``certified`` flag
-and counts of ``radius_archimedean``.  The rows were recorded while rational
-critical points that wander at a finite place still had their own exact
-archimedean escape loop; the digests show that one ball escape walk decides
-them the same way.  ``python tests/test_escape_golden.py`` prints the
-current digests.
+``escaping_critical_points``, the ball of ``radius_archimedean`` (as
+printed), whether no critical point is undecided, and the escaping and
+undecided counts again.  The rows were recorded while rational critical
+points that wander at a finite place still had their own exact archimedean
+escape loop, and while a 256-step ball escape walk decided the rest before
+a separate Green walk gave the radius; the digests show that the one Green
+walk per critical point decides every row the same way.
+``python tests/test_escape_golden.py`` prints the current digests.
 """
 
 import hashlib
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
+from orbitforge.ball import CBall
 from orbitforge.boettcher import radius_archimedean
 from orbitforge.dynamics import PolyDS, escaping_critical_points
 from orbitforge.exact import Poly
@@ -47,10 +51,10 @@ DIGESTS = {
 def _row(f: Poly) -> str:
     ds = PolyDS(f)
     rep = escaping_critical_points(ds)
-    arch = radius_archimedean(ds)
+    radius = radius_archimedean(ds)
     return (f"{f!r}: {len(rep.escaping)}/{len(rep.bounded)}/{len(rep.undecided)} "
-            f"{arch.ball!r} {arch.certified} "
-            f"{arch.escaping_count}/{arch.undecided_count}")
+            f"{radius!r} {not rep.undecided} "
+            f"{len(rep.escaping)}/{len(rep.undecided)}")
 
 
 def _digest(name: str) -> str:
@@ -65,12 +69,27 @@ def test_escape_and_radius_rows_unchanged(name):
 
 def test_rational_critical_point_wandering_at_a_finite_place():
     # X^2 + 1/9: the critical orbit 0 -> 1/9 escapes 3-adically at once but
-    # stays bounded archimedeanly (1/9 < 1/4), so the ball walk leaves it
+    # stays bounded archimedeanly (1/9 < 1/4), so its Green walk leaves it
     # undecided; X^2 + 1/2 escapes at both places
     inside = escaping_critical_points(PolyDS(Poly([F(1, 9), 0, 1])))
     assert (len(inside.escaping), len(inside.bounded), len(inside.undecided)) == (0, 0, 1)
     outside = escaping_critical_points(PolyDS(Poly([F(1, 2), 0, 1])))
     assert (len(outside.escaping), len(outside.bounded), len(outside.undecided)) == (1, 0, 0)
+
+
+def test_slow_escape_is_undecided():
+    # X^2 + 2509/10000 escapes (c > 1/4), but so slowly that green_eval's
+    # one-sided bound reaches 2/10^10 before the orbit crosses the escape
+    # radius: undecided.  The radius prints as when a 256-step escape walk
+    # counted the point escaping, and contains that ball's midpoint.
+    ds = PolyDS(Poly([F(2509, 10000), 0, 1]))
+    rep = escaping_critical_points(ds)
+    assert (len(rep.escaping), len(rep.bounded), len(rep.undecided)) == (0, 0, 1)
+    assert not rep.undecided[0][1].escaped
+    radius = radius_archimedean(ds)
+    assert repr(radius) == "CBall((0.999999999947 + 0.0j) +/- 5.338e-11)"
+    assert radius.contains(CBall.from_complex(
+        mpmath.mpf("0.99999999994662296534809531250424341522496793309")))
 
 
 if __name__ == "__main__":     # pragma: no cover

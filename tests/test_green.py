@@ -190,7 +190,7 @@ def test_trace_stepwise_matches_one_shot_pullback():
     from orbitforge.rootcert import approximate_solutions, certify_solution
 
     r, tol = F(1, 5), F(1, 10**6)
-    arch = radius_archimedean(DS6)
+    radius = radius_archimedean(DS6)
     curve = equipotential_trace(DS6, r, n_points=16, tol=tol)
     assert curve.dropped == 0 and len(curve.points) == 16
     assert max(pt.sheet for pt in curve.points) == 7          # k = 3
@@ -198,7 +198,7 @@ def test_trace_stepwise_matches_one_shot_pullback():
     dF3 = F3.derivative()
     deep_rho = mpmath.exp(-mpmath.mpf(r.numerator) / r.denominator) ** 8
     for theta in sorted({pt.theta for pt in curve.points}):
-        target = _psi_point(DS6, DS6.settings.series_order, deep_rho, theta, arch)
+        target = _psi_point(DS6, DS6.settings.series_order, deep_rho, theta, radius)
         reference = []
         for approx in approximate_solutions(F3, target):
             root = certify_solution(F3, CBall.from_complex(approx), target, dF3)
@@ -294,3 +294,20 @@ def test_concurrent_green_eval_on_shared_system():
     with ThreadPoolExecutor(max_workers=8) as pool:
         degrees = list(pool.map(lambda n: ds.iterate(n).degree, [5] * 16))
     assert degrees == [32] * 16
+
+
+def test_tolerance_defaults_to_the_maps_setting():
+    # a map built with tolerance 1/10 runs at 1/10 when no tol is passed:
+    # its bounded orbit stops once the one-sided bound is 2/10, not 2/10^10
+    from orbitforge.orbits import canonical_height
+    coarse = PolyDS(DS1.f, DEFAULTS.replace(tolerance=F(1, 10)))
+    g = green_eval(coarse, F(0))
+    assert not g.escaped
+    assert g.iterations_used == green_eval(coarse, F(0), F(1, 10)).iterations_used
+    assert g.iterations_used < green_eval(DS1, F(0)).iterations_used
+    check = green_functional_check(coarse, F(0))
+    assert check.rad == green_functional_check(coarse, F(0), F(1, 10)).rad
+    assert check.rad > green_functional_check(DS1, F(0)).rad
+    h = canonical_height(coarse, F(1, 3)).value
+    assert h.rad == canonical_height(coarse, F(1, 3), F(1, 10)).value.rad
+    assert h.rad > canonical_height(DS1, F(1, 3)).value.rad

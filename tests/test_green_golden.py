@@ -23,7 +23,7 @@ import pytest
 from mpmath import mpf
 
 from orbitforge.ball import CBall, eval_poly_ball
-from orbitforge.boettcher import ArchRadius, evaluate_psi
+from orbitforge.boettcher import evaluate_psi
 from orbitforge.dynamics import PolyDS
 from orbitforge.exact import Poly
 from orbitforge.green import green_eval
@@ -169,12 +169,12 @@ def _orbit_digest(name: str, prec: int) -> str:
 def _psi_digest(name: str, prec: int) -> str:
     ds, radius = PSI_CASES[name]
     with mpmath.workprec(prec):
-        arch = ArchRadius(CBall.from_rational(radius), True, 0, 0)
+        ball = CBall.from_rational(radius)
         s = CBall(mpmath.exp(-1), mpf(0), mpf(0))
         balls = []
         for theta in PSI_ANGLES:
             x = CBall.from_complex(mpmath.expjpi(2 * mpf(theta))) * s
-            psi = evaluate_psi(ds, PSI_ORDER, x, arch)
+            psi = evaluate_psi(ds, PSI_ORDER, x, ball)
             balls.append((_mpf_key(psi.re_mid), _mpf_key(psi.im_mid),
                           _mpf_key(psi.rad)))
     return hashlib.sha256(repr(balls).encode()).hexdigest()

@@ -1,11 +1,14 @@
-"""Dead-name guard: every module-level ``def`` and ``class`` of the package
-is reached from somewhere a user can get to it.
+"""Dead-name guard: every module-level ``def`` and ``class`` of the package,
+and every method and property defined inside its classes, is reached from
+somewhere a user can get to it.
 
-A name must occur, beyond its own definition, in ``src/orbitforge``,
-``scripts/``, ``perfbench/`` or README.md.  A name that only its own unit
-tests call is library surface no command reaches: delete it, or move it
-into the tests that use it as a reference.  The few names kept on purpose
-are listed in ``KEPT`` with the reason.
+A module-level name must occur, beyond its own definition, in
+``src/orbitforge``, ``scripts/``, ``perfbench/`` or README.md; a method or
+property must be read there as an attribute (``.name``).  Dunder methods
+are reached through operators and protocols and are not checked.  A name
+that only its own unit tests call is library surface no command reaches:
+delete it, or move it into the tests that use it as a reference.  The few
+names kept on purpose are listed in ``KEPT`` with the reason.
 """
 
 import ast
@@ -22,6 +25,10 @@ KEPT = {
     "cyclotomic_degree_local": "README lists local cyclotomic degrees among "
                                "the p-adic features; acceptance criterion 12 "
                                "checks the pattern",
+    "HeightValue.excludes_zero": "acceptance criterion 6 reads it in "
+                                 "tests/test_acceptance.py",
+    "OrbitLevelSet.rational_values": "acceptance criterion 7 reads it in "
+                                     "tests/test_acceptance.py",
 }
 
 
@@ -32,6 +39,18 @@ def _definitions() -> list[tuple[str, str]]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 out.append((path.stem, node.name))
+    return out
+
+
+def _members() -> list[tuple[str, str, str]]:
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                out.extend((path.stem, cls.name, node.name) for node in cls.body
+                           if isinstance(node, ast.FunctionDef)
+                           and not node.name.startswith("__"))
     return out
 
 
@@ -49,7 +68,16 @@ def test_every_definition_is_reached():
     assert unreached == []
 
 
+def test_every_method_and_property_is_reached():
+    text = _reachable_text()
+    unreached = [f"{module}.{cls}.{name}" for module, cls, name in _members()
+                 if not re.search(rf"\.{re.escape(name)}\b", text)
+                 and f"{cls}.{name}" not in KEPT]
+    assert unreached == []
+
+
 def test_kept_names_still_exist():
     # an entry outlives its name only by mistake
     names = {name for _module, name in _definitions()}
+    names |= {f"{cls}.{name}" for _module, cls, name in _members()}
     assert set(KEPT) <= names
