@@ -10,7 +10,7 @@ from orbitforge import boettcher
 from orbitforge.boettcher import (phi_equation_residual, phi_psi_identity_residual,
                                   phi_series, psi_equation_residual, psi_series,
                                   radius_archimedean)
-from orbitforge.dynamics import PolyDS
+from orbitforge.dynamics import PolyDS, escaping_critical_points
 from orbitforge.errors import DomainError
 from orbitforge.exact import LaurentBlock, Poly
 
@@ -178,17 +178,26 @@ def test_psi_not_p_integral_when_p_divides_degree():
 
 
 def test_radius_archimedean_cases():
-    one = radius_archimedean(PolyDS(Poly.monomial(2)))
+    # every critical point decided, as the radius's certificate needs: an
+    # undecided one would still give a ball this narrow
+    sq = PolyDS(Poly.monomial(2))
+    assert not escaping_critical_points(sq).undecided
+    one = radius_archimedean(sq)
     assert one.rad < 1e-10 and one.contains_value(F(1))
 
-    conn = radius_archimedean(PolyDS(Poly([-1, 0, 1])))
+    basilica = PolyDS(Poly([-1, 0, 1]))
+    assert not escaping_critical_points(basilica).undecided
+    conn = radius_archimedean(basilica)
     assert conn.rad < 1e-10 and conn.contains_value(F(1))
 
-    disc = radius_archimedean(PolyDS(Poly([-6, 0, 1])))
-    assert float(disc.re_mid) < 1 and disc.rad < 1e-10     # no undecided point
+    cantor = PolyDS(Poly([-6, 0, 1]))
+    rep = escaping_critical_points(cantor)
+    assert not rep.undecided and len(rep.escaping) == 1
+    disc = radius_archimedean(cantor)
+    assert float(disc.re_mid) < 1 and disc.rad < 1e-10
     # R = exp(-g(0)) with g(0) the escape rate of the critical orbit
     from orbitforge.green import green_eval
-    g0 = green_eval(PolyDS(Poly([-6, 0, 1])), F(0), F(1, 10**12))
+    g0 = green_eval(cantor, F(0), F(1, 10**12))
     expected = mpmath.exp(-g0.value.re_mid)
     assert abs(disc.re_mid - expected) < 1e-10
 

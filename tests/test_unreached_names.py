@@ -4,11 +4,18 @@ somewhere a user can get to it.
 
 A module-level name must occur, beyond its own definition, in
 ``src/orbitforge``, ``scripts/``, ``perfbench/`` or README.md; a method or
-property must be read there as an attribute (``.name``).  Dunder methods
+property must be read there as an attribute (``.name``) outside its own
+body, so a method that only calls itself is not reached.  Dunder methods
 are reached through operators and protocols and are not checked.  A name
 that only its own unit tests call is library surface no command reaches:
 delete it, or move it into the tests that use it as a reference.  The few
 names kept on purpose are listed in ``KEPT`` with the reason.
+
+The check is by name, not by type: a method whose name is also read as
+another attribute (a field or method of another class, such as ``value``
+or ``contains``) counts as reached when that attribute is read.  So it
+catches names that nothing reads at all, not every method no caller
+reaches.
 """
 
 import ast
@@ -42,26 +49,36 @@ def _definitions() -> list[tuple[str, str]]:
     return out
 
 
-def _members() -> list[tuple[str, str, str]]:
+def _members() -> list[tuple[str, str, ast.FunctionDef]]:
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef):
-                out.extend((path.stem, cls.name, node.name) for node in cls.body
+                out.extend((path.stem, cls.name, node) for node in cls.body
                            if isinstance(node, ast.FunctionDef)
                            and not node.name.startswith("__"))
     return out
 
 
-def _reachable_text() -> str:
+def _reachable_sources() -> dict[Path, str]:
     files = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
              *(ROOT / "perfbench").glob("*.py"), ROOT / "README.md"]
-    return "\n".join(path.read_text(encoding="utf-8") for path in files)
+    return {path: path.read_text(encoding="utf-8") for path in files}
+
+
+def _text_without(sources: dict[Path, str], module: str,
+                  node: ast.FunctionDef) -> str:
+    # the reachable text with the lines of one definition left out
+    own = PACKAGE / f"{module}.py"
+    lines = sources[own].splitlines()
+    del lines[node.lineno - 1:node.end_lineno]
+    return "\n".join(["\n".join(lines),
+                      *(text for path, text in sources.items() if path != own)])
 
 
 def test_every_definition_is_reached():
-    text = _reachable_text()
+    text = "\n".join(_reachable_sources().values())
     unreached = [f"{module}.{name}" for module, name in _definitions()
                  if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2
                  and name not in KEPT]
@@ -69,15 +86,16 @@ def test_every_definition_is_reached():
 
 
 def test_every_method_and_property_is_reached():
-    text = _reachable_text()
-    unreached = [f"{module}.{cls}.{name}" for module, cls, name in _members()
-                 if not re.search(rf"\.{re.escape(name)}\b", text)
-                 and f"{cls}.{name}" not in KEPT]
+    sources = _reachable_sources()
+    unreached = [f"{module}.{cls}.{node.name}" for module, cls, node in _members()
+                 if f"{cls}.{node.name}" not in KEPT
+                 and not re.search(rf"\.{re.escape(node.name)}\b",
+                                   _text_without(sources, module, node))]
     assert unreached == []
 
 
 def test_kept_names_still_exist():
     # an entry outlives its name only by mistake
     names = {name for _module, name in _definitions()}
-    names |= {f"{cls}.{name}" for _module, cls, name in _members()}
+    names |= {f"{cls}.{node.name}" for _module, cls, node in _members()}
     assert set(KEPT) <= names
