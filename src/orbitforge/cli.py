@@ -382,7 +382,6 @@ def cmd_combinat_verify(args, settings: Settings) -> dict:
     lemma = args.lemma
     rng = random.Random(20240917)
     rows = []
-    violations = 0
     checked = 0
     worst = None
     cs = [Fraction(3, 4), Fraction(1)]
@@ -390,7 +389,6 @@ def cmd_combinat_verify(args, settings: Settings) -> dict:
         checked += 1
         ok, detail = _lemma_case(lemma, S, cs)
         if not ok:
-            violations += 1
             rows.append(detail)
         elif worst is None or detail.get("margin", 1) < worst.get("margin", 1):
             worst = detail
@@ -404,10 +402,9 @@ def cmd_combinat_verify(args, settings: Settings) -> dict:
         checked += 1
         ok, detail = _lemma_case(lemma, S, cs)
         if not ok:
-            violations += 1
             rows.append(detail)
-    return {"lemma": lemma, "cases": checked, "violations": violations,
-            "failures": rows[:20], "worst_case": worst, "pass": violations == 0}
+    return {"lemma": lemma, "cases": checked, "violations": len(rows),
+            "failures": rows[:20], "worst_case": worst, "pass": not rows}
 
 
 def _lemma_case(lemma: str, S, cs):
@@ -588,6 +585,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "pj", False) and (args.r1 is None or args.r is None):
         parser.error("--pj requires --r1 and --r")
+    if args.command == "combinat" and args.nmax < 17:
+        parser.error("--nmax must be >= 17: the lemmas are stated for N >= 17")
     # checked before the handler runs, so a long run is not lost at the end
     for flag, path in (("--manifest", args.manifest),
                        ("--out", _resolve_out(getattr(args, "out", None))[1])):

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
-from .ball import CBall, as_ball, coeff_balls, horner_ball
+from .ball import CBall
 from .config import DEFAULTS, Settings
 from .errors import DomainError, PrecisionError, ResourceError, UndecidedError
 from .exact import Poly, _prime_factors, _v_p, integer_kth_root, rat
 from .factor import factor_rational
+from .green import GreenValue, escape_step, green_eval
 from .rootcert import certified_roots
-
-if TYPE_CHECKING:
-    from .green import GreenValue
 
 _MAX_PADIC_DIGITS = 4096   # the p-adic escape walk gives up beyond this
 
@@ -309,9 +307,9 @@ def detect_exceptional(ds: PolyDS) -> ExceptionalVerdict:
 
 @dataclass(frozen=True)
 class CriticalEscapeReport:
-    escaping: list[tuple[CriticalPoint, "GreenValue"]]
+    escaping: list[tuple[CriticalPoint, GreenValue]]
     bounded: list[CriticalPoint]
-    undecided: list[tuple[CriticalPoint, "GreenValue"]]
+    undecided: list[tuple[CriticalPoint, GreenValue]]
 
 
 def escaping_critical_points(ds: PolyDS) -> CriticalEscapeReport:
@@ -324,11 +322,10 @@ def escaping_critical_points(ds: PolyDS) -> CriticalEscapeReport:
     other critical point takes one ``green_eval`` to 1/10^10: its ``escaped``
     certifies escape, and anything else is reported undecided, never
     silently dropped.  An orbit that escapes so slowly that the one-sided
-    bound reaches 2/10^10 first is undecided too.  The Green values of the
-    escaping and undecided points are kept for ``radius_archimedean``.
+    bound reaches 2/10^10 first is undecided too, though ``escape_step``,
+    the same walk without that stop, may find its step.  The Green values of
+    the escaping and undecided points are kept for ``radius_archimedean``.
     """
-    from .green import green_eval   # local import: green depends on this module
-
     max_iter = ds.settings.max_iterations
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
@@ -345,25 +342,6 @@ def escaping_critical_points(ds: PolyDS) -> CriticalEscapeReport:
         g = green_eval(ds, cp.ball, tol)
         (escaping if escapes or g.escaped else undecided).append((cp, g))
     return CriticalEscapeReport(escaping, bounded, undecided)
-
-
-def _ball_escape_step(ds: PolyDS, z: CBall) -> Optional[int]:
-    """Least n <= ``settings.max_iterations`` with |f^n(z)| certified above
-    the escape radius, or None: the archimedean ``escape_iterate`` of
-    ``find_place_of_good_reduction_escape``."""
-    from mpmath import mpf
-    radius = ds.escape_radius
-    bound = mpf(radius.numerator) / mpf(radius.denominator)
-    f_balls = coeff_balls(ds.f)
-    blow_up = mpf(10) ** 40
-    for n in range(ds.settings.max_iterations + 1):
-        if n:
-            z = horner_ball(f_balls, z)
-            if z.rad > blow_up:         # radius blow-up: no decision possible
-                return None
-        if z.abs_lower() > bound:
-            return n
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +439,9 @@ def find_place_of_good_reduction_escape(ds: PolyDS, alpha: Fraction) -> GoodPlac
 
     Wandering input required.  Returns the smallest qualifying prime if one
     certifies escape within the budget; escaping-but-rejected places and the
-    archimedean certificate (when it fires) are reported alongside.  A prime
-    whose p-adic walk still loses precision at 4096 digits raises
-    PrecisionError rather than being reported as non-escaping.
+    archimedean step of ``green.escape_step`` (when it fires) are reported
+    alongside.  A prime whose p-adic walk still loses precision at 4096
+    digits raises PrecisionError rather than being reported as non-escaping.
     """
     alpha = rat(alpha)
     if isinstance(classify_orbit(ds, alpha), Preperiodic):
@@ -480,6 +458,6 @@ def find_place_of_good_reduction_escape(ds: PolyDS, alpha: Fraction) -> GoodPlac
             qualifying = report
         elif not (report.good_reduction and report.coprime_to_d):
             rejected.append(report)
-    n = _ball_escape_step(ds, as_ball(alpha))
+    n = escape_step(ds, alpha)
     arch = None if n is None else PlaceReport(None, None, None, n)
     return GoodPlaceSearch(qualifying, arch, rejected)

@@ -1,30 +1,35 @@
 """Escape-rate potential (Green function) with rigorous enclosures, and
 equipotential level-curve tracing.
 
-g(z) = lim log+|f^n(z)| / d^n.  Once an orbit certifiably crosses the escape
-radius R = 1 + sum|a_i|, the partial value log|f^k(z)|/d^k encloses g within
-an explicit geometric tail bound.  An orbit not shown to escape yields the
-one-sided enclosure [0, log(2 max(|z_n|, R))/d^n], valid after any n steps;
-it stops at the first n where that enclosure has radius <= tol, the same
-promise as an escaping orbit's, unless the step budget runs out first.  It is
-reported with ``escaped=False`` (a heuristic "bounded", never a proof that
-g = 0).
+g(z) = lim log+|f^n(z)| / d^n.  One forward ball walk (``_walk``) serves
+``green_eval``, ``escape_step`` and the trace polish: z_n = f^n(z) by
+``horner_ball``, certified past the escape radius R = 1 + sum|a_i| once
+|z_n| > R (1 + 2^-50), and cut where a radius passes 10^200.  Once an orbit
+crosses R, the partial value log|f^k(z)|/d^k encloses g within an explicit
+geometric tail bound.  An orbit not shown to escape yields the one-sided
+enclosure [0, log(2 max(|z_n|, R))/d^n], valid after any n steps; it stops at
+the first n where that enclosure has radius <= tol, the same promise as an
+escaping orbit's, unless the step budget runs out first.  It is reported with
+``escaped=False`` (a heuristic "bounded", never a proof that g = 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import mpmath
 from mpmath import mpf
 
 from .ball import CBall, as_ball, coeff_balls, eval_poly_ball, horner_ball
-from .dynamics import PolyDS
 from .errors import DomainError, PrecisionError
 from .exact import rat
 from .rootcert import certify_solution, preimages
+
+if TYPE_CHECKING:
+    from .dynamics import PolyDS
 
 
 @dataclass(frozen=True)
@@ -51,21 +56,49 @@ class LevelCurve:
 
 
 def _clip_nonneg(ball: CBall) -> CBall:
-    lo = ball.re_mid - ball.rad
-    hi = ball.re_mid + ball.rad
-    if lo >= 0:
+    if ball.re_mid - ball.rad >= 0:
         return ball
-    hi = max(hi, mpf(0))
-    return CBall((hi / 2), mpf(0), hi / 2)
+    hi = max(ball.re_mid + ball.rad, mpf(0))
+    return CBall(hi / 2, mpf(0), hi / 2)
+
+
+def _escape_bound(ds: PolyDS) -> mpf:
+    """R (1 + 2^-50), R = 1 + sum|a_i|: |z| above it certifies escape."""
+    r = ds.escape_radius
+    return mpf(r.numerator) / mpf(r.denominator) * (1 + mpf(2) ** -50)
+
+
+def _walk(ds: PolyDS, z: CBall) -> Iterator[tuple[CBall, mpf, mpf]]:
+    """(z_n, lo, hi) with z_n = f^n(z) and lo <= |z_n| <= hi, n = 0, 1, ...;
+    it ends before the first z_n of radius above 10^200.  Callers cap n."""
+    f_balls = coeff_balls(ds.f)
+    blow_up = mpf(10) ** 200
+    while True:
+        lo, hi = z.abs_bounds()
+        yield z, lo, hi
+        z = horner_ball(f_balls, z)
+        if z.rad > blow_up:
+            return
+
+
+def escape_step(ds: PolyDS, z) -> Optional[int]:
+    """Least n <= ``settings.max_iterations`` with |f^n(z)| certified above
+    R, or None: ``green_eval``'s walk without its Green-bound stop, so a slow
+    escaper still gets its step (X^2 + 2509/10000 at 0: 102).  The
+    archimedean ``escape_iterate`` of ``find_place_of_good_reduction_escape``."""
+    r_up = _escape_bound(ds)
+    steps = zip(range(ds.settings.max_iterations + 1), _walk(ds, as_ball(z)))
+    return next((n for n, (_z, lo, _hi) in steps if lo > r_up), None)
 
 
 def green_eval(ds: PolyDS, z, tol: Optional[Fraction] = None) -> GreenValue:
-    """Certified enclosure of the escape rate at z.
+    """Certified enclosure of the escape rate at z, along ``_walk``.
 
     When the orbit is certified past the escape radius, the returned ball has
     radius at most tol.  Otherwise the enclosure is [0, log(2 max(|z_n|, R))/d^n]
     at the first step n where its radius is at most tol, or after the step
-    budget if that comes first, flagged escaped=False.  Since the upper end
+    budget if that comes first, flagged escaped=False (``iterations_used``
+    is then the step whose radius blew up, if one did).  Since the upper end
     bounds g(z), a point with g(z) > 2 tol is never returned as bounded.
     The step budget is ``settings.max_iterations`` and tol defaults to
     ``settings.tolerance``, both the map's.
@@ -76,48 +109,38 @@ def green_eval(ds: PolyDS, z, tol: Optional[Fraction] = None) -> GreenValue:
     max_iter = ds.settings.max_iterations
     if max_iter < 0:
         raise DomainError("max_iter must be >= 0")
-    z = as_ball(z)
-    d = ds.d
     s = ds.coeff_abs_sum
     s_up = mpf(s.numerator) / mpf(s.denominator) * (1 + mpf(2) ** -50)
-    r_esc = ds.escape_radius
-    r_up = mpf(r_esc.numerator) / mpf(r_esc.denominator) * (1 + mpf(2) ** -50)
+    r_up = _escape_bound(ds)
     tol_f = mpmath.fdiv(tol.numerator, tol.denominator, rounding="d")
-    f_balls = coeff_balls(ds.f)
     log_2r = mpmath.log(2 * r_up)
-    blow_up = mpf(10) ** 200
 
-    upper = mpf("inf")          # running upper bound for the bounded case
-    cur = z
+    upper = mpf("inf")          # running upper bound until escape is certified
+    escaped = False
     n = 0
-    escaped_at = None
-    while n <= max_iter + 200:
-        lo, hi = cur.abs_bounds()
-        d_n = mpf(d) ** n
-        # one-sided bound g(z) = g(z_n)/d^n <= log(2 max(|z_n|, R)) / d^n
-        upper = min(upper, (mpmath.log(2 * hi) if hi > r_up else log_2r) / d_n)
-        if escaped_at is None and lo > r_up and n <= max_iter:
-            escaped_at = n
-        if escaped_at is not None:
+    for cur, lo, hi in _walk(ds, as_ball(z)):
+        d_n = mpf(ds.d) ** n
+        escaped = escaped or lo > r_up
+        if not escaped:
+            # one-sided bound g(z) = g(z_n)/d^n <= log(2 max(|z_n|, R)) / d^n
+            upper = min(upper, (mpmath.log(2 * hi) if hi > r_up else log_2r) / d_n)
+            if n == max_iter or upper <= 2 * tol_f:
+                break
+        elif lo >= 2 * r_up:
             # shrink the tail: valid once |z_k| >= 2R (then |z_{j+1}| >= 2|z_j|)
-            if lo >= 2 * r_up:
-                tail = 4 * s_up / (mpf(d) ** (n + 1) * lo) if s != 0 else mpf(0)
-                logball = cur.log_abs()
-                total_rad = tail + logball.rad / d_n
-                if total_rad <= tol_f:
-                    val = CBall(logball.re_mid / d_n, mpf(0), total_rad)
-                    return GreenValue(_clip_nonneg(val), n, True)
-        if escaped_at is None and (n == max_iter or upper <= 2 * tol_f):
+            tail = 4 * s_up / (mpf(ds.d) ** (n + 1) * lo) if s != 0 else mpf(0)
+            logball = cur.log_abs()
+            total_rad = tail + logball.rad / d_n
+            if total_rad <= tol_f:
+                val = CBall(logball.re_mid / d_n, mpf(0), total_rad)
+                return GreenValue(_clip_nonneg(val), n, True)
+        if n == max_iter + 200:
             break
-        cur = horner_ball(f_balls, cur)
         n += 1
-        if cur.rad > blow_up:
-            break
-    if escaped_at is not None:
+    if escaped:
         raise PrecisionError("escape certified but the tail did not reach tol; "
                              "raise precision or max_iter")
-    val = CBall(upper / 2, mpf(0), upper / 2)
-    return GreenValue(_clip_nonneg(val), min(n, max_iter), False)
+    return GreenValue(CBall(upper / 2, mpf(0), upper / 2), n, False)
 
 
 def green_functional_check(ds: PolyDS, z, tol: Optional[Fraction] = None) -> CBall:
@@ -130,13 +153,9 @@ def green_functional_check(ds: PolyDS, z, tol: Optional[Fraction] = None) -> CBa
     return g1.value - g2.value * CBall.exact_int(ds.d)
 
 
-def _unit_sample(theta: float) -> CBall:
-    return CBall.from_complex(mpmath.expjpi(2 * mpmath.mpf(theta)))
-
-
 def _psi_point(ds: PolyDS, order: int, s: mpf, theta: float, radius: CBall) -> CBall:
     from .boettcher import evaluate_psi
-    x = _unit_sample(theta) * CBall(s, mpf(0), mpf(0))
+    x = CBall.from_complex(mpmath.expjpi(2 * mpf(theta))) * CBall(s, mpf(0), mpf(0))
     return evaluate_psi(ds, order, x, radius)
 
 
@@ -194,13 +213,12 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
             accepted = None if pt is None else _certify_level(ds, pt, r, tol)
             if accepted is None and k == 0:
                 # polish through a deeper level before giving up: pull its
-                # point back along the guesses f^(kk-1)(pt), ..., f(pt), pt
+                # point back along the walk's f^(kk-1)(pt), ..., f(pt), pt (a
+                # walk cut short pulls back less; the level check decides)
                 kk = 1
                 while rho ** (ds.d ** kk) > safe * safe and ds.d ** kk <= 64:
                     kk += 1
-                guesses = [pt]
-                for _ in range(kk - 1):
-                    guesses.append(eval_poly_ball(ds.f, guesses[-1]))
+                guesses = [w for w, _lo, _hi in islice(_walk(ds, pt), kk)]
                 refined = _psi_point(ds, order, rho ** (ds.d ** kk),
                                      (theta * ds.d ** kk) % 1.0, radius)
                 for guess in reversed(guesses):

@@ -186,6 +186,8 @@ def level_factors(ds: PolyDS, alpha: Fraction, n: int,
     multiplicities, as ``factor_rational`` gives them.  Every level's degree
     cap is checked, ascending, before any factoring."""
     s = min(n, m)
+    if s < 0:
+        raise DomainError("levels must be >= 0")
     polys = [level_polynomial(ds, alpha, n - s + i, m - s + i)[1]
              for i in range(s + 1)]
     return [factor_rational(g.divmod(polys[i - 1])[0] if i else g)   # exact

@@ -125,6 +125,27 @@ def test_curve_intersect_subcommand():
     assert data["classification"]["verdict"] == "special-diagonal"
 
 
+def test_negative_cap_is_a_domain_error():
+    # --cap -1 asks for level -1: a domain error, not an IndexError traceback
+    code, out, err = run_cli(["curve", "intersect", "--poly", "[-1,0,1]",
+                              "--curve", '[[1,0,"1"],[0,1,"-1"]]',
+                              "--alpha", "1/3", "--cap", "-1", "--nmax", "2"])
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out)["error"] == {"code": "domain",
+                                        "message": "levels must be >= 0"}
+
+
+@pytest.mark.parametrize("nmax", ["5", "16"])
+def test_combinat_verify_below_17_is_usage_error(nmax, capsys):
+    # the lemmas are stated for N >= 17: a smaller --nmax checked 0 cases and
+    # still printed "pass": true
+    with pytest.raises(SystemExit) as exc:
+        main(["combinat", "verify", "--lemma", "box1", "--nmax", nmax])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "N >= 17" in captured.err
+
+
 def test_combinat_verify_small_sweep():
     code, out, _ = run_cli(["combinat", "verify", "--lemma", "box1",
                             "--nmax", "20"])

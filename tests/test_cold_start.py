@@ -1,5 +1,6 @@
-"""Cold start: commands that never factor over Q do not import sympy, and the
-exact layers import neither sympy nor mpmath."""
+"""Cold start: commands that never factor over Q do not import sympy, the
+exact layers import neither sympy nor mpmath, and every module imports
+cleanly as the first module of the package."""
 
 import os
 import pathlib
@@ -32,7 +33,7 @@ for argv in (
          '[[0,"3"],[1,"1"],[2,"3"]]'],
         ["orbit", "height", "--poly", "[-1,0,1]", "--alpha", "1/3",
          "--tol", "1/1000"],
-        ["combinat", "verify", "--lemma", "box1", "--nmax", "10"],
+        ["combinat", "verify", "--lemma", "box1", "--nmax", "17"],
         ["curve", "nu", "--poly", "[-1,0,1]",
          "--curve", '[[1,0,"1"],[0,1,"-1"]]', "--p", "3", "--phi", "3",
          "--k1", "1", "--k2", "-1", "--window", "8"],
@@ -57,6 +58,24 @@ assert not loaded, loaded
 '''
 
 
+# Each module is imported after clearing orbitforge and its submodules from
+# sys.modules, so each import runs the import graph from that module on: a
+# runtime import cycle (green importing dynamics at run time while dynamics
+# imports green) fails here for the module imported first.
+EACH_MODULE_FIRST = r'''
+import importlib, sys
+failed = []
+for name in MODULES:
+    for key in [k for k in sys.modules if k.split(".")[0] == "orbitforge"]:
+        del sys.modules[key]
+    try:
+        importlib.import_module("orbitforge." + name)
+    except ImportError as exc:
+        failed.append(f"{name}: {exc}")
+assert not failed, failed
+'''
+
+
 def _run_fresh(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -72,3 +91,10 @@ def test_non_factoring_commands_do_not_import_sympy():
 
 def test_exact_layers_import_neither_mpmath_nor_sympy():
     _run_fresh(EXACT_LAYERS)
+
+
+def test_each_module_imports_first():
+    modules = sorted(p.stem for p in (SRC / "orbitforge").glob("*.py")
+                     if p.stem != "__init__")
+    assert {"dynamics", "green", "boettcher"} <= set(modules)
+    _run_fresh(f"MODULES = {modules!r}\n" + EACH_MODULE_FIRST)

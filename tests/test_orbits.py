@@ -14,11 +14,12 @@ import pytest
 from orbitforge.ball import eval_poly_ball
 from orbitforge.cli import main
 from orbitforge.dynamics import PolyDS, Preperiodic, classify_orbit
-from orbitforge.errors import ResourceError
+from orbitforge.errors import DomainError, ResourceError
 from orbitforge.exact import Poly
 from orbitforge.factor import factor_rational
 from orbitforge.orbits import (canonical_height, grand_orbit_points,
-                               level_polynomial, level_roots, small_orbit_level)
+                               level_polynomial, level_root_groups, level_roots,
+                               small_orbit_level)
 
 DS1 = PolyDS(Poly([-1, 0, 1]))
 
@@ -240,6 +241,14 @@ def test_level_roots_are_pulled_back_unless_alpha_is_critical(monkeypatch):
 def test_level_cap():
     with pytest.raises(ResourceError):
         small_orbit_level(DS1, F(1, 3), 14)
+
+
+@pytest.mark.parametrize("n, m", [(-1, -1), (-1, 2), (2, -1)])
+def test_negative_levels_are_a_domain_error(n, m):
+    # with min(n, m) < 0 there is no level to build: the pull-back tree used
+    # to read an empty level list and raise IndexError
+    with pytest.raises(DomainError, match="levels must be >= 0"):
+        level_root_groups(DS1, F(1, 3), n, m)
 
 
 def _cli_within(seconds, argv):
