@@ -286,12 +286,9 @@ def _verdict_json(verdict) -> dict:
                          SpecialVertical)
     if isinstance(verdict, SpecialDiagonal):
         return {"verdict": "special-diagonal", "level": verdict.level}
-    if isinstance(verdict, SpecialVertical):
-        return {"verdict": "special-vertical",
-                "beta": rat_str(verdict.beta) if verdict.beta is not None else None,
-                "factor": verdict.factor.to_json(), "level": verdict.level}
-    if isinstance(verdict, SpecialHorizontal):
-        return {"verdict": "special-horizontal",
+    if isinstance(verdict, (SpecialVertical, SpecialHorizontal)):
+        axis = "vertical" if isinstance(verdict, SpecialVertical) else "horizontal"
+        return {"verdict": f"special-{axis}",
                 "beta": rat_str(verdict.beta) if verdict.beta is not None else None,
                 "factor": verdict.factor.to_json(), "level": verdict.level}
     assert isinstance(verdict, NotSpecialUpTo)

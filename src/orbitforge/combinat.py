@@ -59,12 +59,9 @@ class LatticeCoset:
         for k in range(N):
             r1 = (k * self.a1) % N
             r2 = (k * self.a2) % N
+            # each range starts at its least value >= -limit
             for x1 in range(r1 - N * ((r1 + limit) // N), limit + 1, N):
-                if x1 < -limit:
-                    continue
                 for x2 in range(r2 - N * ((r2 + limit) // N), limit + 1, N):
-                    if x2 < -limit:
-                        continue
                     yield (x1, x2, k)
 
 

@@ -2,6 +2,11 @@
 intersection with squared small-orbit level sets, linear maps commuting with
 iterates, and the p-adic pullback series used for zero counting.
 
+A curve is read through the views of its ``BiPoly``: its rows in one
+variable, its values and its resultants.  The special-curve test divides
+f^n(X) - f^n(Y) by P in Y over Q[X] on P's Y-rows, so it builds no
+bivariate polynomial.
+
 The pullback series: with s(x) = 1/Psi(x) (a power series with unit linear
 coefficient), a curve P defines N(x, y) = P(s(x), s(y)) = sum a_nm x^n y^m.
 For a scaling phi with |phi|_p < 1, roots of unity z1, z2, and coprime
@@ -92,42 +97,64 @@ SpecialVerdict = Union[SpecialDiagonal, SpecialVertical, SpecialHorizontal,
 
 
 def _axis_factor_level(p_axis: Poly, ds: PolyDS, alpha: Fraction,
-                       nmax: int) -> Optional[tuple[Poly, int, Optional[Fraction]]]:
-    """Shared factor between a one-variable curve polynomial and orbit levels."""
+                       nmax: int) -> Optional[tuple[Optional[Fraction], Poly, int]]:
+    """(beta, factor, level): the first factor shared between a one-variable
+    curve polynomial and an orbit level polynomial."""
     for n in range(nmax + 1):
         common = p_axis.gcd(level_polynomial(ds, alpha, n, n)[1])
         if common.degree >= 1:
-            beta = -common.coeff(0) if common.degree == 1 else None
-            return common, n, beta
+            return (-common.coeff(0) if common.degree == 1 else None), common, n
     return None
+
+
+def _divides_iterate_difference(rows: list[Poly], fn: Poly) -> bool:
+    """P | f^n(X) - f^n(Y) for the Y-rows c_0 .. c_k of P (k >= 1, c_k a
+    constant) and fn = f^n: long division in Q[X][Y] by P made monic in Y.
+
+    The dividend's rows are f^n(X) - a_0, -a_1, .., -a_(d^n) for the
+    coefficients a_j of f^n; P divides it exactly when the k low rows of
+    the remainder are zero."""
+    k = len(rows) - 1
+    inv = 1 / rows[-1].coeff(0)
+    monic = [row.scale(inv) for row in rows[:-1]]
+    rem = [Poly([-a]) for a in fn.coeffs]
+    rem[0] = rem[0] + fn
+    for shift in range(len(rem) - 1 - k, -1, -1):
+        c = rem[shift + k]
+        if not c.is_zero:
+            for j, m in enumerate(monic):
+                rem[shift + j] = rem[shift + j] - c * m
+    return all(row.is_zero for row in rem[:k])
 
 
 def is_special_curve(curve: PlaneCurve, ds: PolyDS, alpha, nmax: int) -> SpecialVerdict:
     """Classify components of f^n(X) - f^n(Y) and orbit-point axis lines.
 
-    Divisibility is exact; vertical/horizontal lines are matched through
-    exact gcds with the level-set polynomials (so conjugate irrational orbit
+    f is monic, so f^n(X) - f^n(Y) has Y-leading coefficient -1 in Q[X][Y],
+    and a factor P of it has a constant Y-leading coefficient and positive
+    Y-degree; any other P divides no level and builds no iterate.  For the
+    rest, the least n <= nmax with P | f^n(X) - f^n(Y) is found by division
+    in Y over Q[X] (``_divides_iterate_difference``), with univariate
+    arithmetic only.  Vertical/horizontal lines are matched through exact
+    gcds with the level-set polynomials (so conjugate irrational orbit
     points are caught too, reported by their shared factor).
     """
     if nmax < 0:
         raise DomainError("nmax must be >= 0")
     alpha = rat(alpha)
     P = curve.poly
-    for n in range(nmax + 1):
-        fn = ds.iterate(n)
-        diag = BiPoly.from_x(fn) - BiPoly.from_y(fn)
-        if P.divides(diag):
-            return SpecialDiagonal(n)
-    if P.deg_y == 0:   # union of vertical lines X = root
-        hit = _axis_factor_level(P.coeffs_in("y")[0], ds, alpha, nmax)
-        if hit:
-            factor, n, beta = hit
-            return SpecialVertical(beta, factor, n)
-    if P.deg_x == 0:   # union of horizontal lines Y = root
-        hit = _axis_factor_level(P.coeffs_in("x")[0], ds, alpha, nmax)
-        if hit:
-            factor, n, beta = hit
-            return SpecialHorizontal(beta, factor, n)
+    rows = P.coeffs_in("y")
+    if len(rows) > 1 and rows[-1].degree == 0:
+        for n in range(nmax + 1):
+            if _divides_iterate_difference(rows, ds.iterate(n)):
+                return SpecialDiagonal(n)
+    # a P in one variable is a union of vertical (horizontal) lines
+    for axis_rows, verdict in ((rows, SpecialVertical),
+                               (P.coeffs_in("x"), SpecialHorizontal)):
+        if len(axis_rows) == 1:
+            hit = _axis_factor_level(axis_rows[0], ds, alpha, nmax)
+            if hit:
+                return verdict(*hit)
     return NotSpecialUpTo(nmax)
 
 

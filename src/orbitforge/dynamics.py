@@ -439,9 +439,11 @@ def find_place_of_good_reduction_escape(ds: PolyDS, alpha: Fraction) -> GoodPlac
 
     Wandering input required.  Returns the smallest qualifying prime if one
     certifies escape within the budget; escaping-but-rejected places and the
-    archimedean step of ``green.escape_step`` (when it fires) are reported
-    alongside.  A prime whose p-adic walk still loses precision at 4096
-    digits raises PrecisionError rather than being reported as non-escaping.
+    archimedean step are reported alongside: 0 when the exact |alpha| > R
+    holds, else the step of ``green.escape_step`` (when it fires), whose
+    bound R (1 + 2^-50) would put a rational just past R one step late.  A
+    prime whose p-adic walk still loses precision at 4096 digits raises
+    PrecisionError rather than being reported as non-escaping.
     """
     alpha = rat(alpha)
     if isinstance(classify_orbit(ds, alpha), Preperiodic):
@@ -458,6 +460,6 @@ def find_place_of_good_reduction_escape(ds: PolyDS, alpha: Fraction) -> GoodPlac
             qualifying = report
         elif not (report.good_reduction and report.coprime_to_d):
             rejected.append(report)
-    n = escape_step(ds, alpha)
+    n = 0 if abs(alpha) > ds.escape_radius else escape_step(ds, alpha)
     arch = None if n is None else PlaceReport(None, None, None, n)
     return GoodPlaceSearch(qualifying, arch, rejected)

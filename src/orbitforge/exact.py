@@ -6,7 +6,8 @@ canonical: gcd 1, positive denominator), parsed from and printed as
 representations built from it:
 
 * ``Poly`` -- dense univariate polynomials, coefficient of X^i at index i;
-* ``BiPoly`` -- sparse bivariate polynomials keyed by (i, j) for X^i Y^j;
+* ``BiPoly`` -- a plane curve's term table, keyed by (i, j) for X^i Y^j,
+  with its views but no ring operations;
 * ``LaurentBlock`` -- truncated Laurent series: coefficients are known for
   exponents ``low .. trunc_order-1`` (implicitly zero where not stored) and
   unknown from ``trunc_order`` on.  ``trunc_order=None`` means the block is a
@@ -294,7 +295,11 @@ class Poly:
 
 
 class BiPoly:
-    """Sparse bivariate polynomial over Q keyed by (i, j) -> X^i Y^j."""
+    """A plane curve's polynomial as its term table over Q, keyed by
+    (i, j) -> X^i Y^j; immutable.  It has no ring operations, only views:
+    degrees, evaluation (``eval_with``), fixing one variable
+    (``subs_values``), the coefficient rows in one variable (``coeffs_in``),
+    content and primitive part, and JSON."""
 
     __slots__ = ("terms",)
 
@@ -312,14 +317,6 @@ class BiPoly:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("BiPoly is immutable")
-
-    @staticmethod
-    def from_x(p: Poly) -> "BiPoly":
-        return BiPoly({(i, 0): c for i, c in enumerate(p.coeffs)})
-
-    @staticmethod
-    def from_y(p: Poly) -> "BiPoly":
-        return BiPoly({(0, j): c for j, c in enumerate(p.coeffs)})
 
     @property
     def is_zero(self) -> bool:
@@ -348,30 +345,6 @@ class BiPoly:
             return "BiPoly(0)"
         bits = [f"{rat_str(c)}*X^{i}*Y^{j}" for (i, j), c in self.terms]
         return "BiPoly(" + " + ".join(bits) + ")"
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return BiPoly(acc)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -c for k, c in self.terms})
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        acc: dict = {}
-        for (i1, j1), c1 in self.terms:
-            for (i2, j2), c2 in other.terms:
-                k = (i1 + i2, j1 + j2)
-                acc[k] = acc.get(k, Fraction(0)) + c1 * c2
-        return BiPoly(acc)
-
-    def scale(self, c) -> "BiPoly":
-        c = rat(c)
-        return BiPoly({k: c * v for k, v in self.terms})
 
     def eval_with(self, x, y, convert=lambda c: c):
         """P(x, y) in any ring accepting + and *: exactly on Fractions, or
@@ -422,29 +395,6 @@ class BiPoly:
             size = max(row, default=-1) + 1
             out.append(Poly([row.get(k, Fraction(0)) for k in range(size)]))
         return out
-
-    def divides(self, other: "BiPoly") -> bool:
-        """Exact divisibility test via single-divisor lex division."""
-        if self.is_zero:
-            return other.is_zero
-        lt_key = max(k for k, _ in self.terms)          # lex on (i, j)
-        lt_coeff = dict(self.terms)[lt_key]
-        rem = dict(other.terms)
-        while rem:
-            key = max(rem)
-            if rem[key] == 0:
-                del rem[key]
-                continue
-            di, dj = key[0] - lt_key[0], key[1] - lt_key[1]
-            if di < 0 or dj < 0:
-                return False
-            factor = rem[key] / lt_coeff
-            for (i, j), c in self.terms:
-                k2 = (i + di, j + dj)
-                rem[k2] = rem.get(k2, Fraction(0)) - factor * c
-                if rem[k2] == 0:
-                    del rem[k2]
-        return True
 
     def content_primitive(self) -> tuple[Fraction, "BiPoly"]:
         from math import gcd, lcm

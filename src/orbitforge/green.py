@@ -85,7 +85,8 @@ def escape_step(ds: PolyDS, z) -> Optional[int]:
     """Least n <= ``settings.max_iterations`` with |f^n(z)| certified above
     R, or None: ``green_eval``'s walk without its Green-bound stop, so a slow
     escaper still gets its step (X^2 + 2509/10000 at 0: 102).  The
-    archimedean ``escape_iterate`` of ``find_place_of_good_reduction_escape``."""
+    archimedean ``escape_iterate`` of ``find_place_of_good_reduction_escape``
+    when the exact |z| > R does not already hold at step 0."""
     r_up = _escape_bound(ds)
     steps = zip(range(ds.settings.max_iterations + 1), _walk(ds, as_ball(z)))
     return next((n for n, (_z, lo, _hi) in steps if lo > r_up), None)

@@ -319,7 +319,6 @@ def _sup_and_kappa(g: PadicSeries, t: Fraction) -> tuple[Fraction, int]:
     best: Optional[Fraction] = None
     best_n: Optional[int] = None
     small_max: Optional[Fraction] = None
-    small_ns: list[int] = []
     for n, s in g.terms:
         val = _term_logp(n, s, t)
         if val is None:
@@ -327,13 +326,9 @@ def _sup_and_kappa(g: PadicSeries, t: Fraction) -> tuple[Fraction, int]:
         if s.zero:
             if small_max is None or val > small_max:
                 small_max = val
-            small_ns.append(n)
             continue
         if best is None or val > best or (val == best and n < best_n):
-            if best is None or val > best:
-                best, best_n = val, n
-            else:
-                best_n = min(best_n, n)
+            best, best_n = val, n
     tail = g._tail_at(t)
     if best is None:
         raise (WindowError("window cannot certify a nonzero sup norm")

@@ -88,6 +88,15 @@ def test_dynamics_classify():
     assert json.loads(out)["exceptional"]["kind"] == "chebyshev"
 
 
+def test_classify_escape_iterate_zero_just_past_the_radius():
+    # |alpha| = 2 + 10^-20 > R = 2 holds exactly at step 0, below the ball
+    # walk's certified bound R (1 + 2^-50)
+    code, out, _ = run_cli(["dynamics", "classify", "--poly", "[-1,0,1]", "--alpha",
+                            "200000000000000000001/100000000000000000000"])
+    arch = json.loads(out)["good_reduction_escape"]["archimedean"]
+    assert code == 0 and arch["escape_iterate"] == 0
+
+
 def test_boettcher_coefficients():
     code, out, _ = run_cli(["boettcher", "--poly", "[-1,0,1]", "--order", "6"])
     data = json.loads(out)

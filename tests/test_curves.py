@@ -57,12 +57,26 @@ def test_irreducibility_is_decided_only_when_read(monkeypatch):
 
 
 def test_diagonal_divides_every_iterate_difference():
+    rows = DIAG.poly.coeffs_in("y")
     for f in CORPUS_F:
         ds = PolyDS(f)
         for n in range(0, 4):
-            fn = ds.iterate(n)
-            diff = BiPoly.from_x(fn) - BiPoly.from_y(fn)
-            assert DIAG.poly.divides(diff)
+            assert curves._divides_iterate_difference(rows, ds.iterate(n))
+            assert is_special_curve(DIAG, ds, F(1, 3), n) == SpecialDiagonal(0)
+
+
+def test_non_constant_y_lead_builds_no_iterate(monkeypatch):
+    # f^n(X) - f^n(Y) has Y-leading coefficient -1, so a curve whose
+    # Y-leading coefficient depends on X divides no level
+    def no_iterate(self, n):
+        raise AssertionError("built an iterate")
+
+    monkeypatch.setattr(PolyDS, "iterate", no_iterate)
+    for terms in ({(2, 0): 1, (1, 1): -1},                  # X (X - Y)
+                  {(1, 1): 1, (0, 0): -1},                  # XY - 1
+                  {(1, 2): 1, (0, 1): 3, (2, 0): -2}):      # X Y^2 + 3Y - 2X^2
+        curve = PlaneCurve.from_terms(terms)
+        assert is_special_curve(curve, DS1, F(1, 3), 5) == NotSpecialUpTo(5)
 
 
 def test_special_classification_examples():
