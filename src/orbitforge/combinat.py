@@ -147,7 +147,9 @@ def find_primitive_decomposition(S: LatticeCoset, C, c) -> PrimitiveWitness:
     that either e is small (e <= C1*C^2*N^(1-c)) or |(k1,k2)|_inf > C.
 
     The box is searched exhaustively; among vectors with a nonzero multiplier
-    the lexicographically (e, |k|_inf, k1, k2)-least is returned, so output is
+    the one least in the lexicographic order of (e, |k|_inf, |k1|, k1 < 0,
+    |k2|, k2 < 0), then of the multiplier, is returned: at equal e, |k|_inf
+    and |k1| a positive k1 comes first, then likewise for k2.  So output is
     deterministic and e-minimal.  ``c1_required`` approximates
     e / (C^2 N^(1-c)) for corpus sweeps exhibiting the absolute constant;
     exact checks should use :func:`e_branch_holds`.

@@ -1,6 +1,7 @@
-"""Cold start: commands that never factor over Q do not import sympy, the
-exact layers import neither sympy nor mpmath, and every module imports
-cleanly as the first module of the package."""
+"""Cold start: no CLI command imports sympy, factoring over Q included; only
+reading a curve's ``irreducible_q`` does.  The exact layers import neither
+sympy nor mpmath, and every module imports cleanly as the first module of
+the package."""
 
 import os
 import pathlib
@@ -13,8 +14,9 @@ SCRIPT = r'''
 import contextlib, io, sys
 import mpmath
 from orbitforge.cli import main
+from orbitforge.curves import PlaneCurve
 from orbitforge.dynamics import PolyDS
-from orbitforge.exact import Poly
+from orbitforge.exact import BiPoly, Poly
 prec = mpmath.mp.prec
 assert "sympy" not in sys.modules, "import orbitforge.cli loaded sympy"
 
@@ -38,15 +40,24 @@ for argv in (
          "--curve", '[[1,0,"1"],[0,1,"-1"]]', "--p", "3", "--phi", "3",
          "--k1", "1", "--k2", "-1", "--window", "8"],
         ["curve", "special", "--poly", "[-1,0,1]",
-         "--curve", '[[1,0,"3"],[0,0,"1"]]', "--alpha", "1/3", "--nmax", "2"]):
+         "--curve", '[[1,0,"3"],[0,0,"1"]]', "--alpha", "1/3", "--nmax", "2"],
+        ["orbit", "small", "--poly", "[-1,0,1]", "--alpha", "1/3", "--level", "2"],
+        ["orbit", "small", "--poly", "[-1,0,1]", "--alpha", "1/3", "--level", "3"],
+        ["orbit", "grand", "--poly", "[-1,0,1]", "--alpha", "1/3", "--n", "2",
+         "--m", "3"],
+        ["curve", "intersect", "--poly", "[-1,0,1]",
+         "--curve", '[[1,0,"1"],[0,1,"-1"]]', "--alpha", "1/3", "--cap", "3"],
+        # f' = 3X^2 + 1 is irreducible: its critical points are factored
+        ["green", "trace", "--poly", "[0,1,0,1]", "--r", "1", "--n", "4",
+         "--out", "csv"]):
     run(argv)
     assert "sympy" not in sys.modules, argv
 assert len(PolyDS(Poly([-1, 0, 1])).critical_points()) == 1
 assert "sympy" not in sys.modules, "critical points of X^2 - 1"
-
-run(["orbit", "small", "--poly", "[-1,0,1]", "--alpha", "1/3", "--level", "2"])
-assert "sympy" in sys.modules, "orbit small did not factor"
 assert mpmath.mp.prec == prec, (mpmath.mp.prec, prec)
+
+assert PlaneCurve.from_bipoly(BiPoly({(1, 0): 1, (0, 1): -1})).irreducible_q
+assert "sympy" in sys.modules, "irreducible_q did not load sympy"
 '''
 
 
@@ -85,7 +96,7 @@ def _run_fresh(script):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_non_factoring_commands_do_not_import_sympy():
+def test_no_command_imports_sympy():
     _run_fresh(SCRIPT)
 
 
