@@ -29,7 +29,7 @@ from typing import Optional, Union
 from .ball import CBall
 from .boettcher import phi_series, psi_series
 from .dynamics import PolyDS, Preperiodic, classify_orbit
-from .errors import DomainError, WindowError
+from .errors import DomainError, ResourceError, WindowError
 from .exact import BiPoly, LaurentBlock, Poly, evaluate_series_at_block, rat
 from .factor import bivariate_irreducible
 from .orbits import level_polynomial, level_root_groups
@@ -42,8 +42,9 @@ class PlaneCurve:
     """A plane curve is its primitive integer bivariate polynomial.
 
     deg_Y P is the degree of the first coordinate function on the curve,
-    deg_X P the second.  Irreducibility over Q is decided (by sympy) each
-    time ``irreducible_q`` is read, never at construction; absolute
+    deg_X P the second.  Irreducibility over Q is decided (by Kronecker
+    substitution on the integer factorer, ``factor.bivariate_irreducible``)
+    each time ``irreducible_q`` is read, never at construction; absolute
     irreducibility is not certified.
     """
 
@@ -133,9 +134,12 @@ def is_special_curve(curve: PlaneCurve, ds: PolyDS, alpha, nmax: int) -> Special
     f is monic, so f^n(X) - f^n(Y) has Y-leading coefficient -1 in Q[X][Y],
     and a factor P of it has a constant Y-leading coefficient and positive
     Y-degree; any other P divides no level and builds no iterate.  For the
-    rest, the least n <= nmax with P | f^n(X) - f^n(Y) is found by division
-    in Y over Q[X] (``_divides_iterate_difference``), with univariate
-    arithmetic only.  Vertical/horizontal lines are matched through exact
+    rest, divisibility is decided by division in Y over Q[X]
+    (``_divides_iterate_difference``), with univariate arithmetic only.
+    P | f^n(X) - f^n(Y) implies P | f^(n+1)(X) - f^(n+1)(Y), as u - v
+    divides f(u) - f(v), so the division at n = nmax runs first and the
+    least level is searched only when it succeeds (or when f^nmax is past
+    the degree cap).  Vertical/horizontal lines are matched through exact
     gcds with the level-set polynomials (so conjugate irrational orbit
     points are caught too, reported by their shared factor).
     """
@@ -145,9 +149,15 @@ def is_special_curve(curve: PlaneCurve, ds: PolyDS, alpha, nmax: int) -> Special
     P = curve.poly
     rows = P.coeffs_in("y")
     if len(rows) > 1 and rows[-1].degree == 0:
-        for n in range(nmax + 1):
-            if _divides_iterate_difference(rows, ds.iterate(n)):
-                return SpecialDiagonal(n)
+        try:
+            top = ds.iterate(nmax)
+        except ResourceError:
+            top = None      # past the degree cap: the search below answers
+                            # at a level under the cap or raises at the cap
+        if top is None or _divides_iterate_difference(rows, top):
+            for n in range(nmax + 1):
+                if _divides_iterate_difference(rows, ds.iterate(n)):
+                    return SpecialDiagonal(n)
     # a P in one variable is a union of vertical (horizontal) lines
     for axis_rows, verdict in ((rows, SpecialVertical),
                                (P.coeffs_in("x"), SpecialHorizontal)):

@@ -6,13 +6,9 @@ J. von zur Gathen and J. Gerhard, *Modern Computer Algebra*, ch. 15): a
 square-free split over Q, then, for each square-free part, a factorization
 modulo a small prime, Hensel lifting past a coefficient bound, and
 recombination of the lifted factors, every candidate checked by exact
-division in Z[x].  No command that factors a univariate polynomial loads
-sympy.
-
-sympy serves only ``bivariate_irreducible``, which is reached through
-``PlaneCurve.irreducible_q`` and no CLI command.  It is imported inside that
-function, not when this module is imported: importing sympy is most of a
-cold start.
+division in Z[x].  Irreducibility of a bivariate polynomial
+(``bivariate_irreducible``, read through ``PlaneCurve.irreducible_q``)
+reduces to the univariate factorization by Kronecker substitution.
 
 Modular polynomials are lists of ints, lowest degree first like ``Poly``,
 reduced into [0, p) and monic unless said otherwise.
@@ -21,7 +17,7 @@ reduced into [0, p) and monic unless said otherwise.
 from __future__ import annotations
 
 import math
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 from .exact import BiPoly, Poly
 
@@ -372,15 +368,39 @@ def _bezout(g, h, p):
 
 
 def bivariate_irreducible(b: BiPoly) -> bool:
-    """Irreducibility over Q (not over Qbar) for a nonconstant BiPoly."""
+    """Irreducibility over Q (not over Qbar) for a nonconstant BiPoly, by
+    Kronecker substitution (von zur Gathen and Gerhard, section 8.4).
+
+    With D = deg_X P + 1, the ring homomorphism K: Y -> X^D sends P to
+    U(X) = P(X, X^D), whose coefficients are P's at the exponents i + D j.
+    K is injective on polynomials of X-degree < D, and K^-1 splits an
+    exponent k into (k mod D, k div D).  A factorization P = g h maps to
+    the sub-multiset S of U's irreducible factors whose product h_S is K(g)
+    up to a constant, and S or its complement has degree <= deg U / 2.
+    Conversely, when g = K^-1(h_S) and q = K^-1(U / h_S) have
+    deg_X g + deg_X q <= deg_X P, then K(g q) = U = K(P) with both sides of
+    X-degree < D, so g q = P.  Sub-multisets are tried by increasing size;
+    each X-degree is read off the exponents of a product of factors."""
     if b.total_degree < 1:
         return False
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    expr = sympy.Integer(0)
+    dx = b.deg_x
+    D = dx + 1
+    u = [0] * (dx + D * b.deg_y + 1)
     for (i, j), c in b.terms:
-        expr += sympy.Rational(c.numerator, c.denominator) * x**i * y**j
-    content, factors = sympy.Poly(expr, x, y, domain="QQ").factor_list()
-    nontrivial = [(f, m) for f, m in factors if sympy.Poly(f, x, y).total_degree() > 0]
-    return len(nontrivial) == 1 and nontrivial[0][1] == 1
+        u[i + D * j] = c
+    U = Poly(u)
+    factors = factor_rational(U)
+
+    def x_degree(exponents) -> int:
+        h = Poly.one()
+        for (f, _), e in zip(factors, exponents):
+            h = h * f ** e
+        return max(k % D for k, c in enumerate(h.coeffs) if c)
+
+    for chosen in sorted(product(*(range(m + 1) for _, m in factors)), key=sum):
+        degree = sum(e * f.degree for (f, _), e in zip(factors, chosen))
+        rest = [m - e for (_, m), e in zip(factors, chosen)]
+        if (0 < 2 * degree <= U.degree
+                and x_degree(chosen) + x_degree(rest) <= dx):
+            return False
+    return True

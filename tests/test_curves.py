@@ -79,6 +79,27 @@ def test_non_constant_y_lead_builds_no_iterate(monkeypatch):
         assert is_special_curve(curve, DS1, F(1, 3), 5) == NotSpecialUpTo(5)
 
 
+def test_not_special_divides_only_at_the_top_level(monkeypatch):
+    # P | f^n(X) - f^n(Y) implies P | f^(n+1)(X) - f^(n+1)(Y), so a curve
+    # that does not divide level nmax divides no lower level either
+    calls = []
+    divides = curves._divides_iterate_difference
+
+    def counting(rows, fn):
+        calls.append(fn.degree)
+        return divides(rows, fn)
+    monkeypatch.setattr(curves, "_divides_iterate_difference", counting)
+    assert is_special_curve(LINE, DS1, F(1, 3), 4) == NotSpecialUpTo(4)
+    assert calls == [16]
+    # the least level is still found below the top, and past the degree cap
+    # the search starts from level 0
+    assert is_special_curve(ANTI, DS1, F(1, 3), 4) == SpecialDiagonal(1)
+    assert is_special_curve(ANTI, DS1, F(1, 3), 17) == SpecialDiagonal(1)
+    with pytest.raises(ResourceError):
+        is_special_curve(LINE, PolyDS(Poly([-1, 0, 1]),
+                                      Settings(max_poly_degree=8)), F(1, 3), 4)
+
+
 def test_special_classification_examples():
     for f in CORPUS_F:
         assert is_special_curve(DIAG, PolyDS(f), F(1, 3), 2) == SpecialDiagonal(0)

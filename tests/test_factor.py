@@ -1,4 +1,5 @@
-"""Factoring over Q agrees with sympy, the oracle, on a seeded corpus."""
+"""Factoring over Q and irreducibility of bivariate polynomials over Q agree
+with sympy, the oracle, on seeded corpora."""
 
 import random
 from fractions import Fraction as F
@@ -6,8 +7,8 @@ from fractions import Fraction as F
 import sympy
 
 from orbitforge.dynamics import PolyDS
-from orbitforge.exact import Poly
-from orbitforge.factor import factor_rational
+from orbitforge.exact import BiPoly, Poly
+from orbitforge.factor import bivariate_irreducible, factor_rational
 from orbitforge.orbits import level_polynomial
 
 X = Poly.x()
@@ -117,3 +118,65 @@ def test_linear_factor_matches_sympy():
 def test_constants_have_no_factors():
     for c in (F(3), F(-2, 7), F(1)):
         assert factor_rational(Poly([c])) == []
+
+
+def sympy_irreducible(b: BiPoly) -> bool:
+    x, y = sympy.symbols("x y")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i * y ** j
+               for (i, j), c in b.terms)
+    factors = [(f, m) for f, m in sympy.Poly(expr, x, y, domain="QQ").factor_list()[1]
+               if sympy.Poly(f, x, y).total_degree() > 0]
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+def _bi_product(*factors: BiPoly) -> BiPoly:
+    out = {(0, 0): F(1)}
+    for b in factors:
+        acc: dict = {}
+        for (i, j), c in out.items():
+            for (k, l), d in b.terms:
+                acc[i + k, j + l] = acc.get((i + k, j + l), 0) + c * d
+        out = acc
+    return BiPoly(out)
+
+
+def _random_bivariate(rng, dx, dy):
+    """Random rational coefficients at about half the monomials X^i Y^j,
+    i <= dx, j <= dy, with X^dx and Y^dy present."""
+    terms = {(i, j): F(rng.randint(-6, 6), rng.randint(1, 4))
+             for i in range(dx + 1) for j in range(dy + 1) if rng.random() < 0.5}
+    terms[dx, rng.randint(0, dy)] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
+    terms[rng.randint(0, dx), dy] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return BiPoly(terms)
+
+
+def _bivariate_corpus():
+    rng = random.Random(20261020)
+
+    def small():
+        return _random_bivariate(rng, rng.randint(0, 2), rng.randint(0, 2))
+    X_, Y_ = BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1})
+    cases = [_random_bivariate(rng, rng.randint(0, 4), rng.randint(0, 4))
+             for _ in range(200)]
+    for _ in range(60):
+        g, h = small(), small()
+        cases += [_bi_product(g, h), _bi_product(g, g), _bi_product(X_, g),
+                  _bi_product(Y_, g), _bi_product(Y_, Y_, g)]
+        # a factor in X alone: the X-content of the product
+        content = _random_bivariate(rng, rng.randint(1, 2), 0)
+        cases.append(_bi_product(content, g))
+    for _ in range(40):           # one variable only
+        cases += [_random_bivariate(rng, rng.randint(1, 6), 0),
+                  _random_bivariate(rng, 0, rng.randint(1, 6))]
+    cases += [X_, Y_, BiPoly({(1, 0): 1, (0, 1): 1}), BiPoly({(0, 0): 5}),
+              BiPoly({(2, 0): 1, (0, 2): -1}), BiPoly({(2, 0): 1, (0, 2): 1}),
+              BiPoly({(4, 0): 1, (0, 4): 4}), BiPoly({(4, 0): 1, (0, 0): 4})]
+    return cases
+
+
+def test_bivariate_irreducible_matches_sympy_on_the_corpus():
+    cases = _bivariate_corpus()
+    verdicts = [bivariate_irreducible(b) for b in cases]
+    assert 200 < sum(verdicts) < len(cases) - 300
+    for b, got in zip(cases, verdicts):
+        assert got == sympy_irreducible(b), b
