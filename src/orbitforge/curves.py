@@ -7,6 +7,17 @@ variable, its values and its resultants.  The special-curve test divides
 f^n(X) - f^n(Y) by P in Y over Q[X] on P's Y-rows, so it builds no
 bivariate polynomial.
 
+Both the special-curve test and the intersection pair rule ask questions
+whose answer is almost always "no", and both first try to prove that "no"
+modulo the prime 2^61 - 1 (the modular certificates below).  One walk of
+f^n(x0) and f^n(Y) mod (p, P(x0, Y)) tests every level n <= nmax without
+building an iterate, so only the levels it leaves reach the exact division,
+least first, and an nmax past ``max_poly_degree`` answers for a curve with
+no level left; axis lines take the same walk mod (p, q) against f^n(alpha).
+The pair rule reduces Res_Y(f_y, P) mod p before it computes it over Q.
+Exact arithmetic decides every "yes", and an input with the prime in a
+denominator takes the exact path alone.
+
 The pullback series: with s(x) = 1/Psi(x) (a power series with unit linear
 coefficient), a curve P defines N(x, y) = P(s(x), s(y)) = sum a_nm x^n y^m.
 For a scaling phi with |phi|_p < 1, roots of unity z1, z2, and coprime
@@ -29,9 +40,10 @@ from typing import Optional, Union
 from .ball import CBall
 from .boettcher import phi_series, psi_series
 from .dynamics import PolyDS, Preperiodic, classify_orbit
-from .errors import DomainError, ResourceError, WindowError
+from .errors import DomainError, WindowError
 from .exact import BiPoly, LaurentBlock, Poly, evaluate_series_at_block, rat
-from .factor import bivariate_irreducible
+from .factor import (_add, _divmod, _gcd, _monic, _mul, _sub, _trim,
+                     bivariate_irreducible)
 from .orbits import level_polynomial, level_root_groups
 from .padic import (PadicScalar, PadicSeries, Radius, count_zeros_pj, kappa,
                     sup_norm)
@@ -63,6 +75,150 @@ class PlaneCurve:
     @staticmethod
     def from_terms(terms) -> "PlaneCurve":
         return PlaneCurve.from_bipoly(BiPoly(terms))
+
+
+# ---------------------------------------------------------------------------
+# modular certificates of "no"
+# ---------------------------------------------------------------------------
+
+# Reduction modulo a prime p and evaluation at a point are ring maps, so a
+# divisibility over Q that holds between p-integral polynomials, the divisor
+# monic (or with a unit leading coefficient) at p, still holds after them;
+# a non-division modulo p proves one over Q (J. von zur Gathen and
+# J. Gerhard, *Modern Computer Algebra*, 3rd ed., ch. 5-6).  Exact
+# arithmetic decides every "yes".  Modular polynomials are ``factor``'s int
+# lists, lowest degree first.
+
+_PRIME = 2 ** 61 - 1
+_POINTS = (3, 7)                    # X = x0 for the special diagonal
+
+
+def _mod_p(coeffs, prime: int) -> Optional[list[int]]:
+    """Rational coefficients reduced mod prime, trimmed; None when prime
+    divides a denominator."""
+    if any(c.denominator % prime == 0 for c in coeffs):
+        return None
+    return _trim([c.numerator * pow(c.denominator, -1, prime) % prime
+                  for c in coeffs])
+
+
+def _value(a: list[int], x: int, prime: int) -> int:
+    """a(x) mod prime by Horner."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % prime
+    return acc
+
+
+def _compose_mod(f: list[int], y: list[int], m: list[int], prime: int) -> list[int]:
+    """f(y) mod (prime, m) by Horner, for m with a unit leading coefficient."""
+    acc: list[int] = []
+    for c in reversed(f):
+        acc = _add(_divmod(_mul(acc, y, prime), m, prime)[1], [c], prime)
+    return acc
+
+
+def _diagonal_levels(rows: list[Poly], f: Poly, nmax: int,
+                     prime: int) -> Optional[range]:
+    """The levels n <= nmax at which P, given by its Y-rows with a constant
+    top row c, is not proven modulo prime not to divide f^n(X) - f^n(Y);
+    None when prime divides c or a denominator of P or f.
+
+    P | f^n(X) - f^n(Y) makes P(x0, Y) divide f^n(x0) - f^n(Y) mod prime.
+    A walk per point x0 carries x_n = f^n(x0) and y_n = f^n(Y) mod
+    (prime, P(x0, Y)), each step an O(d k^2) Horner pass for k = deg_Y P;
+    a level with y_n != x_n at some point is proven not to divide.  Once
+    y_n = x_n it holds at every later level (apply f to both sides), so
+    each walk stops at its first equality and the levels left run from the
+    latest of those to nmax."""
+    fp = _mod_p(f.coeffs, prime)
+    reduced = [_mod_p(row.coeffs, prime) for row in rows]
+    if fp is None or None in reduced or not reduced[-1]:
+        return None
+    start = 0
+    for x0 in _POINTS:
+        m = [_value(row, x0, prime) for row in reduced]
+        x, y = x0 % prime, _divmod([0, 1], m, prime)[1]
+        n = 0
+        while n <= nmax and y != _trim([x]):
+            x, y = _value(fp, x, prime), _compose_mod(fp, y, m, prime)
+            n += 1
+        start = max(start, n)
+        if start > nmax:
+            break
+    return range(start, nmax + 1)
+
+
+def _axis_levels(q: Poly, f: Poly, alpha: Fraction, nmax: int,
+                 prime: int) -> Optional[range]:
+    """The levels n <= nmax at which q is not proven modulo prime to be
+    coprime to f^n(X) - f^n(alpha); None when prime divides a denominator
+    of q, f or alpha, or every coefficient of q.
+
+    A common factor over Q is, made monic, p-integral (its roots are level
+    roots, integral over the p-integral f and alpha), so by Gauss's lemma it
+    divides q and the level modulo prime, even when q's degree drops there.
+    The walk carries z_n = f^n(X) mod (prime, q) and a_n = f^n(alpha) mod
+    prime; a level with gcd(q, z_n - a_n) = 1 mod prime is proven coprime.
+    A common factor at level n is one at every later level, as u - v
+    divides f(u) - f(v), so the walk stops at the first level left."""
+    fp, qp, a = (_mod_p(c, prime) for c in (f.coeffs, q.coeffs, [alpha]))
+    if None in (fp, qp, a) or not qp:
+        return None
+    z, a = _divmod([0, 1], qp, prime)[1], (a or [0])[0]
+    for n in range(nmax + 1):
+        if len(_gcd(qp, _sub(z, [a], prime), prime)) > 1:
+            return range(n, nmax + 1)
+        z, a = _compose_mod(fp, z, qp, prime), _value(fp, a, prime)
+    return range(0)
+
+
+def _norm_mod(f: list[int], g: list[int], prime: int) -> int:
+    """prod g(beta) over the roots beta of a monic f mod prime, by the
+    Euclid of ``exact._norm``."""
+    acc = 1
+    while True:
+        g = _divmod(g, f, prime)[1]
+        if len(g) < 2:
+            return acc * pow(g[0] if g else 0, len(f) - 1, prime) % prime
+        sign = -1 if (len(f) - 1) * (len(g) - 1) % 2 else 1
+        acc = acc * sign * pow(g[-1], len(f) - 1, prime) % prime
+        f, g = _monic(g, prime), f
+
+
+def _resultant_mod(P: BiPoly, fy: Poly, prime: int) -> Optional[list[int]]:
+    """Res_Y(f_y, P) mod prime for a monic f_y, by the evaluation and
+    interpolation of ``exact.poly_resultant`` run mod prime; None when prime
+    divides a denominator of f_y or P, or there are too few points mod prime.
+
+    f_y is monic, so the resultant is prod P(X, beta) over the roots of f_y
+    whatever P's leading coefficients, and reducing it mod prime commutes
+    with taking it."""
+    fp = _mod_p(fy.coeffs, prime)
+    rows = [_mod_p(row.coeffs, prime) for row in P.coeffs_in("y")]
+    top = fy.degree * max(P.deg_x, 0)
+    if fp is None or None in rows or top >= prime:
+        return None
+    table = [_norm_mod(fp, _trim([_value(row, x, prime) for row in rows]), prime)
+             for x in range(top + 1)]
+    for k in range(1, top + 1):             # divided differences in place
+        inv = pow(k, -1, prime)
+        for i in range(top, k - 1, -1):
+            table[i] = (table[i] - table[i - 1]) * inv % prime
+    out: list[int] = []
+    for k in range(top, -1, -1):            # Newton form, Horner from the top
+        out = _add(_mul(out, [-k % prime, 1], prime), [table[k]], prime)
+    return out
+
+
+def _apart_mod(P: BiPoly, fx: Poly, fy: Poly, memo: dict, prime: int) -> bool:
+    """f_x does not divide Res_Y(f_y, P) != 0, proven modulo prime.
+
+    f_x is monic and p-integral, so f_x | R over Q gives f_x | R mod prime;
+    R mod prime != 0 gives R != 0."""
+    res = _once(memo, ("resultant mod", fy), lambda: _resultant_mod(P, fy, prime))
+    fxp = _mod_p(fx.coeffs, prime)
+    return bool(res) and fxp is not None and bool(_divmod(res, fxp, prime)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +256,11 @@ SpecialVerdict = Union[SpecialDiagonal, SpecialVertical, SpecialHorizontal,
 def _axis_factor_level(p_axis: Poly, ds: PolyDS, alpha: Fraction,
                        nmax: int) -> Optional[tuple[Optional[Fraction], Poly, int]]:
     """(beta, factor, level): the first factor shared between a one-variable
-    curve polynomial and an orbit level polynomial."""
-    for n in range(nmax + 1):
+    curve polynomial and an orbit level polynomial, by exact gcds at the
+    levels that ``_axis_levels`` leaves (at every level when it cannot
+    run)."""
+    levels = _axis_levels(p_axis, ds.f, alpha, nmax, _PRIME)
+    for n in range(nmax + 1) if levels is None else levels:
         common = p_axis.gcd(level_polynomial(ds, alpha, n, n)[1])
         if common.degree >= 1:
             return (-common.coeff(0) if common.degree == 1 else None), common, n
@@ -134,14 +293,17 @@ def is_special_curve(curve: PlaneCurve, ds: PolyDS, alpha, nmax: int) -> Special
     f is monic, so f^n(X) - f^n(Y) has Y-leading coefficient -1 in Q[X][Y],
     and a factor P of it has a constant Y-leading coefficient and positive
     Y-degree; any other P divides no level and builds no iterate.  For the
-    rest, divisibility is decided by division in Y over Q[X]
-    (``_divides_iterate_difference``), with univariate arithmetic only.
-    P | f^n(X) - f^n(Y) implies P | f^(n+1)(X) - f^(n+1)(Y), as u - v
-    divides f(u) - f(v), so the division at n = nmax runs first and the
-    least level is searched only when it succeeds (or when f^nmax is past
-    the degree cap).  Vertical/horizontal lines are matched through exact
-    gcds with the level-set polynomials (so conjugate irrational orbit
-    points are caught too, reported by their shared factor).
+    rest, one modular pass (``_diagonal_levels``) proves "no" at every level
+    n <= nmax it can, modulo the prime 2^61 - 1 at X = 3 and X = 7, without
+    building an iterate; the levels left are decided least first by division
+    in Y over Q[X] (``_divides_iterate_difference``), with univariate
+    arithmetic only.  Vertical/horizontal lines are matched through exact
+    gcds with the level-set polynomials at the levels that the modular pass
+    of ``_axis_levels`` leaves (so conjugate irrational orbit points are
+    caught too, reported by their shared factor).  So a curve with no level
+    left answers ``NotSpecialUpTo`` for an nmax past ``max_poly_degree`` or
+    ``orbit_degree_cap`` too.  When the prime divides a denominator of f,
+    alpha or P, or P's leading coefficient, every level takes the exact test.
     """
     if nmax < 0:
         raise DomainError("nmax must be >= 0")
@@ -149,15 +311,10 @@ def is_special_curve(curve: PlaneCurve, ds: PolyDS, alpha, nmax: int) -> Special
     P = curve.poly
     rows = P.coeffs_in("y")
     if len(rows) > 1 and rows[-1].degree == 0:
-        try:
-            top = ds.iterate(nmax)
-        except ResourceError:
-            top = None      # past the degree cap: the search below answers
-                            # at a level under the cap or raises at the cap
-        if top is None or _divides_iterate_difference(rows, top):
-            for n in range(nmax + 1):
-                if _divides_iterate_difference(rows, ds.iterate(n)):
-                    return SpecialDiagonal(n)
+        levels = _diagonal_levels(rows, ds.f, nmax, _PRIME)
+        for n in range(nmax + 1) if levels is None else levels:
+            if _divides_iterate_difference(rows, ds.iterate(n)):
+                return SpecialDiagonal(n)
     # a P in one variable is a union of vertical (horizontal) lines
     for axis_rows, verdict in ((rows, SpecialVertical),
                                (P.coeffs_in("x"), SpecialHorizontal)):
@@ -318,6 +475,11 @@ def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict) -> Optional[bo
     the one ball that meets y's among them, make P(x, .) contain 0 (each
     partner's ball does, so those k balls are the partners).
 
+    Before any of that, ``_apart_mod`` reduces Res_Y(f_y, P) mod the prime
+    2^61 - 1, once per f_y; when it is nonzero there and f_x does not divide
+    it, the pair is proven apart without the exact resultant.  Every other
+    pair takes the exact path.
+
     Everything exact depends only on (f_x, f_y) and is kept in ``memo``, one
     dict per curve; ``memo[("roots", f_y)]`` holds the root balls of f_y,
     certified here when the caller has not supplied them.  No precision is
@@ -325,6 +487,8 @@ def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict) -> Optional[bo
     if x.exact and y.exact:
         return P.eval_with(x.value, y.value) == 0
     fx, fy = _min_poly(x), _min_poly(y)
+    if _once(memo, ("apart", fx, fy), lambda: _apart_mod(P, fx, fy, memo, _PRIME)):
+        return False                   # proven modulo the prime
     res = _once(memo, ("resultant", fy), lambda: _eliminate_y(P, fy))
     if res.is_zero:
         return True                    # f_y(Y) divides P

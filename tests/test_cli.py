@@ -125,6 +125,16 @@ def test_curve_special_subcommand():
     assert data["verdict"] == "special-vertical" and data["beta"] == "-1/3"
 
 
+def test_curve_special_axis_line_past_the_level_cap():
+    # X = 5 meets no level set of 1/3: it answers not-special at nmax 20
+    # (it used to build every level polynomial and fail at level 13)
+    code, out, _ = run_cli(["curve", "special", "--poly", "[-1,0,1]",
+                            "--curve", '[[1,0,"1"],[0,0,"-5"]]',
+                            "--alpha", "1/3", "--nmax", "20"])
+    assert code == 0
+    assert json.loads(out) == {"verdict": "not-special", "nmax": 20}
+
+
 def test_curve_intersect_subcommand():
     code, out, _ = run_cli(["curve", "intersect", "--poly", "[-1,0,1]",
                             "--curve", '[[1,0,"1"],[0,1,"-1"]]',

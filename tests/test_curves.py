@@ -79,9 +79,8 @@ def test_non_constant_y_lead_builds_no_iterate(monkeypatch):
         assert is_special_curve(curve, DS1, F(1, 3), 5) == NotSpecialUpTo(5)
 
 
-def test_not_special_divides_only_at_the_top_level(monkeypatch):
-    # P | f^n(X) - f^n(Y) implies P | f^(n+1)(X) - f^(n+1)(Y), so a curve
-    # that does not divide level nmax divides no lower level either
+def _count_divisions(monkeypatch) -> list[int]:
+    """The degrees of f^n at which ``_divides_iterate_difference`` runs."""
     calls = []
     divides = curves._divides_iterate_difference
 
@@ -89,15 +88,48 @@ def test_not_special_divides_only_at_the_top_level(monkeypatch):
         calls.append(fn.degree)
         return divides(rows, fn)
     monkeypatch.setattr(curves, "_divides_iterate_difference", counting)
+    return calls
+
+
+def test_not_special_line_makes_no_exact_division(monkeypatch):
+    # every level of X - Y - 1 is proven not to divide modulo the prime
+    calls = _count_divisions(monkeypatch)
     assert is_special_curve(LINE, DS1, F(1, 3), 4) == NotSpecialUpTo(4)
-    assert calls == [16]
-    # the least level is still found below the top, and past the degree cap
-    # the search starts from level 0
-    assert is_special_curve(ANTI, DS1, F(1, 3), 4) == SpecialDiagonal(1)
-    assert is_special_curve(ANTI, DS1, F(1, 3), 17) == SpecialDiagonal(1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("nmax", [6, 12])
+def test_special_line_divides_once_at_its_level(monkeypatch, nmax):
+    # X + Y passes the modular walk from level 1 on; only level 1 is divided
+    calls = _count_divisions(monkeypatch)
+    assert is_special_curve(ANTI, DS1, F(1, 3), nmax) == SpecialDiagonal(1)
+    assert calls == [2]
+
+
+def test_not_special_line_past_the_degree_cap_answers(monkeypatch):
+    # no level is left for the exact test, so no iterate past the cap is built
+    calls = _count_divisions(monkeypatch)
+    capped = PolyDS(Poly([-1, 0, 1]), Settings(max_poly_degree=8))
+    assert is_special_curve(LINE, capped, F(1, 3), 30) == NotSpecialUpTo(30)
+    assert is_special_curve(ANTI, capped, F(1, 3), 30) == SpecialDiagonal(1)
+    assert calls == [2]
+    # a level left past the cap is still refused: X^2 + Y^2 - 2 divides
+    # f^2(X) - f^2(Y) = (X^2 - Y^2)(X^2 + Y^2 - 2), of degree 4 > 2
+    circle = PlaneCurve.from_terms({(2, 0): 1, (0, 2): 1, (0, 0): -2})
+    assert is_special_curve(circle, DS1, F(1, 3), 3) == SpecialDiagonal(2)
     with pytest.raises(ResourceError):
-        is_special_curve(LINE, PolyDS(Poly([-1, 0, 1]),
-                                      Settings(max_poly_degree=8)), F(1, 3), 4)
+        is_special_curve(circle, PolyDS(Poly([-1, 0, 1]), Settings(max_poly_degree=2)),
+                         F(1, 3), 3)
+
+
+def test_axis_line_past_the_level_cap_answers():
+    # X = 5 meets no level set of 1/3 under X^2 - 1: every level is proven
+    # coprime modulo the prime, so nmax 20 (past orbit_degree_cap at level
+    # 13) needs no level polynomial
+    line = PlaneCurve.from_terms({(1, 0): 1, (0, 0): -5})
+    assert is_special_curve(line, DS1, F(1, 3), 20) == NotSpecialUpTo(20)
+    v = is_special_curve(VERT, DS1, F(1, 3), 20)
+    assert isinstance(v, SpecialVertical) and (v.beta, v.level) == (F(-1, 3), 1)
 
 
 def test_special_classification_examples():
