@@ -5,8 +5,8 @@ precision there is: importing this module sets it to the default
 ``precision_bits``, and the CLI sets it once per run from its settings.
 Every operation widens the radius by the exact-arithmetic error bound plus a
 conservative rounding slop (a few ulp of the result), eps = 2^(4 - prec),
-computed once per precision.  The represented exact value is always within
-``rad`` of ``re_mid + i*im_mid``.
+built from the working precision at each use.  The represented exact value
+is always within ``rad`` of ``re_mid + i*im_mid``.
 
 Balls on the real axis (imaginary midpoints exactly 0) add, multiply and
 take absolute values in real mpf arithmetic.  That gives the same bits as
@@ -39,31 +39,29 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import (fone, fzero, from_int, mpc_mul, mpf_abs, mpf_add, mpf_div,
-                          mpf_exp, mpf_gt, mpf_hypot, mpf_mul, mpf_sub, normalize)
+from mpmath.libmp import (MPZ_ONE, fone, fzero, from_int, mpc_mul, mpf_abs, mpf_add,
+                          mpf_div, mpf_exp, mpf_gt, mpf_hypot, mpf_mul, mpf_sub,
+                          normalize)
 
 from .config import DEFAULTS
 from .errors import DomainError, PrecisionError
 
 mpmath.mp.prec = DEFAULTS.precision_bits
 
-_EPS: dict[int, mpf] = {}       # precision -> 2^(4 - precision)
-
 
 def _eps() -> mpf:
-    prec = mpmath.mp.prec
-    eps = _EPS.get(prec)
-    if eps is None:
-        eps = _EPS[prec] = mpmath.ldexp(1, 4 - prec)
-    return eps
+    """eps = 2^(4 - prec) at the working precision."""
+    return mpmath.mp.make_mpf(_working()[2])
 
 
 # -- the rules on (re, im, rad) triples of raw mpf tuples -------------------
 
 def _working():
-    """(precision, rounding mode, eps tuple) of the working precision."""
+    """(precision, rounding mode, eps tuple) of the working precision; eps
+    = 2^(4 - prec) is the raw mpf (sign 0, mantissa 1, exponent 4 - prec,
+    bit count 1)."""
     prec, rnd = mpmath.mp._prec_rounding
-    return prec, rnd, _eps()._mpf_
+    return prec, rnd, (0, MPZ_ONE, 4 - prec, 1)
 
 
 def _round(x, prec, rnd):

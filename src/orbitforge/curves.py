@@ -14,9 +14,10 @@ f^n(x0) and f^n(Y) mod (p, P(x0, Y)) tests every level n <= nmax without
 building an iterate, so only the levels it leaves reach the exact division,
 least first, and an nmax past ``max_poly_degree`` answers for a curve with
 no level left; axis lines take the same walk mod (p, q) against f^n(alpha).
-The pair rule reduces Res_Y(f_y, P) mod p before it computes it over Q.
-Exact arithmetic decides every "yes", and an input with the prime in a
-denominator takes the exact path alone.
+The pair rule is "modular no, then the exact partner count, then balls":
+Res_Y(f_y, P) mod p proves most pairs apart, and one exact partner count
+decides the rest or hands them to the balls.  Exact arithmetic decides every
+"yes", and an input with the prime in a denominator takes the exact path.
 
 The pullback series: with s(x) = 1/Psi(x) (a power series with unit linear
 coefficient), a curve P defines N(x, y) = P(s(x), s(y)) = sum a_nm x^n y^m.
@@ -392,27 +393,6 @@ def _min_level_roots(ds: PolyDS, alpha: Fraction, cap: int) -> list[RootRef]:
     return out
 
 
-def _eliminate_y(P: BiPoly, fy: Poly) -> Poly:
-    """Res_Y(f_y(Y), P(X, Y)) as a polynomial in X, for a monic f_y.  A P
-    without Y gives c(X)^deg f_y and f_y = Y - b gives P(X, b); every other
-    case is ``exact.poly_resultant``."""
-    if P.deg_y == 0:
-        return P.coeffs_in("y")[0] ** fy.degree
-    if fy.degree == 1:
-        return P.subs_values(y=-fy.coeff(0))
-    from .exact import poly_resultant
-    return poly_resultant(fy, P)
-
-
-def _divides_or_zero(factor: Poly, sub: Poly) -> bool:
-    """sub vanishes at every root of the irreducible factor (exact test)."""
-    if sub.is_zero:
-        return True
-    if sub.degree < 1:
-        return False
-    return factor.gcd(sub) == factor
-
-
 def _field_inverse(a: Poly, m: Poly) -> Poly:
     """a^-1 in Q[t]/(m) for an irreducible m not dividing a (extended Euclid)."""
     r0, r1, s0, s1 = m, a, Poly.zero(), Poly.one()
@@ -467,36 +447,30 @@ def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict) -> Optional[bo
     """Decide P(x, y) = 0 from the minimal polynomials f_x, f_y of the two
     points; None when undecided.
 
-    With Res_Y(f_y, P) = 0 every pair is on the curve; when f_x does not
-    divide it no conjugate of y pairs with x.  Otherwise k, the number of
-    roots y' of f_y with P(x, y') = 0, is the degree of gcd(P(x, Y), f_y)
-    over Q(x).  k = deg f_y decides True.  Short of that the balls decide:
-    P(x, y) excludes 0, or exactly k of the certified root balls of f_y,
-    the one ball that meets y's among them, make P(x, .) contain 0 (each
-    partner's ball does, so those k balls are the partners).
+    ``_apart_mod`` first tries to prove the pair apart modulo the prime
+    2^61 - 1.  Every other pair takes one exact test, the partner count k:
+    the number of roots y' of f_y with P(x, y') = 0, the degree of
+    gcd(P(x, Y), f_y) over Q(x).  k = 0 decides False, k = deg f_y True.
+    Short of that the balls decide: P(x, y) excludes 0, or exactly k of the
+    certified root balls of f_y, the one ball that meets y's among them,
+    make P(x, .) contain 0 (each partner's ball does, so those k balls are
+    the partners).
 
-    Before any of that, ``_apart_mod`` reduces Res_Y(f_y, P) mod the prime
-    2^61 - 1, once per f_y; when it is nonzero there and f_x does not divide
-    it, the pair is proven apart without the exact resultant.  Every other
-    pair takes the exact path.
+    k answers all the exact resultant would, as Res_Y(f_y, P) is the product
+    of the P(X, beta) over the roots beta of f_y: f_x divides it exactly when
+    k >= 1, and a zero resultant makes every P(X, beta) zero (one does, so
+    by conjugation all do), so k = deg f_y.
 
     Everything exact depends only on (f_x, f_y) and is kept in ``memo``, one
     dict per curve; ``memo[("roots", f_y)]`` holds the root balls of f_y,
     certified here when the caller has not supplied them.  No precision is
     changed."""
-    if x.exact and y.exact:
-        return P.eval_with(x.value, y.value) == 0
     fx, fy = _min_poly(x), _min_poly(y)
     if _once(memo, ("apart", fx, fy), lambda: _apart_mod(P, fx, fy, memo, _PRIME)):
         return False                   # proven modulo the prime
-    res = _once(memo, ("resultant", fy), lambda: _eliminate_y(P, fy))
-    if res.is_zero:
-        return True                    # f_y(Y) divides P
-    if not _once(memo, ("partner", fx, fy), lambda: _divides_or_zero(fx, res)):
-        return False                   # no conjugate of y pairs with x
-    if fy.degree == 1:
-        return True
     k = _once(memo, ("k", fx, fy), lambda: _partner_count(P, fx, fy))
+    if k == 0:
+        return False                   # no conjugate of y pairs with x
     if k == fy.degree:
         return True
     if not P.eval_with(x.ball, y.ball, convert=CBall.from_rational).contains_zero():
@@ -521,9 +495,10 @@ def intersect_small_orbit(curve: PlaneCurve, ds: PolyDS, alpha,
 
     Pairs (b1, b2) from levels <= level_cap are decided by ``_pair_vanishes``
     from the points' minimal polynomials; undecided pairs are listed, never
-    counted.  Its exact work (resultant, divisibility, partner count) runs
-    once per pair of minimal polynomials; per root pair it at most evaluates
-    P on balls, using the level roots' own balls for the conjugates of y.
+    counted.  Its work modulo the prime runs once per f_y and its exact
+    work, the partner count, once per pair of minimal polynomials; per root
+    pair it at most evaluates P on balls, using the level roots' own balls
+    for the conjugates of y.
     Level roots come from the successive quotients of the level polynomials.
     A curve whose certified count exceeds the Bezout-style cap deg(P)*d^cap
     while being classified non-special is flagged.

@@ -16,7 +16,6 @@ from .ball import CBall
 from .config import DEFAULTS, Settings
 from .errors import DomainError, PrecisionError, ResourceError, UndecidedError
 from .exact import Poly, _prime_factors, _v_p, integer_kth_root, rat
-from .factor import factor_rational
 from .green import GreenValue, escape_step, green_eval
 from .rootcert import certified_roots
 
@@ -156,6 +155,7 @@ class CriticalPoint:
 
 
 def _critical_points(f: Poly) -> list[CriticalPoint]:
+    from .factor import factor_rational     # loaded only when f' is factored
     df = f.derivative()
     out: list[CriticalPoint] = []
     for factor, mult in factor_rational(df):

@@ -105,15 +105,53 @@ def _v_p(q: Fraction, p: int) -> int:
     return v
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the bases _SMALL_PRIMES is exact below this bound, the
+# least strong pseudoprime to all of them (J. Sorenson and J. Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017); the first
+# twelve bases alone pass 318665857834031151167461 = 399165290221 *
+# 798330580441
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """n is prime: trial division by the primes up to 41, then Miller-Rabin
+    to those bases below ``_MILLER_RABIN_BOUND``, and trial division above
+    it."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n >= _MILLER_RABIN_BOUND:
+        return all(n % f for f in range(43, math.isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n, ascending, by trial division."""
+    """The distinct primes dividing n, ascending, by trial division until
+    the cofactor is 1 or prime."""
     n = abs(n)
-    out, f = [], 2
-    while f * f <= n:
+    out, f, prime = [], 2, _is_prime(n)
+    while n > 1 and not prime:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
+            prime = _is_prime(n)
         f += 1 if f == 2 else 2
     if n > 1:
         out.append(n)
@@ -455,7 +493,13 @@ def poly_resultant(f: Poly, P: BiPoly) -> Poly:
 
     Evaluation and interpolation (Collins 1971): at X = 0, 1, ..., deg f *
     deg_X P the value is the univariate resultant of f and P(x, Y), which
-    Newton's divided differences interpolate."""
+    Newton's divided differences interpolate.
+
+    No library path calls it: the pair rule takes the resultant mod a prime
+    (``curves._resultant_mod``) and decides the rest by the partner count
+    (``curves._partner_count``).  It stays as the tests' independent
+    reference for both, and the benchmark's tracer (``perfbench/tracer.py``)
+    wraps it by name."""
     if f.degree < 1 or f.lead != 1:
         raise DomainError("resultant requires a monic f of positive degree")
     points = range(f.degree * max(P.deg_x, 0) + 1)

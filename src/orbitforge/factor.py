@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, islice, product
 
-from .exact import BiPoly, Poly
+from .exact import BiPoly, Poly, _is_prime
 
 # primes tried: by the square-free test, and whose modular factor counts
 # are compared to pick the prime to lift from
@@ -285,7 +285,7 @@ def _odd_primes_not_dividing(b: int):
     """3, 5, 7, 11, ..., skipping the divisors of b."""
     n = 3
     while True:
-        if b % n and all(n % q for q in range(3, math.isqrt(n) + 1, 2)):
+        if b % n and _is_prime(n):
             yield n
         n += 2
 

@@ -17,18 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from .config import DEFAULTS
 from .errors import DomainError, PrecisionError, WindowError
-from .exact import _v_p, rat
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1 if f == 2 else 2
-    return True
+from .exact import _is_prime, _v_p, rat
 
 
 def _check_prime(p: int) -> None:

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from test_orbits import _cli_within
+
 from orbitforge.cli import main
 
 
@@ -328,3 +330,15 @@ def test_manifest_records_every_setting(tmp_path):
         changed = manifest_settings(f"{f.name} = {other}\n")
         assert changed != base, f.name
         assert changed[f.name] != base[f.name]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["dynamics", "classify", "--poly", "[-1,0,1]",
+      "--alpha", "1/2305843009213693951"], "orbit"),
+    (["padic", "polygon", "--p", "2305843009213693951",
+      "--series", '[[0,"1"],[1,"1"]]'], "vertices"),
+])
+def test_mersenne_prime_2_61_is_tested_quickly(argv, key):
+    # 2^61 - 1 once took minutes of trial division to be found prime
+    out = json.loads(_cli_within(2, argv))
+    assert key in out and "error" not in out

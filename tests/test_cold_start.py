@@ -1,5 +1,6 @@
 """Cold start: no CLI command imports sympy, factoring over Q included, and
-neither does reading a curve's ``irreducible_q``.  The exact layers import
+neither does reading a curve's ``irreducible_q``; a command that factors
+nothing does not load ``factor``.  The exact layers import
 neither sympy nor mpmath, and every module imports cleanly as the first
 module of the package."""
 
@@ -61,6 +62,24 @@ assert "sympy" not in sys.modules, "irreducible_q loaded sympy"
 '''
 
 
+# Commands that factor nothing over Q leave the factoring module unloaded.
+NO_FACTOR = r'''
+import contextlib, io, sys
+from orbitforge.cli import main
+assert "orbitforge.factor" not in sys.modules, "import orbitforge.cli"
+for argv in (
+        ["dynamics", "classify", "--poly", "[-1,0,1]", "--alpha", "1/3"],
+        ["boettcher", "--poly", "[-1,0,1]", "--order", "8", "--phi"],
+        ["padic", "polygon", "--p", "3", "--series",
+         '[[0,"3"],[1,"1"],[2,"3"]]'],
+        ["combinat", "verify", "--lemma", "box1", "--nmax", "17"]):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "orbitforge.factor" not in sys.modules, argv
+'''
+
+
 EXACT_LAYERS = r'''
 import sys
 import orbitforge.exact, orbitforge.padic, orbitforge.combinat
@@ -98,6 +117,10 @@ def _run_fresh(script):
 
 def test_no_command_imports_sympy():
     _run_fresh(SCRIPT)
+
+
+def test_commands_that_factor_nothing_leave_factor_unloaded():
+    _run_fresh(NO_FACTOR)
 
 
 def test_exact_layers_import_neither_mpmath_nor_sympy():

@@ -245,15 +245,13 @@ def test_level_roots_keep_the_degree_cap(monkeypatch):
 
 
 def test_exact_work_runs_once_per_factor(monkeypatch):
-    # the README curve X - Y at cap 4: one resultant per algebraic y-factor,
-    # one factorization per level, and no per-factor certification: every
-    # level root is pulled back
+    # the README curve X - Y at cap 4: no exact resultant (the pair rule's
+    # one exact test is the partner count), one factorization per level,
+    # and no per-factor certification: every level root is pulled back
     import orbitforge.exact as exact_mod
     import orbitforge.orbits as orbits_mod
     import orbitforge.rootcert as rootcert_mod
 
-    factors = {r.factor for r in _level_roots_reference(DS1, F(1, 3), 4)
-               if not r.exact}
     calls = {"resultant": [], "certify": [], "factor": []}
 
     def counted(name, fn):
@@ -273,8 +271,7 @@ def test_exact_work_runs_once_per_factor(monkeypatch):
     curve = PlaneCurve.from_terms({(1, 0): 1, (0, 1): -1})
     rep = intersect_small_orbit(curve, DS1, F(1, 3), 4)
     assert rep.count() == 16
-    assert 0 < len(calls["resultant"]) <= len(factors)
-    assert len({args[0] for args in calls["resultant"]}) == len(calls["resultant"])
+    assert calls["resultant"] == []
     assert calls["certify"] == []
     assert len(calls["factor"]) == 5
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from orbitforge import exact
 from orbitforge.dynamics import PolyDS
 from orbitforge.errors import DomainError, ResourceError
-from orbitforge.exact import (BiPoly, LaurentBlock, Poly, evaluate_series_at_block,
-                              poly_resultant, rat, rat_str)
+from orbitforge.exact import (BiPoly, LaurentBlock, Poly, _is_prime, _prime_factors,
+                              evaluate_series_at_block, poly_resultant, rat, rat_str)
 
 X2_MINUS_1 = Poly([-1, 0, 1])
 
@@ -396,3 +396,34 @@ def test_poly_json_roundtrip():
     assert Poly.from_json(p.to_json()) == p
     b = BiPoly({(1, 2): F(5, 7), (0, 0): -2})
     assert BiPoly.from_json(b.to_json()) == b
+
+
+M61 = 2 ** 61 - 1
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = [True] * 20000
+    sieve[0] = sieve[1] = False
+    for n in range(2, 142):
+        if sieve[n]:
+            sieve[n * n::n] = [False] * len(range(n * n, 20000, n))
+    assert [n for n in range(-5, 20000) if _is_prime(n)] == \
+        [n for n, prime in enumerate(sieve) if prime]
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    assert _is_prime(M61) and _is_prime(2 ** 31 - 1)
+    assert not _is_prime((2 ** 13 - 1) * M61)
+    assert not _is_prime(43 * M61 ** 2)          # past the bound: trial division
+    # the least strong pseudoprimes to the first 4, 5, 7 and 11 prime bases,
+    # and to the first twelve, which base 41 refuses
+    for n in (3215031751, 2152302898747, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n), n
+
+
+def test_prime_factors_stop_at_a_prime_cofactor():
+    assert _prime_factors(M61) == [M61]
+    assert _prime_factors(-12 * M61) == [2, 3, M61]
+    assert _prime_factors(2 ** 10 * 3 ** 4 * 1009) == [2, 3, 1009]
+    assert _prime_factors(0) == _prime_factors(1) == []

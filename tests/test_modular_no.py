@@ -5,6 +5,9 @@ divisibility over Q must pass it, at the default prime and at any small
 prime that divides no denominator.  A small prime passes many levels and
 pairs falsely, so it shows that the exact tests still decide every "yes";
 a prime that divides a denominator must leave the input to exact arithmetic.
+The pair rule's one exact test, the partner count, must answer what the
+exact resultant ``exact.poly_resultant`` answers, which no library path
+calls.
 """
 
 import random
@@ -16,11 +19,11 @@ from test_special_golden import _cases, _iterate_difference_factors, _maps
 from orbitforge import curves
 from orbitforge.curves import (NotSpecialUpTo, PlaneCurve, SpecialDiagonal,
                                SpecialVertical, _apart_mod, _axis_levels,
-                               _diagonal_levels, _divides_or_zero, _eliminate_y,
-                               _min_level_roots, _min_poly, _pair_vanishes,
-                               is_special_curve)
+                               _diagonal_levels, _min_level_roots, _min_poly,
+                               _pair_vanishes, _partner_count,
+                               intersect_small_orbit, is_special_curve)
 from orbitforge.dynamics import PolyDS
-from orbitforge.exact import BiPoly, Poly
+from orbitforge.exact import BiPoly, Poly, poly_resultant
 from orbitforge.orbits import level_factors
 
 P61 = 2 ** 61 - 1
@@ -68,10 +71,34 @@ def _pair_corpus():
 
 
 PAIR_CURVES, PAIR_ROOTS = _pair_corpus()
+X_MINUS_Y = BiPoly({(1, 0): 1, (0, 1): -1})        # the README curve
+DS1 = PolyDS(Poly([-1, 0, 1]))
 
 
 def _min_polys(roots):
     return sorted({_min_poly(r) for r in roots}, key=lambda f: (f.degree, f.coeffs))
+
+
+def _pair_decisions():
+    """Every pair decision of the pair corpus, one memo per curve and set."""
+    return [[_pair_vanishes(P, x, y, memo) for x in roots for y in roots]
+            for P in PAIR_CURVES for roots in PAIR_ROOTS for memo in [{}]]
+
+
+_RESULTANTS: dict = {}
+
+
+def _resultant(P, fy):
+    """Res_Y(f_y, P) over Q by ``exact.poly_resultant``, once per (P, f_y)."""
+    if (P, fy) not in _RESULTANTS:
+        _RESULTANTS[P, fy] = poly_resultant(fy, P)
+    return _RESULTANTS[P, fy]
+
+
+def _divides_resultant(P, fx, fy):
+    """f_x divides Res_Y(f_y, P) over Q, a zero resultant included."""
+    res = _resultant(P, fy)
+    return res.is_zero or (res.degree >= 1 and res.divmod(fx)[1].is_zero)
 
 
 # -- soundness -------------------------------------------------------------------
@@ -110,7 +137,7 @@ def test_pair_filter_never_denies_a_division():
             memos = {prime: {} for prime in (P61,) + SMALL}
             for fx in polys:
                 for fy in polys:
-                    divides = _divides_or_zero(fx, _eliminate_y(P, fy))
+                    divides = _divides_resultant(P, fx, fy)
                     divisions += divides
                     for prime, memo in memos.items():
                         apart = _apart_mod(P, fx, fy, memo, prime)
@@ -120,6 +147,43 @@ def test_pair_filter_never_denies_a_division():
                         # the default prime proves every "no" of this corpus
                         assert _apart_mod(P, fx, fy, memos[P61], P61), (P, fx, fy)
     assert (divisions, denied) == (47, 691)
+
+
+# -- the partner count is the pair rule's one exact test ------------------------------
+
+def test_partner_count_answers_the_exact_resultant():
+    # Res_Y(f_y, P) = prod P(X, beta) over the roots beta of f_y: f_x divides
+    # it exactly when some conjugate of y pairs with x, and it is 0 only when
+    # every one does
+    cases = [(P, roots) for P in PAIR_CURVES for roots in PAIR_ROOTS]
+    cases += [(X_MINUS_Y, _min_level_roots(DS1, ALPHA, cap)) for cap in (3, 4)]
+    pairs = zeros = 0
+    for P, roots in cases:
+        polys = _min_polys(roots)
+        for fx in polys:
+            for fy in polys:
+                k = _partner_count(P, fx, fy)
+                assert (k > 0) == _divides_resultant(P, fx, fy), (P, fx, fy)
+                if _resultant(P, fy).is_zero:
+                    assert k == fy.degree, (P, fx, fy)
+                    zeros += 1
+                pairs += 1
+    assert (pairs, zeros) == (779, 4)
+
+
+def test_no_library_path_calls_the_exact_resultant(monkeypatch):
+    import orbitforge.exact as exact_mod
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the exact resultant was called")
+
+    monkeypatch.setattr(exact_mod, "poly_resultant", forbidden)
+    rep = intersect_small_orbit(PlaneCurve.from_bipoly(X_MINUS_Y), DS1, ALPHA, 4)
+    assert rep.count() == 16 and rep.undecided == []
+
+    expected = _pair_decisions()
+    _exact_only(monkeypatch)
+    assert _pair_decisions() == expected
 
 
 # -- the exact tests still decide every "yes" ---------------------------------------
@@ -143,17 +207,13 @@ def test_small_prime_false_passes_are_refused_exactly(monkeypatch, golden, prime
 
 @pytest.mark.parametrize("prime", [3, 5, 7])
 def test_small_prime_pair_passes_are_refused_exactly(monkeypatch, prime):
-    def decide():
-        return [[_pair_vanishes(P, x, y, memo) for x in roots for y in roots]
-                for P in PAIR_CURVES for roots in PAIR_ROOTS
-                for memo in [{}]]
-    expected = decide()
+    expected = _pair_decisions()
     monkeypatch.setattr(curves, "_PRIME", prime)
-    assert decide() == expected
+    assert _pair_decisions() == expected
     # the corpus holds a false pass with a rational y, which only the
-    # exact divisibility refuses
+    # exact partner count refuses
     assert any(not _apart_mod(P, _min_poly(x), _min_poly(y), {}, prime)
-               and not _divides_or_zero(_min_poly(x), _eliminate_y(P, _min_poly(y)))
+               and _partner_count(P, _min_poly(x), _min_poly(y)) == 0
                for P in PAIR_CURVES for roots in PAIR_ROOTS
                for x in roots if not x.exact for y in roots if y.exact)
 
