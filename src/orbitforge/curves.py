@@ -9,7 +9,8 @@ bivariate polynomial.
 
 Both the special-curve test and the intersection pair rule ask questions
 whose answer is almost always "no", and both first try to prove that "no"
-modulo the prime 2^61 - 1 (the modular certificates below).  One walk of
+modulo one prime p per query, the least prime >= 2^61 - 1 that divides no
+denominator of the input (the modular certificates below).  One walk of
 f^n(x0) and f^n(Y) mod (p, P(x0, Y)) tests every level n <= nmax without
 building an iterate, so only the levels it leaves reach the exact division,
 least first, and an nmax past ``max_poly_degree`` answers for a curve with
@@ -17,7 +18,7 @@ no level left; axis lines take the same walk mod (p, q) against f^n(alpha).
 The pair rule is "modular no, then the exact partner count, then balls":
 Res_Y(f_y, P) mod p proves most pairs apart, and one exact partner count
 decides the rest or hands them to the balls.  Exact arithmetic decides every
-"yes", and an input with the prime in a denominator takes the exact path.
+"yes".
 
 The pullback series: with s(x) = 1/Psi(x) (a power series with unit linear
 coefficient), a curve P defines N(x, y) = P(s(x), s(y)) = sum a_nm x^n y^m.
@@ -35,14 +36,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import count
+from math import gcd, prod
 from typing import Optional, Union
 
 from .ball import CBall
 from .boettcher import phi_series, psi_series
 from .dynamics import PolyDS, Preperiodic, classify_orbit
 from .errors import DomainError, WindowError
-from .exact import BiPoly, LaurentBlock, Poly, evaluate_series_at_block, rat
+from .exact import BiPoly, LaurentBlock, Poly, _is_prime, evaluate_series_at_block, rat
 from .factor import (_add, _divmod, _gcd, _monic, _mul, _sub, _trim,
                      bivariate_irreducible)
 from .orbits import level_polynomial, level_root_groups
@@ -94,11 +96,18 @@ _PRIME = 2 ** 61 - 1
 _POINTS = (3, 7)                    # X = x0 for the special diagonal
 
 
-def _mod_p(coeffs, prime: int) -> Optional[list[int]]:
-    """Rational coefficients reduced mod prime, trimmed; None when prime
-    divides a denominator."""
-    if any(c.denominator % prime == 0 for c in coeffs):
-        return None
+def _prime_for(f: Poly, alpha: Fraction, lead: int = 1) -> int:
+    """The least prime p >= 2^61 - 1 dividing no denominator of f or alpha,
+    nor lead: every input of the modular certificates is then p-integral."""
+    bad = lead * alpha.denominator * prod(c.denominator for c in f.coeffs)
+    p = _PRIME
+    while bad % p == 0:
+        p = next(q for q in count(p + 1) if _is_prime(q))
+    return p
+
+
+def _mod_p(coeffs, prime: int) -> list[int]:
+    """p-integral rational coefficients reduced mod prime, trimmed."""
     return _trim([c.numerator * pow(c.denominator, -1, prime) % prime
                   for c in coeffs])
 
@@ -119,59 +128,48 @@ def _compose_mod(f: list[int], y: list[int], m: list[int], prime: int) -> list[i
     return acc
 
 
-def _diagonal_levels(rows: list[Poly], f: Poly, nmax: int,
-                     prime: int) -> Optional[range]:
-    """The levels n <= nmax at which P, given by its Y-rows with a constant
-    top row c, is not proven modulo prime not to divide f^n(X) - f^n(Y);
-    None when prime divides c or a denominator of P or f.
+def _first_level(fp: list[int], m: list[int], a: int, nmax: int, prime: int, holds) -> int:
+    """The least n <= nmax with holds(z_n - a_n), else nmax + 1, for z_n =
+    f^n(Y) mod (prime, m) and a_n = f^n(a) mod prime, O(d deg(m)^2) a step.
+    A property that holds at a level must hold at every later one."""
+    z = _divmod([0, 1], m, prime)[1]
+    for n in range(nmax + 1):
+        if holds(_sub(z, [a], prime)):
+            return n
+        z, a = _compose_mod(fp, z, m, prime), _value(fp, a, prime)
+    return nmax + 1
 
-    P | f^n(X) - f^n(Y) makes P(x0, Y) divide f^n(x0) - f^n(Y) mod prime.
-    A walk per point x0 carries x_n = f^n(x0) and y_n = f^n(Y) mod
-    (prime, P(x0, Y)), each step an O(d k^2) Horner pass for k = deg_Y P;
-    a level with y_n != x_n at some point is proven not to divide.  Once
-    y_n = x_n it holds at every later level (apply f to both sides), so
-    each walk stops at its first equality and the levels left run from the
-    latest of those to nmax."""
+
+def _diagonal_levels(rows: list[Poly], f: Poly, nmax: int, prime: int) -> range:
+    """The levels n <= nmax at which P, by its Y-rows with a constant top row
+    that prime does not divide, is not proven mod prime not to divide
+    f^n(X) - f^n(Y): that makes P(x0, Y) divide f^n(x0) - f^n(Y) mod prime,
+    so the walk at x0 proves every level before its first equality apart.
+    Equality holds at every later level (apply f to both sides)."""
     fp = _mod_p(f.coeffs, prime)
     reduced = [_mod_p(row.coeffs, prime) for row in rows]
-    if fp is None or None in reduced or not reduced[-1]:
-        return None
     start = 0
     for x0 in _POINTS:
-        m = [_value(row, x0, prime) for row in reduced]
-        x, y = x0 % prime, _divmod([0, 1], m, prime)[1]
-        n = 0
-        while n <= nmax and y != _trim([x]):
-            x, y = _value(fp, x, prime), _compose_mod(fp, y, m, prime)
-            n += 1
-        start = max(start, n)
-        if start > nmax:
-            break
+        if start <= nmax:       # the second point walks while levels remain
+            m = [_value(row, x0, prime) for row in reduced]
+            start = max(start, _first_level(fp, m, x0, nmax, prime, lambda r: not r))
     return range(start, nmax + 1)
 
 
-def _axis_levels(q: Poly, f: Poly, alpha: Fraction, nmax: int,
-                 prime: int) -> Optional[range]:
-    """The levels n <= nmax at which q is not proven modulo prime to be
-    coprime to f^n(X) - f^n(alpha); None when prime divides a denominator
-    of q, f or alpha, or every coefficient of q.
+def _axis_levels(q: Poly, f: Poly, alpha: Fraction, nmax: int, prime: int) -> range:
+    """The levels n <= nmax at which q is not proven mod prime to be coprime
+    to f^n(X) - f^n(alpha), by gcd(q, z_n - a_n) = 1 mod prime.
 
     A common factor over Q is, made monic, p-integral (its roots are level
     roots, integral over the p-integral f and alpha), so by Gauss's lemma it
-    divides q and the level modulo prime, even when q's degree drops there.
-    The walk carries z_n = f^n(X) mod (prime, q) and a_n = f^n(alpha) mod
-    prime; a level with gcd(q, z_n - a_n) = 1 mod prime is proven coprime.
-    A common factor at level n is one at every later level, as u - v
-    divides f(u) - f(v), so the walk stops at the first level left."""
-    fp, qp, a = (_mod_p(c, prime) for c in (f.coeffs, q.coeffs, [alpha]))
-    if None in (fp, qp, a) or not qp:
-        return None
-    z, a = _divmod([0, 1], qp, prime)[1], (a or [0])[0]
-    for n in range(nmax + 1):
-        if len(_gcd(qp, _sub(z, [a], prime), prime)) > 1:
-            return range(n, nmax + 1)
-        z, a = _compose_mod(fp, z, qp, prime), _value(fp, a, prime)
-    return range(0)
+    divides q and the level modulo prime, even when q's degree drops there
+    (q is primitive, so not zero mod prime).  A common factor at level n is
+    one at every later level, as u - v divides f(u) - f(v)."""
+    qp = _mod_p(q.coeffs, prime)
+    a = (_mod_p([alpha], prime) or [0])[0]
+    start = _first_level(_mod_p(f.coeffs, prime), qp, a, nmax, prime,
+                         lambda r: len(_gcd(qp, r, prime)) > 1)
+    return range(start, nmax + 1)
 
 
 def _norm_mod(f: list[int], g: list[int], prime: int) -> int:
@@ -188,9 +186,9 @@ def _norm_mod(f: list[int], g: list[int], prime: int) -> int:
 
 
 def _resultant_mod(P: BiPoly, fy: Poly, prime: int) -> Optional[list[int]]:
-    """Res_Y(f_y, P) mod prime for a monic f_y, by the evaluation and
-    interpolation of ``exact.poly_resultant`` run mod prime; None when prime
-    divides a denominator of f_y or P, or there are too few points mod prime.
+    """Res_Y(f_y, P) mod prime for a monic p-integral f_y, by the evaluation
+    and interpolation of ``exact.poly_resultant`` run mod prime; None when
+    there are too few points mod prime.
 
     f_y is monic, so the resultant is prod P(X, beta) over the roots of f_y
     whatever P's leading coefficients, and reducing it mod prime commutes
@@ -198,7 +196,7 @@ def _resultant_mod(P: BiPoly, fy: Poly, prime: int) -> Optional[list[int]]:
     fp = _mod_p(fy.coeffs, prime)
     rows = [_mod_p(row.coeffs, prime) for row in P.coeffs_in("y")]
     top = fy.degree * max(P.deg_x, 0)
-    if fp is None or None in rows or top >= prime:
+    if top >= prime:
         return None
     table = [_norm_mod(fp, _trim([_value(row, x, prime) for row in rows]), prime)
              for x in range(top + 1)]
@@ -218,8 +216,7 @@ def _apart_mod(P: BiPoly, fx: Poly, fy: Poly, memo: dict, prime: int) -> bool:
     f_x is monic and p-integral, so f_x | R over Q gives f_x | R mod prime;
     R mod prime != 0 gives R != 0."""
     res = _once(memo, ("resultant mod", fy), lambda: _resultant_mod(P, fy, prime))
-    fxp = _mod_p(fx.coeffs, prime)
-    return bool(res) and fxp is not None and bool(_divmod(res, fxp, prime)[1])
+    return bool(res) and bool(_divmod(res, _mod_p(fx.coeffs, prime), prime)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +251,12 @@ SpecialVerdict = Union[SpecialDiagonal, SpecialVertical, SpecialHorizontal,
                        NotSpecialUpTo]
 
 
-def _axis_factor_level(p_axis: Poly, ds: PolyDS, alpha: Fraction,
-                       nmax: int) -> Optional[tuple[Optional[Fraction], Poly, int]]:
+def _axis_factor_level(p_axis: Poly, ds: PolyDS, alpha: Fraction, nmax: int,
+                       prime: int) -> Optional[tuple[Optional[Fraction], Poly, int]]:
     """(beta, factor, level): the first factor shared between a one-variable
     curve polynomial and an orbit level polynomial, by exact gcds at the
-    levels that ``_axis_levels`` leaves (at every level when it cannot
-    run)."""
-    levels = _axis_levels(p_axis, ds.f, alpha, nmax, _PRIME)
-    for n in range(nmax + 1) if levels is None else levels:
+    levels that ``_axis_levels`` leaves modulo prime."""
+    for n in _axis_levels(p_axis, ds.f, alpha, nmax, prime):
         common = p_axis.gcd(level_polynomial(ds, alpha, n, n)[1])
         if common.degree >= 1:
             return (-common.coeff(0) if common.degree == 1 else None), common, n
@@ -295,32 +290,33 @@ def is_special_curve(curve: PlaneCurve, ds: PolyDS, alpha, nmax: int) -> Special
     and a factor P of it has a constant Y-leading coefficient and positive
     Y-degree; any other P divides no level and builds no iterate.  For the
     rest, one modular pass (``_diagonal_levels``) proves "no" at every level
-    n <= nmax it can, modulo the prime 2^61 - 1 at X = 3 and X = 7, without
-    building an iterate; the levels left are decided least first by division
-    in Y over Q[X] (``_divides_iterate_difference``), with univariate
-    arithmetic only.  Vertical/horizontal lines are matched through exact
-    gcds with the level-set polynomials at the levels that the modular pass
-    of ``_axis_levels`` leaves (so conjugate irrational orbit points are
-    caught too, reported by their shared factor).  So a curve with no level
-    left answers ``NotSpecialUpTo`` for an nmax past ``max_poly_degree`` or
-    ``orbit_degree_cap`` too.  When the prime divides a denominator of f,
-    alpha or P, or P's leading coefficient, every level takes the exact test.
+    n <= nmax it can, at X = 3 and X = 7, without building an iterate; the
+    levels left are decided least first by division in Y over Q[X]
+    (``_divides_iterate_difference``), with univariate arithmetic only.
+    Vertical/horizontal lines are matched through exact gcds with the
+    level-set polynomials at the levels that the modular pass of
+    ``_axis_levels`` leaves (so conjugate irrational orbit points are caught
+    too, reported by their shared factor).  So a curve with no level left
+    answers ``NotSpecialUpTo`` for an nmax past ``max_poly_degree`` or
+    ``orbit_degree_cap`` too.  Both passes run modulo ``_prime_for``'s prime,
+    which divides no denominator and not P's Y-leading coefficient.
     """
     if nmax < 0:
         raise DomainError("nmax must be >= 0")
     alpha = rat(alpha)
     P = curve.poly
     rows = P.coeffs_in("y")
-    if len(rows) > 1 and rows[-1].degree == 0:
-        levels = _diagonal_levels(rows, ds.f, nmax, _PRIME)
-        for n in range(nmax + 1) if levels is None else levels:
+    diagonal = len(rows) > 1 and rows[-1].degree == 0
+    prime = _prime_for(ds.f, alpha, rows[-1].lead.numerator if diagonal else 1)
+    if diagonal:
+        for n in _diagonal_levels(rows, ds.f, nmax, prime):
             if _divides_iterate_difference(rows, ds.iterate(n)):
                 return SpecialDiagonal(n)
     # a P in one variable is a union of vertical (horizontal) lines
     for axis_rows, verdict in ((rows, SpecialVertical),
                                (P.coeffs_in("x"), SpecialHorizontal)):
         if len(axis_rows) == 1:
-            hit = _axis_factor_level(axis_rows[0], ds, alpha, nmax)
+            hit = _axis_factor_level(axis_rows[0], ds, alpha, nmax, prime)
             if hit:
                 return verdict(*hit)
     return NotSpecialUpTo(nmax)
@@ -443,12 +439,15 @@ def _min_poly(ref: RootRef) -> Poly:
     return Poly([-ref.value, 1]) if ref.exact else ref.factor
 
 
-def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict) -> Optional[bool]:
+def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict,
+                   prime: int) -> Optional[bool]:
     """Decide P(x, y) = 0 from the minimal polynomials f_x, f_y of the two
     points; None when undecided.
 
-    ``_apart_mod`` first tries to prove the pair apart modulo the prime
-    2^61 - 1.  Every other pair takes one exact test, the partner count k:
+    ``_apart_mod`` first tries to prove the pair apart modulo prime, which
+    divides no denominator D of f or alpha: f_x and f_y are monic factors of
+    level polynomials in Z[1/D][X], so p-integral by Gauss's lemma.  Every
+    other pair takes one exact test, the partner count k:
     the number of roots y' of f_y with P(x, y') = 0, the degree of
     gcd(P(x, Y), f_y) over Q(x).  k = 0 decides False, k = deg f_y True.
     Short of that the balls decide: P(x, y) excludes 0, or exactly k of the
@@ -466,7 +465,7 @@ def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict) -> Optional[bo
     certified here when the caller has not supplied them.  No precision is
     changed."""
     fx, fy = _min_poly(x), _min_poly(y)
-    if _once(memo, ("apart", fx, fy), lambda: _apart_mod(P, fx, fy, memo, _PRIME)):
+    if _once(memo, ("apart", fx, fy), lambda: _apart_mod(P, fx, fy, memo, prime)):
         return False                   # proven modulo the prime
     k = _once(memo, ("k", fx, fy), lambda: _partner_count(P, fx, fy))
     if k == 0:
@@ -495,10 +494,10 @@ def intersect_small_orbit(curve: PlaneCurve, ds: PolyDS, alpha,
 
     Pairs (b1, b2) from levels <= level_cap are decided by ``_pair_vanishes``
     from the points' minimal polynomials; undecided pairs are listed, never
-    counted.  Its work modulo the prime runs once per f_y and its exact
-    work, the partner count, once per pair of minimal polynomials; per root
-    pair it at most evaluates P on balls, using the level roots' own balls
-    for the conjugates of y.
+    counted.  Its work modulo the prime (``_prime_for``, chosen once per
+    call) runs once per f_y and its exact work, the partner count, once per
+    pair of minimal polynomials; per root pair it at most evaluates P on
+    balls, using the level roots' own balls for the conjugates of y.
     Level roots come from the successive quotients of the level polynomials.
     A curve whose certified count exceeds the Bezout-style cap deg(P)*d^cap
     while being classified non-special is flagged.
@@ -510,12 +509,13 @@ def intersect_small_orbit(curve: PlaneCurve, ds: PolyDS, alpha,
     points: list[IntersectionPoint] = []
     undecided: list[tuple[RootRef, RootRef]] = []
     memo: dict = {}
+    prime = _prime_for(ds.f, alpha)
     for ref in roots:
         if not ref.exact:
             memo.setdefault(("roots", ref.factor), []).append(ref.ball)
     for x in roots:
         for y in roots:
-            hit = _pair_vanishes(curve.poly, x, y, memo)
+            hit = _pair_vanishes(curve.poly, x, y, memo, prime)
             if hit is True:
                 points.append(IntersectionPoint(
                     x, y, "exact" if (x.exact and y.exact) else "certified"))

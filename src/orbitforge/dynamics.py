@@ -10,14 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .ball import CBall
 from .config import DEFAULTS, Settings
 from .errors import DomainError, PrecisionError, ResourceError, UndecidedError
 from .exact import Poly, _prime_factors, _v_p, integer_kth_root, rat
-from .green import GreenValue, escape_step, green_eval
 from .rootcert import certified_roots
+
+if TYPE_CHECKING:
+    from .green import GreenValue
 
 _MAX_PADIC_DIGITS = 4096   # the p-adic escape walk gives up beyond this
 
@@ -326,6 +328,8 @@ def escaping_critical_points(ds: PolyDS) -> CriticalEscapeReport:
     the same walk without that stop, may find its step.  The Green values of
     the escaping and undecided points are kept for ``radius_archimedean``.
     """
+    from .green import green_eval   # loaded only when a Green value is needed
+
     max_iter = ds.settings.max_iterations
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
@@ -445,6 +449,8 @@ def find_place_of_good_reduction_escape(ds: PolyDS, alpha: Fraction) -> GoodPlac
     prime whose p-adic walk still loses precision at 4096 digits raises
     PrecisionError rather than being reported as non-escaping.
     """
+    from .green import escape_step  # loaded only when a walk is needed
+
     alpha = rat(alpha)
     if isinstance(classify_orbit(ds, alpha), Preperiodic):
         raise DomainError("point is preperiodic; no escape place exists")

@@ -130,11 +130,12 @@ def green_eval(ds: PolyDS, z, tol: Optional[Fraction] = None) -> GreenValue:
         elif lo >= 2 * r_up:
             # shrink the tail: valid once |z_k| >= 2R (then |z_{j+1}| >= 2|z_j|)
             tail = 4 * s_up / (mpf(ds.d) ** (n + 1) * lo) if s != 0 else mpf(0)
-            logball = cur.log_abs()
-            total_rad = tail + logball.rad / d_n
-            if total_rad <= tol_f:
-                val = CBall(logball.re_mid / d_n, mpf(0), total_rad)
-                return GreenValue(_clip_nonneg(val), n, True)
+            if tail <= tol_f:           # else total_rad >= tail exceeds tol
+                logball = cur.log_abs()
+                total_rad = tail + logball.rad / d_n
+                if total_rad <= tol_f:
+                    val = CBall(logball.re_mid / d_n, mpf(0), total_rad)
+                    return GreenValue(_clip_nonneg(val), n, True)
         if n == max_iter + 200:
             break
         n += 1

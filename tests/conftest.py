@@ -1,7 +1,29 @@
-"""Suite-wide guards."""
+"""Suite-wide guards, and the time limit of the tests that must not hang."""
+
+import signal
+from contextlib import contextmanager
 
 import mpmath
 import pytest
+
+
+class Hang(Exception):
+    """A ``time_limit`` block ran past its limit."""
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise ``Hang`` in the block once ``seconds`` have passed."""
+    def on_alarm(signum, frame):
+        raise Hang(f"no answer within {seconds} s")
+
+    old_handler = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old_handler)
 
 
 @pytest.fixture(autouse=True)

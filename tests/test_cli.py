@@ -5,8 +5,7 @@ import json
 import sys
 
 import pytest
-
-from test_orbits import _cli_within
+from conftest import time_limit
 
 from orbitforge.cli import main
 
@@ -340,5 +339,7 @@ def test_manifest_records_every_setting(tmp_path):
 ])
 def test_mersenne_prime_2_61_is_tested_quickly(argv, key):
     # 2^61 - 1 once took minutes of trial division to be found prime
-    out = json.loads(_cli_within(2, argv))
+    with time_limit(2):
+        _code, out, _err = run_cli(argv)
+    out = json.loads(out)
     assert key in out and "error" not in out

@@ -1,8 +1,8 @@
 """Cold start: no CLI command imports sympy, factoring over Q included, and
 neither does reading a curve's ``irreducible_q``; a command that factors
-nothing does not load ``factor``.  The exact layers import
-neither sympy nor mpmath, and every module imports cleanly as the first
-module of the package."""
+nothing does not load ``factor``, and one that needs no Green value does not
+load ``green``.  The exact layers import neither sympy nor mpmath, and every
+module imports cleanly as the first module of the package."""
 
 import os
 import pathlib
@@ -62,22 +62,22 @@ assert "sympy" not in sys.modules, "irreducible_q loaded sympy"
 '''
 
 
-# Commands that factor nothing over Q leave the factoring module unloaded.
-NO_FACTOR = r'''
+# A command that needs nothing of a module leaves it unloaded.
+UNLOADED = r'''
 import contextlib, io, sys
 from orbitforge.cli import main
-assert "orbitforge.factor" not in sys.modules, "import orbitforge.cli"
-for argv in (
-        ["dynamics", "classify", "--poly", "[-1,0,1]", "--alpha", "1/3"],
-        ["boettcher", "--poly", "[-1,0,1]", "--order", "8", "--phi"],
-        ["padic", "polygon", "--p", "3", "--series",
-         '[[0,"3"],[1,"1"],[2,"3"]]'],
-        ["combinat", "verify", "--lemma", "box1", "--nmax", "17"]):
+assert MODULE not in sys.modules, "import orbitforge.cli"
+for argv in COMMANDS:
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0, argv
-    assert "orbitforge.factor" not in sys.modules, argv
+    assert MODULE not in sys.modules, argv
 '''
+
+BOETTCHER = ["boettcher", "--poly", "[-1,0,1]", "--order", "8", "--phi"]
+PADIC = ["padic", "polygon", "--p", "3", "--series", '[[0,"3"],[1,"1"],[2,"3"]]']
+COMBINAT = ["combinat", "verify", "--lemma", "box1", "--nmax", "17"]
+CLASSIFY = ["dynamics", "classify", "--poly", "[-1,0,1]"]
 
 
 EXACT_LAYERS = r'''
@@ -119,8 +119,17 @@ def test_no_command_imports_sympy():
     _run_fresh(SCRIPT)
 
 
+def _run_unloaded(module, commands):
+    _run_fresh(f"MODULE = {module!r}\nCOMMANDS = {commands!r}\n" + UNLOADED)
+
+
 def test_commands_that_factor_nothing_leave_factor_unloaded():
-    _run_fresh(NO_FACTOR)
+    _run_unloaded("orbitforge.factor",
+                  [CLASSIFY + ["--alpha", "1/3"], BOETTCHER, PADIC, COMBINAT])
+
+
+def test_commands_without_a_green_value_leave_green_unloaded():
+    _run_unloaded("orbitforge.green", [CLASSIFY, BOETTCHER, PADIC, COMBINAT])
 
 
 def test_exact_layers_import_neither_mpmath_nor_sympy():

@@ -4,11 +4,11 @@ JSON or nothing on stdout, never in a traceback and never in a hang."""
 
 import io
 import json
-import signal
 import sys
 from dataclasses import fields
 
 import pytest
+from conftest import time_limit
 
 from orbitforge.cli import main
 from orbitforge.config import Settings
@@ -24,28 +24,17 @@ COMMANDS = {
 SECONDS = 10
 
 
-class _Hang(Exception):
-    pass
-
-
-def _on_alarm(signum, frame):
-    raise _Hang(f"no answer within {SECONDS} s")
-
-
 def _run(cfg, argv):
     """(exit code, stdout, stderr) of one CLI run, cut after SECONDS."""
     out, err = io.StringIO(), io.StringIO()
     old_out, old_err = sys.stdout, sys.stderr
-    old_handler = signal.signal(signal.SIGALRM, _on_alarm)
     sys.stdout, sys.stderr = out, err
-    signal.alarm(SECONDS)
     try:
-        code = main(["--config", str(cfg)] + argv)
+        with time_limit(SECONDS):
+            code = main(["--config", str(cfg)] + argv)
     except SystemExit as exc:              # argparse usage errors
         code = exc.code
     finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old_handler)
         sys.stdout, sys.stderr = old_out, old_err
     return code, out.getvalue(), err.getvalue()
 

@@ -10,7 +10,7 @@ from orbitforge.ball import CBall
 from orbitforge.config import Settings
 from orbitforge.curves import (NotSpecialUpTo, PlaneCurve, RootRef,
                                SpecialDiagonal, SpecialVertical,
-                               _min_level_roots, _pair_vanishes,
+                               _min_level_roots, _pair_vanishes, _prime_for,
                                build_nu, commuting_linear, intersect_small_orbit,
                                is_special_curve, nu_estimates)
 from orbitforge.dynamics import PolyDS
@@ -285,10 +285,11 @@ def test_shared_exact_tests_match_per_pair_tests(terms):
     curve = PlaneCurve.from_terms(terms)
     rep = intersect_small_orbit(curve, DS1, F(1, 3), 3)
     roots = _min_level_roots(DS1, F(1, 3), 3)
+    prime = _prime_for(DS1.f, F(1, 3))
     points, undecided = [], []
     for x in roots:
         for y in roots:
-            hit = _pair_vanishes(curve.poly, x, y, {})
+            hit = _pair_vanishes(curve.poly, x, y, {}, prime)
             if hit is True:
                 points.append((x, y))
             elif hit is None:

@@ -99,6 +99,16 @@ def test_nonnegative_and_escaped_radius_bound():
     assert float(g.value.rad) <= 1e-10
 
 
+def test_escaping_walk_takes_the_log_only_where_it_can_stop(monkeypatch):
+    # a step whose tail bound alone exceeds tol cannot stop, so only the
+    # stopping step (the fifth, for 3 under X^2 - 1) computes log|z_n|
+    calls = []
+    log_abs = CBall.log_abs
+    monkeypatch.setattr(CBall, "log_abs", lambda self: calls.append(self) or log_abs(self))
+    g = green_eval(DS1, 3, F(1, 10**10))
+    assert (g.escaped, g.iterations_used, len(calls)) == (True, 5, 1)
+
+
 def test_functional_equation_random_points():
     rng = random.Random(17)
     for ds in (DS1, DS6):

@@ -3,24 +3,30 @@
 A walk or a resultant modulo a prime may only prove non-division: every
 divisibility over Q must pass it, at the default prime and at any small
 prime that divides no denominator.  A small prime passes many levels and
-pairs falsely, so it shows that the exact tests still decide every "yes";
-a prime that divides a denominator must leave the input to exact arithmetic.
-The pair rule's one exact test, the partner count, must answer what the
-exact resultant ``exact.poly_resultant`` answers, which no library path
-calls.
+pairs falsely, so it shows that the exact tests still decide every "yes".
+Each query runs modulo the least prime >= 2^61 - 1 that divides no
+denominator of its input, so a prime in a denominator is skipped rather
+than leaving every level to exact arithmetic.  The pair rule's one exact test,
+the partner count, must answer what the exact resultant
+``exact.poly_resultant`` answers, which no library path calls.
 """
 
+import io
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from conftest import time_limit
 from test_special_golden import _cases, _iterate_difference_factors, _maps
 
 from orbitforge import curves
+from orbitforge.cli import main
 from orbitforge.curves import (NotSpecialUpTo, PlaneCurve, SpecialDiagonal,
                                SpecialVertical, _apart_mod, _axis_levels,
                                _diagonal_levels, _min_level_roots, _min_poly,
-                               _pair_vanishes, _partner_count,
+                               _pair_vanishes, _partner_count, _prime_for,
                                intersect_small_orbit, is_special_curve)
 from orbitforge.dynamics import PolyDS
 from orbitforge.exact import BiPoly, Poly, poly_resultant
@@ -33,9 +39,17 @@ ALPHA = F(1, 3)
 
 def _exact_only(monkeypatch):
     """Every level and every pair takes the exact test."""
-    monkeypatch.setattr(curves, "_diagonal_levels", lambda *args: None)
-    monkeypatch.setattr(curves, "_axis_levels", lambda *args: None)
+    def every(*args):                   # (..., nmax, prime)
+        return range(args[-2] + 1)
+
+    monkeypatch.setattr(curves, "_diagonal_levels", every)
+    monkeypatch.setattr(curves, "_axis_levels", every)
     monkeypatch.setattr(curves, "_apart_mod", lambda *args: False)
+
+
+def _integral_at(prime, f, alpha=F(0), lead=1):
+    """prime divides no denominator of f or alpha and not lead."""
+    return all(c.denominator % prime for c in (*f.coeffs, alpha)) and lead % prime
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +61,8 @@ def golden():
 
 
 def _pair_corpus():
-    """(P, systems' level roots) for seeded lines and conics and curves
-    that meet the squared level sets in whole conjugate classes."""
+    """(P, systems with their level roots) for seeded lines and conics and
+    curves that meet the squared level sets in whole conjugate classes."""
     rng = random.Random(20261020)
     curves_ = [BiPoly({(2, 0): rng.randint(1, 3), (0, 2): rng.randint(-3, 3),
                        (1, 1): rng.randint(-2, 2), (1, 0): rng.randint(-3, 3),
@@ -67,10 +81,12 @@ def _pair_corpus():
     systems = [(PolyDS(Poly([-1, 0, 1])), F(1, 3), 3),
                (PolyDS(Poly([-2, 0, 1])), F(1, 2), 3),
                (PolyDS(Poly([1, -1, 0, 1])), F(1, 2), 2)]
-    return curves_, [_min_level_roots(ds, alpha, cap) for ds, alpha, cap in systems]
+    return curves_, [(ds, alpha, _min_level_roots(ds, alpha, cap))
+                     for ds, alpha, cap in systems]
 
 
-PAIR_CURVES, PAIR_ROOTS = _pair_corpus()
+PAIR_CURVES, PAIR_SYSTEMS = _pair_corpus()
+PAIR_ROOTS = [roots for _ds, _alpha, roots in PAIR_SYSTEMS]
 X_MINUS_Y = BiPoly({(1, 0): 1, (0, 1): -1})        # the README curve
 DS1 = PolyDS(Poly([-1, 0, 1]))
 
@@ -80,9 +96,11 @@ def _min_polys(roots):
 
 
 def _pair_decisions():
-    """Every pair decision of the pair corpus, one memo per curve and set."""
-    return [[_pair_vanishes(P, x, y, memo) for x in roots for y in roots]
-            for P in PAIR_CURVES for roots in PAIR_ROOTS for memo in [{}]]
+    """Every pair decision of the pair corpus, one memo per curve and set,
+    modulo the prime chosen for each system."""
+    return [[_pair_vanishes(P, x, y, memo, prime) for x in roots for y in roots]
+            for P in PAIR_CURVES for ds, alpha, roots in PAIR_SYSTEMS
+            for memo, prime in [({}, _prime_for(ds.f, alpha))]]
 
 
 _RESULTANTS: dict = {}
@@ -104,17 +122,19 @@ def _divides_resultant(P, fx, fy):
 # -- soundness -------------------------------------------------------------------
 
 def test_iterate_difference_factors_pass_the_walk_at_their_level():
-    seen = 0
+    seen = walked = 0
     for f in _maps(random.Random(20261019)):
         for n in range(3):
             for curve in _iterate_difference_factors(f, n):
                 rows = curve.poly.coeffs_in("y")
                 assert len(rows) > 1 and rows[-1].degree == 0
                 for prime in (P61,) + SMALL:
-                    levels = _diagonal_levels(rows, f, n, prime)
-                    assert levels is None or n in levels, (f, curve, prime)
+                    if _integral_at(prime, f, lead=rows[-1].coeff(0)):
+                        levels = _diagonal_levels(rows, f, n, prime)
+                        assert n in levels, (f, curve, prime)
+                        walked += 1
                 seen += 1
-    assert seen == 51
+    assert (seen, walked) == (51, 282)
 
 
 def test_level_factors_pass_the_axis_walk_at_their_level():
@@ -125,16 +145,18 @@ def test_level_factors_pass_the_axis_walk_at_their_level():
         for n, factors in enumerate(level_factors(ds, alpha, cap, cap)):
             for factor, _mult in factors:
                 for prime in (P61,) + SMALL:
-                    levels = _axis_levels(factor, ds.f, alpha, cap, prime)
-                    assert levels is None or n in levels, (factor, prime)
+                    if _integral_at(prime, ds.f, alpha):
+                        levels = _axis_levels(factor, ds.f, alpha, cap, prime)
+                        assert n in levels, (factor, prime)
 
 
 def test_pair_filter_never_denies_a_division():
     divisions = denied = 0
     for P in PAIR_CURVES:
-        for roots in PAIR_ROOTS:
+        for ds, alpha, roots in PAIR_SYSTEMS:
             polys = _min_polys(roots)
-            memos = {prime: {} for prime in (P61,) + SMALL}
+            memos = {prime: {} for prime in (P61,) + SMALL
+                     if _integral_at(prime, ds.f, alpha)}
             for fx in polys:
                 for fy in polys:
                     divides = _divides_resultant(P, fx, fy)
@@ -210,11 +232,12 @@ def test_small_prime_pair_passes_are_refused_exactly(monkeypatch, prime):
     expected = _pair_decisions()
     monkeypatch.setattr(curves, "_PRIME", prime)
     assert _pair_decisions() == expected
-    # the corpus holds a false pass with a rational y, which only the
-    # exact partner count refuses
-    assert any(not _apart_mod(P, _min_poly(x), _min_poly(y), {}, prime)
+    # the corpus holds a false pass with a rational y, at the prime chosen
+    # for its system, which only the exact partner count refuses
+    assert any(not _apart_mod(P, _min_poly(x), _min_poly(y), {},
+                              _prime_for(ds.f, alpha))
                and _partner_count(P, _min_poly(x), _min_poly(y)) == 0
-               for P in PAIR_CURVES for roots in PAIR_ROOTS
+               for P in PAIR_CURVES for ds, alpha, roots in PAIR_SYSTEMS
                for x in roots if not x.exact for y in roots if y.exact)
 
 
@@ -229,9 +252,9 @@ def test_axis_line_whose_degree_drops_mod_the_prime(monkeypatch, prime):
     assert v.factor == Poly([F(1, 3), 1])
 
 
-# -- a prime that divides a denominator leaves the input to exact arithmetic ---
+# -- a prime that divides a denominator is skipped -----------------------------
 
-def test_denominator_divisible_by_the_prime_falls_back(monkeypatch):
+def test_denominator_divisible_by_the_prime_is_skipped(monkeypatch):
     tiny = F(1, P61)
     ds = PolyDS(Poly([tiny, 0, 1]))                 # X^2 + 1/(2^61 - 1)
     anti = PlaneCurve.from_terms({(1, 0): 1, (0, 1): 1})
@@ -240,8 +263,9 @@ def test_denominator_divisible_by_the_prime_falls_back(monkeypatch):
     through = PlaneCurve.from_terms({(1, 0): P61, (0, 0): 1})     # X = -alpha
     lead = PlaneCurve.from_terms({(1, 0): 1, (0, 1): P61})         # P61 Y + X
     d1 = PolyDS(Poly([-1, 0, 1]))
-    assert _diagonal_levels(anti.poly.coeffs_in("y"), ds.f, 3, P61) is None
-    assert _axis_levels(five.poly.coeffs_in("y")[0], d1.f, tiny, 3, P61) is None
+    assert _prime_for(ds.f, ALPHA) > P61
+    assert _prime_for(d1.f, ALPHA, P61) > P61
+    assert _prime_for(d1.f, tiny) > P61
     assert is_special_curve(anti, ds, ALPHA, 3) == SpecialDiagonal(1)
     assert is_special_curve(line, ds, ALPHA, 3) == NotSpecialUpTo(3)
     assert is_special_curve(lead, d1, ALPHA, 3) == NotSpecialUpTo(3)
@@ -253,9 +277,47 @@ def test_denominator_divisible_by_the_prime_falls_back(monkeypatch):
     assert all(r.exact or r.factor.coeff(0).denominator % P61 == 0 for r in roots)
 
     def decide():
-        return [_pair_vanishes(c.poly, x, y, memo) for c in (anti, line, through)
+        return [_pair_vanishes(c.poly, x, y, memo, _prime_for(d1.f, tiny))
+                for c in (anti, line, through)
                 for memo in [{}] for x in roots for y in roots]
     expected = decide()
     assert True in expected and False in expected
     _exact_only(monkeypatch)
     assert decide() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "special", "--poly", '["1/2305843009213693951",0,1]',
+     "--curve", '[[1,0,"1"],[0,1,"-1"],[0,0,"-1"]]', "--alpha", "1/3",
+     "--nmax", "30"],
+    ["curve", "special", "--poly", "[-1,0,1]", "--curve", '[[1,0,"1"],[0,0,"-5"]]',
+     "--alpha", "1/2305843009213693951", "--nmax", "20"],
+])
+def test_prime_in_a_denominator_answers_quickly(argv):
+    # with the exact test at every level, the first gave no answer within
+    # 30 s and the second a resource error (level degree 2^13) after 21 s
+    out = io.StringIO()
+    with time_limit(2), redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    assert json.loads(out.getvalue())["verdict"] == "not-special"
+
+
+def test_prime_in_a_denominator_leaves_no_level_to_divide(monkeypatch):
+    divisions = []
+    divides = curves._divides_iterate_difference
+    monkeypatch.setattr(curves, "_divides_iterate_difference",
+                        lambda rows, fn: divisions.append(fn) or divides(rows, fn))
+    ds = PolyDS(Poly([F(1, P61), 0, 1]))
+    line = PlaneCurve.from_terms({(1, 0): 1, (0, 1): -1, (0, 0): -1})
+    assert is_special_curve(line, ds, ALPHA, 6) == NotSpecialUpTo(6)
+    assert divisions == []
+
+
+def test_prime_in_a_denominator_leaves_no_pair_to_count(monkeypatch):
+    counts = []
+    partner_count = curves._partner_count
+    monkeypatch.setattr(curves, "_partner_count",
+                        lambda *args: counts.append(args) or partner_count(*args))
+    graph = PlaneCurve.from_terms({(2, 0): 1, (0, 1): -1, (0, 0): -1})   # Y = X^2 - 1
+    rep = intersect_small_orbit(graph, DS1, F(1, P61), 3)
+    assert (rep.count(), rep.undecided, len(counts)) == (0, [], 0)

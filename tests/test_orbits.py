@@ -5,11 +5,11 @@ import io
 import json
 import math
 import random
-import signal
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from conftest import time_limit
 
 from orbitforge.ball import eval_poly_ball
 from orbitforge.cli import main
@@ -251,29 +251,14 @@ def test_negative_levels_are_a_domain_error(n, m):
         level_root_groups(DS1, F(1, 3), n, m)
 
 
-def _cli_within(seconds, argv):
-    """stdout of one in-process CLI run, cut after ``seconds``."""
-    def on_alarm(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    out = io.StringIO()
-    old_handler = signal.signal(signal.SIGALRM, on_alarm)
-    signal.alarm(seconds)
-    try:
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            main(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old_handler)
-    return out.getvalue()
-
-
 def test_grand_target_is_f_applied_m_times():
     # f^12(1/3) under X^2 - 1 has a 4096-fold denominator; building the
     # degree-4096 iterate to evaluate it took tens of seconds
-    out = _cli_within(10, ["orbit", "grand", "--poly", "[-1,0,1]", "--alpha", "1/3",
-                           "--n", "0", "--m", "12"])
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    out = io.StringIO()
+    with time_limit(10), redirect_stdout(out), redirect_stderr(io.StringIO()):
+        main(["orbit", "grand", "--poly", "[-1,0,1]", "--alpha", "1/3",
+              "--n", "0", "--m", "12"])
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "c8bcba6b8bed91d5c243f9f67ed82f6a17545d3b49b4e91692c4a1f74e2b74a1")
     # the size of f^m(alpha) still keeps m to the iterate cap
     with pytest.raises(ResourceError, match=r"iterate degree 2\^17 exceeds cap 65536"):

@@ -7,7 +7,7 @@ import pytest
 
 from orbitforge.ball import CBall
 from orbitforge.curves import (PlaneCurve, _min_level_roots, _pair_vanishes,
-                               _partner_count, intersect_small_orbit)
+                               _partner_count, _prime_for, intersect_small_orbit)
 from orbitforge.dynamics import PolyDS
 from orbitforge.exact import BiPoly, Poly
 from orbitforge.rootcert import certified_roots
@@ -97,5 +97,6 @@ def test_rational_y_needs_no_resultant_or_certification(monkeypatch):
     monkeypatch.setattr(rootcert_mod, "certified_roots", forbidden)
     curve = PlaneCurve.from_terms({(2, 0): 9, (0, 1): 3, (0, 0): -18})
     ys = [r for r in roots if r.exact]
-    decided = [_pair_vanishes(curve.poly, x, y, {}) for x in roots for y in ys]
+    prime = _prime_for(DS1.f, F(1, 3))
+    decided = [_pair_vanishes(curve.poly, x, y, {}, prime) for x in roots for y in ys]
     assert None not in decided and True in decided
