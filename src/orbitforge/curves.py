@@ -15,10 +15,11 @@ f^n(x0) and f^n(Y) mod (p, P(x0, Y)) tests every level n <= nmax without
 building an iterate, so only the levels it leaves reach the exact division,
 least first, and an nmax past ``max_poly_degree`` answers for a curve with
 no level left; axis lines take the same walk mod (p, q) against f^n(alpha).
-The pair rule is "modular no, then the exact partner count, then balls":
-Res_Y(f_y, P) mod p proves most pairs apart, and one exact partner count
-decides the rest or hands them to the balls.  Exact arithmetic decides every
-"yes".
+The pair rule is "modular no, then the exact partner count, then balls",
+once per pair of minimal polynomials (f_x, f_y) for the whole block of
+their roots: Res_Y(f_y, P) mod p, taken once per f_y, proves most blocks
+apart, and one exact partner count decides the rest or hands each x to the
+disjoint balls of f_y's roots.  Exact arithmetic decides every "yes".
 
 The pullback series: with s(x) = 1/Psi(x) (a power series with unit linear
 coefficient), a curve P defines N(x, y) = P(s(x), s(y)) = sum a_nm x^n y^m.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, groupby
 from math import gcd, prod
 from typing import Optional, Union
 
@@ -210,12 +211,11 @@ def _resultant_mod(P: BiPoly, fy: Poly, prime: int) -> Optional[list[int]]:
     return out
 
 
-def _apart_mod(P: BiPoly, fx: Poly, fy: Poly, memo: dict, prime: int) -> bool:
-    """f_x does not divide Res_Y(f_y, P) != 0, proven modulo prime.
+def _apart_mod(res: Optional[list[int]], fx: Poly, prime: int) -> bool:
+    """f_x does not divide R = Res_Y(f_y, P) != 0, proven by res = R mod prime.
 
     f_x is monic and p-integral, so f_x | R over Q gives f_x | R mod prime;
     R mod prime != 0 gives R != 0."""
-    res = _once(memo, ("resultant mod", fy), lambda: _resultant_mod(P, fy, prime))
     return bool(res) and bool(_divmod(res, _mod_p(fx.coeffs, prime), prime)[1])
 
 
@@ -428,101 +428,79 @@ def _partner_count(P: BiPoly, fx: Poly, fy: Poly) -> int:
     return len(u) - 1
 
 
-def _once(memo: dict, key, compute):
-    """memo[key], computed on first use."""
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
 def _min_poly(ref: RootRef) -> Poly:
     return Poly([-ref.value, 1]) if ref.exact else ref.factor
 
 
-def _pair_vanishes(P: BiPoly, x: RootRef, y: RootRef, memo: dict,
-                   prime: int) -> Optional[bool]:
-    """Decide P(x, y) = 0 from the minimal polynomials f_x, f_y of the two
-    points; None when undecided.
+def _ball_step(P: BiPoly, x: RootRef, ys: list[RootRef], k: int) -> list[Optional[bool]]:
+    """P(x, y) = 0 for the roots ys of f_y, exactly k of which pair with x
+    (0 < k < deg f_y); None when undecided.
 
-    ``_apart_mod`` first tries to prove the pair apart modulo prime, which
-    divides no denominator D of f or alpha: f_x and f_y are monic factors of
-    level polynomials in Z[1/D][X], so p-integral by Gauss's lemma.  Every
-    other pair takes one exact test, the partner count k:
-    the number of roots y' of f_y with P(x, y') = 0, the degree of
-    gcd(P(x, Y), f_y) over Q(x).  k = 0 decides False, k = deg f_y True.
-    Short of that the balls decide: P(x, y) excludes 0, or exactly k of the
-    certified root balls of f_y, the one ball that meets y's among them,
-    make P(x, .) contain 0 (each partner's ball does, so those k balls are
-    the partners).
-
-    k answers all the exact resultant would, as Res_Y(f_y, P) is the product
-    of the P(X, beta) over the roots beta of f_y: f_x divides it exactly when
-    k >= 1, and a zero resultant makes every P(X, beta) zero (one does, so
-    by conjugation all do), so k = deg f_y.
-
-    Everything exact depends only on (f_x, f_y) and is kept in ``memo``, one
-    dict per curve; ``memo[("roots", f_y)]`` holds the root balls of f_y,
-    certified here when the caller has not supplied them.  No precision is
-    changed."""
-    fx, fy = _min_poly(x), _min_poly(y)
-    if _once(memo, ("apart", fx, fy), lambda: _apart_mod(P, fx, fy, memo, prime)):
-        return False                   # proven modulo the prime
-    k = _once(memo, ("k", fx, fy), lambda: _partner_count(P, fx, fy))
-    if k == 0:
-        return False                   # no conjugate of y pairs with x
-    if k == fy.degree:
-        return True
-    if not P.eval_with(x.ball, y.ball, convert=CBall.from_rational).contains_zero():
-        return False
-
-    from .rootcert import certified_roots
-    balls = _once(memo, ("roots", fy), lambda: certified_roots(fy))
-    plausible = _once(memo, ("plausible", x, fy), lambda: [
-        b for b in balls
-        if P.eval_with(x.ball, b, convert=CBall.from_rational).contains_zero()])
-    # y's root lies in one of the disjoint balls of f_y: the only one that
-    # meets y's ball, when only one does
-    own = [b for b in balls if (b - y.ball).contains_zero()]
-    if len(plausible) == k and len(own) == 1 and own[0] in plausible:
-        return True
-    return None
+    ys are all of f_y's level roots, and their balls are pairwise disjoint,
+    each holding exactly one root (``orbits._by_count`` checks this, and
+    ``certified_roots`` raises on an overlap).  Every partner's ball makes
+    P(x, .) contain 0, so when exactly k balls do, they are the partners.
+    A y whose ball excludes the zero is apart."""
+    near = [P.eval_with(x.ball, y.ball, convert=CBall.from_rational).contains_zero()
+            for y in ys]
+    partners = sum(near) == k
+    return [(True if partners else None) if hit else False for hit in near]
 
 
 def intersect_small_orbit(curve: PlaneCurve, ds: PolyDS, alpha,
                           level_cap: int, nmax: Optional[int] = None) -> IntersectionReport:
     """Certified intersection points of the curve with the squared level set.
 
-    Pairs (b1, b2) from levels <= level_cap are decided by ``_pair_vanishes``
-    from the points' minimal polynomials; undecided pairs are listed, never
-    counted.  Its work modulo the prime (``_prime_for``, chosen once per
-    call) runs once per f_y and its exact work, the partner count, once per
-    pair of minimal polynomials; per root pair it at most evaluates P on
-    balls, using the level roots' own balls for the conjugates of y.
-    Level roots come from the successive quotients of the level polynomials.
-    A curve whose certified count exceeds the Bezout-style cap deg(P)*d^cap
-    while being classified non-special is flagged.
+    Each pair (x, y) from levels <= level_cap is decided from the minimal
+    polynomials f_x, f_y of its points, once per pair of minimal polynomials
+    for the whole block of their roots.  ``_apart_mod`` first tries to prove
+    the block apart by Res_Y(f_y, P) modulo the prime (``_prime_for``,
+    chosen once per call), which divides no denominator D of f or alpha: f_x
+    and f_y are monic factors of level polynomials in Z[1/D][X], so
+    p-integral by Gauss's lemma.  Every other block takes one exact test,
+    the partner count k: the number of roots y' of f_y with P(x, y') = 0,
+    the degree of gcd(P(x, Y), f_y) over Q(x).  k = 0 decides False for the
+    block, k = deg f_y True; short of that ``_ball_step`` decides each x
+    against the disjoint balls of f_y's roots.  Undecided pairs are listed,
+    never counted.
+
+    k answers all the exact resultant would, as Res_Y(f_y, P) is the product
+    of the P(X, beta) over the roots beta of f_y: f_x divides it exactly when
+    k >= 1, and a zero resultant makes every P(X, beta) zero (one does, so
+    by conjugation all do), so k = deg f_y.
+
+    Level roots come from the successive quotients of the level polynomials,
+    each factor's roots together.  A curve whose certified count exceeds the
+    Bezout-style cap deg(P)*d^cap while being classified non-special is
+    flagged.  No precision is changed.
     """
+    if level_cap < 0:
+        raise DomainError("levels must be >= 0")
     alpha = rat(alpha)
     warn = isinstance(classify_orbit(ds, alpha), Preperiodic)
     verdict = is_special_curve(curve, ds, alpha, nmax if nmax is not None else level_cap)
-    roots = _min_level_roots(ds, alpha, level_cap)
+    P = curve.poly
+    groups = [list(g) for _f, g in groupby(_min_level_roots(ds, alpha, level_cap),
+                                           key=_min_poly)]
+    polys = [_min_poly(g[0]) for g in groups]
+    prime = _prime_for(ds.f, alpha)
+    residues = [_resultant_mod(P, fy, prime) for fy in polys]
     points: list[IntersectionPoint] = []
     undecided: list[tuple[RootRef, RootRef]] = []
-    memo: dict = {}
-    prime = _prime_for(ds.f, alpha)
-    for ref in roots:
-        if not ref.exact:
-            memo.setdefault(("roots", ref.factor), []).append(ref.ball)
-    for x in roots:
-        for y in roots:
-            hit = _pair_vanishes(curve.poly, x, y, memo, prime)
-            if hit is True:
-                points.append(IntersectionPoint(
-                    x, y, "exact" if (x.exact and y.exact) else "certified"))
-            elif hit is None:
-                undecided.append((x, y))
-    total_deg = curve.poly.total_degree
-    bezout = total_deg * ds.d ** level_cap
+    for xs, fx in zip(groups, polys):
+        counts = [0 if _apart_mod(res, fx, prime) else _partner_count(P, fx, fy)
+                  for fy, res in zip(polys, residues)]
+        for x in xs:
+            for ys, fy, k in zip(groups, polys, counts):
+                hits = ([k > 0] * len(ys) if k in (0, fy.degree)
+                        else _ball_step(P, x, ys, k))
+                for y, hit in zip(ys, hits):
+                    if hit is True:
+                        points.append(IntersectionPoint(
+                            x, y, "exact" if (x.exact and y.exact) else "certified"))
+                    elif hit is None:
+                        undecided.append((x, y))
+    bezout = P.total_degree * ds.d ** level_cap
     exceeds = isinstance(verdict, NotSpecialUpTo) and len(points) > bezout
     return IntersectionReport(points, undecided, verdict, bezout, exceeds, warn)
 

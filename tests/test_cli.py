@@ -155,6 +155,17 @@ def test_negative_cap_is_a_domain_error():
                                         "message": "levels must be >= 0"}
 
 
+def test_negative_cap_without_nmax_names_the_cap():
+    # nmax defaults to the cap: the cap is refused before the special-curve
+    # test, which would name --nmax, a flag the user did not pass
+    code, out, err = run_cli(["curve", "intersect", "--poly", "[-1,0,1]",
+                              "--curve", '[[1,0,"1"],[0,1,"-1"]]',
+                              "--alpha", "1/3", "--cap", "-1"])
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out)["error"] == {"code": "domain",
+                                        "message": "levels must be >= 0"}
+
+
 @pytest.mark.parametrize("nmax", ["5", "16"])
 def test_combinat_verify_below_17_is_usage_error(nmax, capsys):
     # the lemmas are stated for N >= 17: a smaller --nmax checked 0 cases and

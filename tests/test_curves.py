@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from orbitforge import curves
@@ -10,7 +11,7 @@ from orbitforge.ball import CBall
 from orbitforge.config import Settings
 from orbitforge.curves import (NotSpecialUpTo, PlaneCurve, RootRef,
                                SpecialDiagonal, SpecialVertical,
-                               _min_level_roots, _pair_vanishes, _prime_for,
+                               _ball_step, _min_level_roots,
                                build_nu, commuting_linear, intersect_small_orbit,
                                is_special_curve, nu_estimates)
 from orbitforge.dynamics import PolyDS
@@ -281,21 +282,47 @@ def test_exact_work_runs_once_per_factor(monkeypatch):
     {(0, 2): 9, (1, 0): 3, (0, 0): -18},      # hits (1/3, +-sqrt(17)/3)
     {(2, 0): 9, (0, 1): 3, (0, 0): -18},      # hits (+-sqrt(17)/3, 1/3)
 ])
-def test_shared_exact_tests_match_per_pair_tests(terms):
+def test_shared_exact_tests_match_per_pair_tests(monkeypatch, terms):
+    # the modular filter, shared per f_y, changes no report: with it off
+    # every pair of minimal polynomials takes the exact partner count
     curve = PlaneCurve.from_terms(terms)
     rep = intersect_small_orbit(curve, DS1, F(1, 3), 3)
-    roots = _min_level_roots(DS1, F(1, 3), 3)
-    prime = _prime_for(DS1.f, F(1, 3))
-    points, undecided = [], []
-    for x in roots:
-        for y in roots:
-            hit = _pair_vanishes(curve.poly, x, y, {}, prime)
-            if hit is True:
-                points.append((x, y))
-            elif hit is None:
-                undecided.append((x, y))
-    assert [(pt.x, pt.y) for pt in rep.points] == points
-    assert rep.undecided == undecided
+    monkeypatch.setattr(curves, "_apart_mod", lambda *args: False)
+    assert intersect_small_orbit(curve, DS1, F(1, 3), 3) == rep
+
+
+@pytest.mark.parametrize("radius, hits", [
+    (2, [True, False]),          # only y = sqrt(2) is near: the one partner
+    (3, [None, None]),           # both are near, one more than k = 1
+])
+def test_ball_step_takes_the_near_balls_only_when_they_are_k(radius, hits):
+    # X - Y with f_x = f_y = Y^2 - 2 pairs x with one of the two roots y; a
+    # wide ball for x = sqrt(2) makes X - y contain 0 for both when radius 3
+    sqrt2 = Poly([-2, 0, 1])
+    r2 = mpmath.sqrt(2)
+
+    def ref(mid, rad):
+        return RootRef(None, sqrt2, CBall(mid, mpmath.mpf(0), mpmath.mpf(rad)), 1)
+    x = ref(r2, radius)
+    ys = [ref(r2, "0.1"), ref(-r2, "0.1")]
+    assert _ball_step(DIAG.poly, x, ys, 1) == hits
+
+
+def test_exact_work_runs_once_per_pair_of_minimal_polynomials(monkeypatch):
+    # the README curve X - Y at cap 4: one resultant mod the prime per f_y
+    # and at most one partner count per (f_x, f_y)
+    residues, counts = [], []
+    resultant_mod, partner_count = curves._resultant_mod, curves._partner_count
+    monkeypatch.setattr(curves, "_resultant_mod", lambda P, fy, prime:
+                        residues.append(fy) or resultant_mod(P, fy, prime))
+    monkeypatch.setattr(curves, "_partner_count", lambda P, fx, fy:
+                        counts.append((fx, fy)) or partner_count(P, fx, fy))
+    rep = intersect_small_orbit(DIAG, DS1, F(1, 3), 4)
+    polys = {curves._min_poly(r) for r in _min_level_roots(DS1, F(1, 3), 4)}
+    assert rep.count() == 16
+    assert len(residues) == len(set(residues)) == len(polys)
+    assert len(counts) == len(set(counts)) <= len(polys) ** 2
+    assert counts
 
 
 # -- commuting linear maps --------------------------------------------------------

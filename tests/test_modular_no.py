@@ -26,7 +26,7 @@ from orbitforge.cli import main
 from orbitforge.curves import (NotSpecialUpTo, PlaneCurve, SpecialDiagonal,
                                SpecialVertical, _apart_mod, _axis_levels,
                                _diagonal_levels, _min_level_roots, _min_poly,
-                               _pair_vanishes, _partner_count, _prime_for,
+                               _partner_count, _prime_for, _resultant_mod,
                                intersect_small_orbit, is_special_curve)
 from orbitforge.dynamics import PolyDS
 from orbitforge.exact import BiPoly, Poly, poly_resultant
@@ -81,12 +81,12 @@ def _pair_corpus():
     systems = [(PolyDS(Poly([-1, 0, 1])), F(1, 3), 3),
                (PolyDS(Poly([-2, 0, 1])), F(1, 2), 3),
                (PolyDS(Poly([1, -1, 0, 1])), F(1, 2), 2)]
-    return curves_, [(ds, alpha, _min_level_roots(ds, alpha, cap))
+    return curves_, [(ds, alpha, cap, _min_level_roots(ds, alpha, cap))
                      for ds, alpha, cap in systems]
 
 
 PAIR_CURVES, PAIR_SYSTEMS = _pair_corpus()
-PAIR_ROOTS = [roots for _ds, _alpha, roots in PAIR_SYSTEMS]
+PAIR_ROOTS = [roots for _ds, _alpha, _cap, roots in PAIR_SYSTEMS]
 X_MINUS_Y = BiPoly({(1, 0): 1, (0, 1): -1})        # the README curve
 DS1 = PolyDS(Poly([-1, 0, 1]))
 
@@ -95,12 +95,15 @@ def _min_polys(roots):
     return sorted({_min_poly(r) for r in roots}, key=lambda f: (f.degree, f.coeffs))
 
 
+def _decisions(rep):
+    return rep.points, rep.undecided
+
+
 def _pair_decisions():
-    """Every pair decision of the pair corpus, one memo per curve and set,
-    modulo the prime chosen for each system."""
-    return [[_pair_vanishes(P, x, y, memo, prime) for x in roots for y in roots]
-            for P in PAIR_CURVES for ds, alpha, roots in PAIR_SYSTEMS
-            for memo, prime in [({}, _prime_for(ds.f, alpha))]]
+    """Every pair decision of the pair corpus: the points and undecided
+    pairs of each curve's report on each system."""
+    return [_decisions(intersect_small_orbit(PlaneCurve.from_bipoly(P), ds, alpha, cap))
+            for P in PAIR_CURVES for ds, alpha, cap, _roots in PAIR_SYSTEMS]
 
 
 _RESULTANTS: dict = {}
@@ -153,21 +156,23 @@ def test_level_factors_pass_the_axis_walk_at_their_level():
 def test_pair_filter_never_denies_a_division():
     divisions = denied = 0
     for P in PAIR_CURVES:
-        for ds, alpha, roots in PAIR_SYSTEMS:
+        for ds, alpha, _cap, roots in PAIR_SYSTEMS:
             polys = _min_polys(roots)
-            memos = {prime: {} for prime in (P61,) + SMALL
-                     if _integral_at(prime, ds.f, alpha)}
+            primes = [prime for prime in (P61,) + SMALL
+                      if _integral_at(prime, ds.f, alpha)]
+            residues = {(prime, fy): _resultant_mod(P, fy, prime)
+                        for prime in primes for fy in polys}
             for fx in polys:
                 for fy in polys:
                     divides = _divides_resultant(P, fx, fy)
                     divisions += divides
-                    for prime, memo in memos.items():
-                        apart = _apart_mod(P, fx, fy, memo, prime)
+                    for prime in primes:
+                        apart = _apart_mod(residues[prime, fy], fx, prime)
                         assert not (apart and divides), (P, fx, fy, prime)
                         denied += apart and prime == P61
                     if not divides:
                         # the default prime proves every "no" of this corpus
-                        assert _apart_mod(P, fx, fy, memos[P61], P61), (P, fx, fy)
+                        assert _apart_mod(residues[P61, fy], fx, P61), (P, fx, fy)
     assert (divisions, denied) == (47, 691)
 
 
@@ -234,10 +239,10 @@ def test_small_prime_pair_passes_are_refused_exactly(monkeypatch, prime):
     assert _pair_decisions() == expected
     # the corpus holds a false pass with a rational y, at the prime chosen
     # for its system, which only the exact partner count refuses
-    assert any(not _apart_mod(P, _min_poly(x), _min_poly(y), {},
-                              _prime_for(ds.f, alpha))
+    assert any(not _apart_mod(_resultant_mod(P, _min_poly(y), prime), _min_poly(x), prime)
                and _partner_count(P, _min_poly(x), _min_poly(y)) == 0
-               for P in PAIR_CURVES for ds, alpha, roots in PAIR_SYSTEMS
+               for P in PAIR_CURVES for ds, alpha, _cap, roots in PAIR_SYSTEMS
+               for prime in [_prime_for(ds.f, alpha)]
                for x in roots if not x.exact for y in roots if y.exact)
 
 
@@ -277,11 +282,12 @@ def test_denominator_divisible_by_the_prime_is_skipped(monkeypatch):
     assert all(r.exact or r.factor.coeff(0).denominator % P61 == 0 for r in roots)
 
     def decide():
-        return [_pair_vanishes(c.poly, x, y, memo, _prime_for(d1.f, tiny))
-                for c in (anti, line, through)
-                for memo in [{}] for x in roots for y in roots]
+        return [_decisions(intersect_small_orbit(c, d1, tiny, 2))
+                for c in (anti, line, through)]
     expected = decide()
-    assert True in expected and False in expected
+    assert any(points for points, _undecided in expected)
+    assert any(len(points) + len(undecided) < len(roots) ** 2
+               for points, undecided in expected)
     _exact_only(monkeypatch)
     assert decide() == expected
 
@@ -310,6 +316,19 @@ def test_prime_in_a_denominator_leaves_no_level_to_divide(monkeypatch):
     ds = PolyDS(Poly([F(1, P61), 0, 1]))
     line = PlaneCurve.from_terms({(1, 0): 1, (0, 1): -1, (0, 0): -1})
     assert is_special_curve(line, ds, ALPHA, 6) == NotSpecialUpTo(6)
+    assert divisions == []
+
+
+def test_curve_through_the_first_point_leaves_no_level_to_divide(monkeypatch):
+    # 2X - Y - 3 passes through (3, 3), so the walk at x0 = 3 passes every
+    # level; the walk at x0 = 7 proves them all apart.  Divided exactly
+    # instead, nmax 9 took 1.7 s and every further level about 4 times longer
+    divisions = []
+    divides = curves._divides_iterate_difference
+    monkeypatch.setattr(curves, "_divides_iterate_difference",
+                        lambda rows, fn: divisions.append(fn) or divides(rows, fn))
+    curve = PlaneCurve.from_terms({(1, 0): 2, (0, 1): -1, (0, 0): -3})
+    assert is_special_curve(curve, DS1, ALPHA, 6) == NotSpecialUpTo(6)
     assert divisions == []
 
 

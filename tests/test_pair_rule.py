@@ -6,8 +6,8 @@ import mpmath
 import pytest
 
 from orbitforge.ball import CBall
-from orbitforge.curves import (PlaneCurve, _min_level_roots, _pair_vanishes,
-                               _partner_count, _prime_for, intersect_small_orbit)
+from orbitforge.curves import (PlaneCurve, _min_level_roots, _partner_count,
+                               intersect_small_orbit)
 from orbitforge.dynamics import PolyDS
 from orbitforge.exact import BiPoly, Poly
 from orbitforge.rootcert import certified_roots
@@ -87,16 +87,15 @@ def test_factor_of_every_coefficient_pairs_with_all():
 
 def test_rational_y_needs_no_resultant_or_certification(monkeypatch):
     import orbitforge.exact as exact_mod
+    import orbitforge.orbits as orbits_mod
     import orbitforge.rootcert as rootcert_mod
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("called for a rational y")
 
-    roots = _min_level_roots(DS1, F(1, 3), 3)
     monkeypatch.setattr(exact_mod, "poly_resultant", forbidden)
     monkeypatch.setattr(rootcert_mod, "certified_roots", forbidden)
+    monkeypatch.setattr(orbits_mod, "certified_roots", forbidden)
     curve = PlaneCurve.from_terms({(2, 0): 9, (0, 1): 3, (0, 0): -18})
-    ys = [r for r in roots if r.exact]
-    prime = _prime_for(DS1.f, F(1, 3))
-    decided = [_pair_vanishes(curve.poly, x, y, {}, prime) for x in roots for y in ys]
-    assert None not in decided and True in decided
+    rep = intersect_small_orbit(curve, DS1, F(1, 3), 3)
+    assert rep.undecided == [] and any(pt.y.exact for pt in rep.points)

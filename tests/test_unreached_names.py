@@ -27,7 +27,7 @@ PACKAGE = ROOT / "src" / "orbitforge"
 
 KEPT = {
     "commuting_linear": "the linear maps commuting with f, an input to the "
-                        "grand-orbit intersections of ROADMAP item 3; "
+                        "grand-orbit intersections of ROADMAP item 4; "
                         "acceptance criterion 11 checks it",
     "cyclotomic_degree_local": "README lists local cyclotomic degrees among "
                                "the p-adic features; acceptance criterion 12 "
