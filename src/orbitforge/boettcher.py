@@ -5,10 +5,26 @@ Phi with Phi(f(X)) = Phi(X)^d, and the archimedean convergence radius.
 Psi is written X^{-1} g(X) with g(0) = 1; matching coefficients in
 g(X^d) = g(X)^d + sum_i a_i X^i g(X)^{d-i} determines each new coefficient
 with a unit factor d, so the recursion is exact and never divides by zero.
-Phi is obtained by Lagrange term-by-term reversion of X / g(X), on integer
-numerators over powers of one common denominator of g, multiplied by the
-truncated convolution of ``exact``.  The defining equation of Phi is kept as
-an independent cross-check.
+
+The recursion runs on graded integer numerators.  With D the lcm of the
+denominators of f's coefficients and W = d^2 D, the coefficient of X^m in
+every power g^j is N / W^m for an integer N, so every product at index n
+lies over W^n and needs no gcd.  Lemma: for m >= 1 these coefficients lie in
+d^-(2m-1) D^-m Z.  By induction on n: the provisional [X^n] g^d is a sum of
+products of at least two u's of positive index with indices summing to n,
+so it lies in d^-(2n-2) D^-n Z; a_i [X^(n-i)] g^(d-i) has one factor 1/D
+on an index below n; the left side u_(n/d) has index n/d < n.  So their
+difference lies in d^-(2n-2) D^-n Z, and u_n, that difference over d, lies
+in d^-(2n-1) D^-n Z; adding j u_n to [X^n] g^j keeps every column there.
+The division by d is therefore exact on the numerators, and it is checked.
+W = d D is not enough: X^2 + X/3 has u_2 = -5/72, and 72 = d^3 D^2 does
+not divide (d D)^2 = 36.
+
+Phi is obtained by Lagrange term-by-term reversion of X / g(X): with
+g(z) = sum N_m (z / W)^m, [z^(n-1)] g^n is the integer [z^(n-1)] N^n over
+W^(n-1), so the powers of the numerators N, taken by the truncated
+convolution of ``exact``, need no gcd.  The defining equation of Phi is kept
+as an independent cross-check.
 Both series have the prefix property (e_n = [z^(n-1)] g^n / n reads only
 g's first n coefficients), so each ``PolyDS`` holds its highest-order Psi
 and Phi so far and serves every lower order by truncation.  Psi is kept with
@@ -20,7 +36,9 @@ Both Phi residuals compose Phi with a series of positive valuation through
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 import mpmath
@@ -30,46 +48,56 @@ from mpmath.libmp import (fone, from_int, from_rational, fzero, mpf_add, mpf_div
 from .ball import CBall, eval_block_ball, rball
 from .dynamics import PolyDS, escaping_critical_points
 from .errors import DomainError
-from .exact import (LaurentBlock, Poly, _convolve, _over_common,
-                    evaluate_series_at_block)
+from .exact import LaurentBlock, Poly, _convolve, evaluate_series_at_block
+
+
+def _grade(f: Poly) -> int:
+    """W = d^2 D, D the lcm of the denominators of f's coefficients: the
+    coefficient of X^m in every g^j is an integer over W^m."""
+    return f.degree ** 2 * math.lcm(*(c.denominator for c in f.coeffs))
 
 
 def _psi_g_coeffs(f: Poly, order: int,
-                  pw: Optional[list[list[Fraction]]] = None) -> list[Fraction]:
+                  pw: Optional[list[list[int]]] = None) -> list[Fraction]:
     """Coefficients u_0..u_order of g with Psi = X^{-1} g(X).
 
-    ``pw[j][n]`` is the coefficient of X^n in g^j for j = 0..d, filled jointly
-    with u = pw[1].  Given the columns of an earlier call on the same map,
-    the recursion resumes after them and extends them in place.
+    ``pw[j][n]`` is the integer numerator over W^n (``_grade``) of the
+    coefficient of X^n in g^j for j = 0..d, filled jointly with the
+    numerators u = pw[1] of g.  Given the columns of an earlier call on the
+    same map, the recursion resumes after them and extends them in place.
     """
     d = f.degree
-    a = [f.coeff(d - i) for i in range(d + 1)]  # a[0] = 1 leading
+    w = _grade(f)
+    # a_i X^i g^(d-i) at X^n is a_i W^i times the numerator at n - i, over
+    # W^n; a_i W^i is an integer, as D divides W
+    c = [int(f.coeff(d - i) * w ** i) for i in range(d + 1)]
     pw = [] if pw is None else pw
     if not pw:
-        pw.extend([Fraction(1)] for _ in range(d + 1))
+        pw.extend([1] for _ in range(d + 1))
     u = pw[1]
     for n in range(len(u), order + 1):
         # provisional column with u[n] = 0
-        pw[0].append(Fraction(0))
-        u.append(Fraction(0))
+        pw[0].append(0)
+        u.append(0)
         for j in range(2, d + 1):
-            s = Fraction(0)
-            prev = pw[j - 1]
-            for k in range(0, n + 1):
-                if u[k] != 0 and prev[n - k] != 0:
-                    s += u[k] * prev[n - k]
-            pw[j].append(s)
+            pw[j].append(sum(map(mul, u, pw[j - 1][n::-1])))
         rhs = pw[d][n]
         for i in range(1, min(d, n) + 1):
-            if a[i] != 0:
-                rhs += a[i] * pw[d - i][n - i]
-        lhs = u[n // d] if n % d == 0 else Fraction(0)
-        un = (lhs - rhs) / d
+            if c[i]:
+                rhs += c[i] * pw[d - i][n - i]
+        lhs = u[n // d] * w ** (n - n // d) if n % d == 0 else 0
+        un, rem = divmod(lhs - rhs, d)
+        if rem:
+            raise ArithmeticError(f"u_{n} of Psi is not an integer over W^{n}")
         # fix the provisional column: adding u_n X^n changes [X^n] g^j by j*u_n
-        if un != 0:
+        if un:
             for j in range(1, d + 1):
                 pw[j][n] += j * un
-    return u[:order + 1]
+    out, wm = [], 1
+    for num in u[:order + 1]:
+        out.append(Fraction(num, wm))
+        wm *= w
+    return out
 
 
 def psi_series(ds: PolyDS, order: int) -> LaurentBlock:
@@ -87,23 +115,25 @@ def psi_series(ds: PolyDS, order: int) -> LaurentBlock:
     return memo if order == memo.trunc else memo.truncate_to(order)
 
 
-def _phi_e_coeffs(psi: LaurentBlock, order: int) -> list[Fraction]:
+def _phi_e_coeffs(ds: PolyDS, order: int) -> list[Fraction]:
     """e_0..e_order of Phi = sum e_n w^n by reversion of t = z / g(z), g = X Psi.
 
-    The coefficient of t^n is [z^(n-1)] g(z)^n / n.  With g = U / ud over the
-    common denominator ud of its coefficients, g^n is held as the integer
-    numerators of U^n over ud^n, so the powers take no gcd and each e_n is
-    one division.
+    The coefficient of t^n is [z^(n-1)] g(z)^n / n.  The map's Psi columns
+    hold g as numerators N_m over W^m, so g(z) = sum N_m (z / W)^m and
+    [z^(n-1)] g^n is the integer [z^(n-1)] N^n over W^(n-1): the powers of
+    N take no gcd and each e_n is one division.  The columns must reach
+    N_(order-1), as ``psi_series(ds, max(order, 1))`` leaves them.
     """
     width = max(order, 1)
-    u, ud = _over_common([psi.coefficient(e) for e in range(-1, width - 1)])
+    nums = ds._psi[1][1][:width]
+    w = _grade(ds.f)
     e = [Fraction(0)] * (order + 1)
-    gi = [1]                              # numerators of g^(n-1) over ud^(n-1)
-    den = 1
+    gi = [1]                              # numerators of g^(n-1)
+    den = 1                               # W^(n-1)
     for n in range(1, order + 1):
-        gi = _convolve(u, gi, width)
-        den *= ud
+        gi = _convolve(nums, gi, width)
         e[n] = Fraction(gi[n - 1], den * n)
+        den *= w
     return e
 
 
@@ -118,7 +148,8 @@ def phi_series(ds: PolyDS, order: int) -> LaurentBlock:
         raise DomainError("order must be >= 0")
     memo = ds._phi
     if memo is None or order >= memo.trunc:
-        e = _phi_e_coeffs(psi_series(ds, max(order, 1)), order)
+        psi_series(ds, max(order, 1))
+        e = _phi_e_coeffs(ds, order)
         memo = ds._phi = LaurentBlock(1, e[1:], trunc=order + 1)
     return memo if order + 1 == memo.trunc else memo.truncate_to(order + 1)
 

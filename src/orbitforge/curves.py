@@ -94,7 +94,6 @@ class PlaneCurve:
 # lists, lowest degree first.
 
 _PRIME = 2 ** 61 - 1
-_POINTS = (3, 7)                    # X = x0 for the special diagonal
 
 
 def _prime_for(f: Poly, alpha: Fraction, lead: int = 1) -> int:
@@ -146,15 +145,27 @@ def _diagonal_levels(rows: list[Poly], f: Poly, nmax: int, prime: int) -> range:
     that prime does not divide, is not proven mod prime not to divide
     f^n(X) - f^n(Y): that makes P(x0, Y) divide f^n(x0) - f^n(Y) mod prime,
     so the walk at x0 proves every level before its first equality apart.
-    Equality holds at every later level (apply f to both sides)."""
+    Equality holds at every later level (apply f to both sides).  It walks
+    at the two points of ``_diagonal_points``."""
     fp = _mod_p(f.coeffs, prime)
-    reduced = [_mod_p(row.coeffs, prime) for row in rows]
     start = 0
-    for x0 in _POINTS:
+    for x0, m in _diagonal_points([_mod_p(row.coeffs, prime) for row in rows], prime):
         if start <= nmax:       # the second point walks while levels remain
-            m = [_value(row, x0, prime) for row in reduced]
             start = max(start, _first_level(fp, m, x0, nmax, prime, lambda r: not r))
     return range(start, nmax + 1)
+
+
+def _diagonal_points(reduced: list[list[int]], prime: int) -> list[tuple[int, list[int]]]:
+    """(x0, P(x0, Y) mod prime) for the first two x0 of 3, 7, 11, .. with
+    P(x0, x0) != 0 mod prime, by P's reduced Y-rows; for x0 = 3 and 7 when
+    P(X, X) = 0 mod prime.  A walk at a root of P(X, X) passes at level 0
+    and proves nothing.  P(X, X) has degree at most ``tries`` - 2, so unless
+    it is zero at least two of the ``tries`` points are not its roots."""
+    tries = len(reduced) + max(map(len, reduced))
+    at = [(x0, [_value(row, x0, prime) for row in reduced])
+          for x0 in range(3, 4 * tries, 4)]
+    off = [(x0, m) for x0, m in at if _value(m, x0, prime)]
+    return off[:2] if len(off) >= 2 else at[:2]
 
 
 def _axis_levels(q: Poly, f: Poly, alpha: Fraction, nmax: int, prime: int) -> range:
@@ -290,7 +301,8 @@ def is_special_curve(curve: PlaneCurve, ds: PolyDS, alpha, nmax: int) -> Special
     and a factor P of it has a constant Y-leading coefficient and positive
     Y-degree; any other P divides no level and builds no iterate.  For the
     rest, one modular pass (``_diagonal_levels``) proves "no" at every level
-    n <= nmax it can, at X = 3 and X = 7, without building an iterate; the
+    n <= nmax it can, at two points X = x0 off P(X, X) = 0 mod the prime
+    (``_diagonal_points``), without building an iterate; the
     levels left are decided least first by division in Y over Q[X]
     (``_divides_iterate_difference``), with univariate arithmetic only.
     Vertical/horizontal lines are matched through exact gcds with the

@@ -41,7 +41,7 @@ class PolyDS:
         self.settings = settings
         self._iterates: dict[int, Poly] = {0: Poly.x(), 1: f}
         self._crit: Optional[list["CriticalPoint"]] = None
-        self._psi = None          # highest-order Psi so far, with its g^j columns
+        self._psi = None          # highest-order Psi so far, with its g^j numerators
         self._phi = None          # highest-order Phi so far
 
     def __repr__(self) -> str:

@@ -1,5 +1,6 @@
 """Boettcher series: functional equations, inversion, radii."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,7 +13,7 @@ from orbitforge.boettcher import (phi_equation_residual, phi_psi_identity_residu
                                   radius_archimedean)
 from orbitforge.dynamics import PolyDS, escaping_critical_points
 from orbitforge.errors import DomainError
-from orbitforge.exact import LaurentBlock, Poly
+from orbitforge.exact import LaurentBlock, Poly, _convolve, _over_common
 
 
 def test_power_map_psi_is_exact_monomial():
@@ -150,6 +151,103 @@ def test_maps_share_no_series(monkeypatch):
     psi_series(first, 8)
     psi_series(second, 8)
     assert calls == [16, 16]
+
+
+def _fraction_psi(f, order):
+    """The Psi recursion in Fraction arithmetic, one gcd per term: the
+    reference for the recursion on integer numerators."""
+    d = f.degree
+    a = [f.coeff(d - i) for i in range(d + 1)]
+    pw = [[F(1)] for _ in range(d + 1)]
+    u = pw[1]
+    for n in range(1, order + 1):
+        pw[0].append(F(0))
+        u.append(F(0))
+        for j in range(2, d + 1):
+            prev = pw[j - 1]
+            pw[j].append(sum((u[k] * prev[n - k] for k in range(n + 1)), F(0)))
+        rhs = pw[d][n]
+        for i in range(1, min(d, n) + 1):
+            rhs += a[i] * pw[d - i][n - i]
+        lhs = u[n // d] if n % d == 0 else F(0)
+        un = (lhs - rhs) / d
+        for j in range(1, d + 1):
+            pw[j][n] += j * un
+    return u[:order + 1]
+
+
+def _common_denominator_phi(u, order):
+    """e_0..e_order of Phi by reversion, with g's numerators over powers of
+    the common denominator of its first max(order, 1) coefficients."""
+    width = max(order, 1)
+    nums, ud = _over_common(u[:width])
+    e = [F(0)] * (order + 1)
+    gi, den = [1], 1
+    for n in range(1, order + 1):
+        gi = _convolve(nums, gi, width)
+        den *= ud
+        e[n] = F(gi[n - 1], den * n)
+    return e
+
+
+def _series_corpus():
+    # power maps, X^2 - 2, and three maps of each degree 2-5 whose constant
+    # term is not an integer
+    rng = random.Random(30)
+    maps = [Poly.monomial(d) for d in (2, 3, 4, 5)] + [Poly([-2, 0, 1])]
+    for d in (2, 3, 4, 5):
+        for _ in range(3):
+            const = F(2 * rng.randint(-4, 4) + 1, rng.choice((2, 3, 5, 7)))
+            rest = [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(d - 1)]
+            maps.append(Poly([const] + rest + [1]))
+    return maps
+
+
+def test_psi_matches_the_fraction_recursion():
+    for f in _series_corpus():
+        reference = _fraction_psi(f, 64)
+        for order in (0, 1, 2, 7, 40, 64):
+            assert boettcher._psi_g_coeffs(f, order) == reference[:order + 1], (f, order)
+
+
+def test_phi_matches_the_common_denominator_reversion():
+    for f in _series_corpus():
+        u = _fraction_psi(f, 32)
+        for order in (0, 1, 2, 9, 32):
+            phi = phi_series(PolyDS(f), order)
+            e = _common_denominator_phi(u, order)
+            assert [phi.coefficient(k) for k in range(order + 1)] == e, (f, order)
+
+
+def test_resumed_series_match_the_references():
+    f = Poly([F(-7, 5), F(3, 4), F(1, 6), 1])
+    reference = _fraction_psi(f, 64)
+    ds = PolyDS(f)
+    for order in (12, 18, 32, 64):
+        psi = psi_series(ds, order)
+        assert [psi.coefficient(e) for e in range(-1, order)] == reference[:order + 1]
+        phi = phi_series(ds, order)
+        e = _common_denominator_phi(reference, order)
+        assert [phi.coefficient(k) for k in range(order + 1)] == e, order
+
+
+def test_psi_numerators_over_the_grade_are_integers():
+    # u_n (d^2 D)^n is an integer, D the lcm of the denominators of f
+    for f in _series_corpus():
+        d = f.degree
+        w = d * d * math.lcm(*(c.denominator for c in f.coeffs))
+        psi = psi_series(PolyDS(f), 48)
+        for n in range(49):
+            assert (psi.coefficient(n - 1) * w ** n).denominator == 1, (f, n)
+
+
+def test_too_small_a_grade_is_refused(monkeypatch):
+    # over (d D)^n the numerator of u_2 of X^2 + X/3 is not an integer: the
+    # recursion must raise rather than round it
+    monkeypatch.setattr(boettcher, "_grade",
+                        lambda f: f.degree * math.lcm(*(c.denominator for c in f.coeffs)))
+    with pytest.raises(ArithmeticError):
+        psi_series(PolyDS(Poly([0, F(1, 3), 1])), 8)
 
 
 def test_phi_psi_identity_at_order_zero_is_truncated():

@@ -332,6 +332,30 @@ def test_curve_through_the_first_point_leaves_no_level_to_divide(monkeypatch):
     assert divisions == []
 
 
+def test_curve_through_both_first_points_leaves_no_level_to_divide(monkeypatch):
+    # X^2 - 11X + Y + 21 meets the diagonal at (3, 3) and (7, 7), so walks at
+    # x0 = 3 and 7 pass every level: they left 8 exact divisions at nmax 7,
+    # about 4 times longer per level.  The walks at 11 and 15 prove them apart
+    divisions = []
+    divides = curves._divides_iterate_difference
+    monkeypatch.setattr(curves, "_divides_iterate_difference",
+                        lambda rows, fn: divisions.append(fn) or divides(rows, fn))
+    conic = PlaneCurve.from_terms({(2, 0): 1, (1, 0): -11, (0, 1): 1, (0, 0): 21})
+    assert is_special_curve(conic, DS1, ALPHA, 7) == NotSpecialUpTo(7)
+    assert divisions == []
+
+
+def test_diagonal_points_avoid_the_roots_of_the_diagonal():
+    rows = PlaneCurve.from_terms({(2, 0): 1, (1, 0): -11, (0, 1): 1,
+                                  (0, 0): 21}).poly.coeffs_in("y")
+    reduced = [curves._mod_p(row.coeffs, P61) for row in rows]
+    assert [x0 for x0, _m in curves._diagonal_points(reduced, P61)] == [11, 15]
+    # X - Y vanishes on the whole diagonal: any point is sound, so 3 and 7
+    diagonal = PlaneCurve.from_terms({(1, 0): 1, (0, 1): -1}).poly.coeffs_in("y")
+    reduced = [curves._mod_p(row.coeffs, P61) for row in diagonal]
+    assert [x0 for x0, _m in curves._diagonal_points(reduced, P61)] == [3, 7]
+
+
 def test_prime_in_a_denominator_leaves_no_pair_to_count(monkeypatch):
     counts = []
     partner_count = curves._partner_count
