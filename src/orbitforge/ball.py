@@ -255,13 +255,8 @@ def rball(mid) -> CBall:
 
 
 def as_ball(z) -> CBall:
-    if isinstance(z, CBall):
-        return z
-    if isinstance(z, (int, Fraction)):
-        return CBall.from_rational(Fraction(z))
-    if isinstance(z, tuple) and len(z) == 2:
-        return CBall.from_rational(Fraction(z[0]), Fraction(z[1]))
-    return CBall.from_complex(z)
+    """A ``CBall`` as it is, an int or a Fraction as its exact ball."""
+    return z if isinstance(z, CBall) else CBall.from_rational(Fraction(z))
 
 
 def coeff_balls(p) -> tuple:

@@ -41,21 +41,13 @@ class RunManifest:
     wall_time_s: float = 0.0
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return rat_str(obj)
-    if isinstance(obj, CBall):
-        return ball_json(obj)
-    raise TypeError(f"not JSON-serializable: {obj!r}")
-
-
 def ball_json(b: CBall) -> dict:
     return {"re": f"{float(b.re_mid):.17g}", "im": f"{float(b.im_mid):.17g}",
             "rad": f"{float(b.rad):.6g}"}
 
 
 def _json_text(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def emit(data) -> None:

@@ -641,6 +641,8 @@ def build_nu(curve: PlaneCurve, ds: PolyDS, p: int, phi,
     """
     if not (k1 > 0 and k1 >= k2 and gcd(k1, k2) == 1):
         raise DomainError("need k1 > 0, k1 >= k2, gcd(k1, k2) = 1")
+    if window < 0:
+        raise DomainError("window must be >= 0")
     if not ds.good_reduction(p) or not ds.coprime_to_degree(p):
         raise DomainError("need good reduction at p with p coprime to d")
     digits = ds.settings.padic_digits
@@ -653,12 +655,13 @@ def build_nu(curve: PlaneCurve, ds: PolyDS, p: int, phi,
     a_nm = _n_series_coeffs(curve, ds, window)
     vphi = phi.valuation
     # powers of the unit parameters
-    z1_pow = [zeta1 ** 0]
-    z2_pow = [zeta2 ** 0]
+    one = PadicScalar.from_unit(p, 1, 0, digits)
+    z1_pow = [one]
+    z2_pow = [one]
     for _ in range(window):
         z1_pow.append(z1_pow[-1] * zeta1)
         z2_pow.append(z2_pow[-1] * zeta2)
-    phi_pow = [phi ** 0]
+    phi_pow = [one]
     for _ in range(window):
         phi_pow.append(phi_pow[-1] * phi)
     acc: dict[int, PadicScalar] = {}

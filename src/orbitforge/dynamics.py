@@ -153,20 +153,19 @@ class PolyDS:
 class CriticalPoint:
     ball: CBall
     exact: Optional[Fraction]   # set when the point is rational
-    multiplicity: int
 
 
 def _critical_points(f: Poly) -> list[CriticalPoint]:
     from .factor import factor_rational     # loaded only when f' is factored
     df = f.derivative()
     out: list[CriticalPoint] = []
-    for factor, mult in factor_rational(df):
+    for factor, _mult in factor_rational(df):
         if factor.degree == 1:
             root = -factor.coeff(0)
-            out.append(CriticalPoint(CBall.from_rational(root), root, mult))
+            out.append(CriticalPoint(CBall.from_rational(root), root))
         else:
             for ball in certified_roots(factor):
-                out.append(CriticalPoint(ball, None, mult))
+                out.append(CriticalPoint(ball, None))
     out.sort(key=lambda cp: (cp.ball.re_mid, cp.ball.im_mid))
     return out
 
@@ -179,8 +178,6 @@ def _rational_kth_root(q: Fraction, k: int) -> Optional[Fraction]:
     """Exact real k-th root of q over Q, or None.  k >= 1."""
     if k == 1:
         return q
-    if q == 0:
-        return Fraction(0)
     if q < 0 and k % 2 == 0:
         return None
     sign = -1 if q < 0 else 1
@@ -196,7 +193,8 @@ def normalize_monic(g: Poly, settings: Settings = DEFAULTS) -> tuple[PolyDS, Opt
     with the scale c, or None when no rational c exists.
 
     The conjugate L o g o L^{-1} has coefficients a_i * c^i / lead(g); a
-    rational c is preferred.  When no rational c exists the conjugate is
+    rational c is preferred: the positive one for odd d, the only one for
+    even d, as (-c)^(d-1) = -lead(g).  When no rational c exists the conjugate is
     returned only if its coefficients happen to be rational anyway (each
     needed power c^i is a rational root).
     """
@@ -207,9 +205,6 @@ def normalize_monic(g: Poly, settings: Settings = DEFAULTS) -> tuple[PolyDS, Opt
     if a0 == 1:
         return PolyDS(g, settings), Fraction(1)
     c = _rational_kth_root(a0, d - 1)
-    if c is not None and d % 2 == 0 and c < 0:
-        # prefer the positive representative when both signs work
-        c = -c if (-c) ** (d - 1) == a0 else c
     if c is not None:
         # ascending: coefficient of X^j in the conjugate is a_{d-j} c^{d-j} / a0
         coeffs = [g.coeffs[j] * c ** (d - j) / a0 for j in range(d + 1)]
@@ -256,27 +251,17 @@ def chebyshev_monic(d: int) -> Poly:
 
 
 def _alternating_flip(p: Poly) -> Poly:
-    """Coefficient of X^(d-2j) scaled by (-1)^j; conjugation by a 4th root of 1."""
+    """Coefficient of X^e scaled by (-1)^((d-e)/2), for a p whose offsets
+    d - e are all even, as T_d's are; conjugation by a 4th root of 1."""
     d = p.degree
-    out = [Fraction(0)] * (d + 1)
-    for e, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        if (d - e) % 2 != 0:
-            out[e] = c  # odd-offset terms (vanish for Chebyshev inputs)
-        else:
-            j = (d - e) // 2
-            out[e] = c if j % 2 == 0 else -c
-    return Poly(out)
+    return Poly([-c if (d - e) % 4 else c for e, c in enumerate(p.coeffs)])
 
 
-def depress(f: Poly) -> tuple[Poly, Fraction]:
-    """Translate conjugation killing the X^(d-1) term: returns (f_dep, shift s)
-    with f_dep(x) = f(x - s) + s and s = a_{d-1}/d."""
-    d = f.degree
-    s = f.coeff(d - 1) / d
-    shifted = f.compose(Poly([-s, 1])) + Poly([s])
-    return shifted, s
+def depress(f: Poly) -> Poly:
+    """Translate conjugation killing the X^(d-1) term: f(x - s) + s with
+    s = a_{d-1}/d."""
+    s = f.coeff(f.degree - 1) / f.degree
+    return f.compose(Poly([-s, 1])) + Poly([s])
 
 
 def detect_exceptional(ds: PolyDS) -> ExceptionalVerdict:
@@ -287,7 +272,7 @@ def detect_exceptional(ds: PolyDS) -> ExceptionalVerdict:
     with the alternating-flip form is a Chebyshev conjugate over Q(i): it is
     reported with ``over_extension`` when the rational witness does not exist.
     """
-    f, _ = depress(ds.f)
+    f = depress(ds.f)
     d = ds.d
     if f == Poly.monomial(d):
         return ExceptionalVerdict("power")

@@ -26,7 +26,7 @@ from mpmath import mpf
 from .ball import CBall, as_ball, coeff_balls, eval_poly_ball, horner_ball
 from .errors import DomainError, PrecisionError
 from .exact import rat
-from .rootcert import certify_solution, preimages
+from .rootcert import certify_solution, pull_back
 
 if TYPE_CHECKING:
     from .dynamics import PolyDS
@@ -166,10 +166,10 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
     """Sample the level curve g = r, re-certifying every point with green_eval.
 
     The curve Psi(exp(-d^k r) e^{2 pi i theta}) of the level d^k r is pulled
-    back one step at a time, k >= 0 the first level deep inside the Boettcher
-    disc.  Each step is ``rootcert.preimages``, the d certified solutions of
+    back k steps by ``rootcert.pull_back``, k >= 0 the first level deep
+    inside the Boettcher disc: each step takes the d certified solutions of
     f(z) = w for the ball w (the quadratic formula in ball arithmetic for
-    d = 2, interval Newton otherwise), the step that also pulls orbit level
+    d = 2, interval Newton otherwise), the loop that also pulls orbit level
     sets back.  The d^k sheets of each base angle are ordered by argument
     (ties by real part).  A failed step (a None solution) drops every sheet
     below it, and a failed level check drops its point, so points plus
@@ -205,14 +205,9 @@ def equipotential_trace(ds: PolyDS, r: Fraction, n_points: Optional[int] = None,
     points: list[TracePoint] = []
     for j, start in enumerate(starts):
         theta = j / n_base
-        level = [start]
-        for _ in range(k):
-            # a failed step (None) has no sheets below it
-            level = [z for w in level if w is not None
-                     for z in preimages(ds.f, w, dp)]
         layer = []
-        for pt in level:
-            accepted = None if pt is None else _certify_level(ds, pt, r, tol)
+        for pt in pull_back(ds.f, [start], k):
+            accepted = _certify_level(ds, pt, r, tol)
             if accepted is None and k == 0:
                 # polish through a deeper level before giving up: pull its
                 # point back along the walk's f^(kk-1)(pt), ..., f(pt), pt (a

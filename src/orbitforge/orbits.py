@@ -26,7 +26,7 @@ from .errors import DomainError, ResourceError, UndecidedError
 from .exact import Poly, _prime_factors, _v_p, rat
 from .factor import factor_rational
 from .green import green_eval
-from .rootcert import certified_roots, preimages
+from .rootcert import certified_roots, pull_back
 
 
 @dataclass(frozen=True)
@@ -206,30 +206,22 @@ def _holds(ball: CBall, q: Fraction) -> bool:
     return re * re + im * im <= rad * rad
 
 
-def _pull_back(f: Poly, df: Poly, balls: list,
-               depth: int) -> Optional[list[CBall]]:
-    """The balls ``depth`` preimage steps below ``balls``; None once any
-    solution is uncertified."""
-    for _ in range(depth):
-        if None in balls:
-            return None
-        balls = [z for w in balls for z in preimages(f, w, df)]
-    return None if None in balls else balls
-
-
 def _pull_back_tree(ds: PolyDS, alpha: Fraction, n: int, m: int,
                     levels) -> list[Optional[list[CBall]]]:
     """Balls of the solutions of f^n(X) = f^m(alpha) by entry of
-    ``levels`` (``level_factors``' output), None where not certified.
+    ``levels`` (``level_factors``' output), None where not pulled back.
 
-    The tree pulls back from the exact target a_0 = f^m(alpha).  Along the
-    alpha-path a_j = f^(m-j)(alpha), j <= s = min(n, m), exactly one of the
-    preimages of a_(j-1) must hold a_j (decided exactly, so the others
-    exclude it), and the path goes on from a_j's own ball.  The subtrees of
-    the other preimages hold the roots of g_i that are not roots of g_(i-1),
-    i = s - j + 1; the subtree of a_s holds g_0's.  An entry with no
-    nonlinear factor needs no balls and is not pulled back."""
-    f, df, s = ds.f, ds.f.derivative(), min(n, m)
+    The tree pulls back from the exact target a_0 = f^m(alpha) by
+    ``rootcert.pull_back``, the one loop over the certified preimage step,
+    which drops an uncertified solution with its subtree (a shortfall that
+    ``_by_count`` refuses).  Along the alpha-path a_j = f^(m-j)(alpha),
+    j <= s = min(n, m), exactly one of the preimages of a_(j-1) must hold
+    a_j (decided exactly, so the others exclude it), and the path goes on
+    from a_j's own ball.  The subtrees of the other preimages hold the roots
+    of g_i that are not roots of g_(i-1), i = s - j + 1; the subtree of a_s
+    holds g_0's.  An entry with no nonlinear factor needs no balls and is
+    not pulled back."""
+    f, s = ds.f, min(n, m)
     a_s = alpha
     for _ in range(m - s):
         a_s = ds.apply(a_s)
@@ -240,15 +232,15 @@ def _pull_back_tree(ds: PolyDS, alpha: Fraction, n: int, m: int,
     wanted = [any(fac.degree > 1 for fac, _mult in factors) for factors in levels]
     out: list[Optional[list[CBall]]] = [None] * (s + 1)
     for j in range(1, s + 1):
-        kids = preimages(f, CBall.from_rational(path[j - 1]), df)
-        on_path = [z for z in kids if z is not None and _holds(z, path[j])]
+        kids = pull_back(f, [CBall.from_rational(path[j - 1])], 1)
+        on_path = [z for z in kids if _holds(z, path[j])]
         if len(on_path) != 1:
             return out                            # entries <= s - j + 1 fail
         if wanted[s - j + 1]:
-            out[s - j + 1] = _pull_back(
-                f, df, [z for z in kids if z is not on_path[0]], n - j)
+            out[s - j + 1] = pull_back(
+                f, [z for z in kids if z is not on_path[0]], n - j)
     if wanted[0]:
-        out[0] = _pull_back(f, df, [CBall.from_rational(path[s])], n - s)
+        out[0] = pull_back(f, [CBall.from_rational(path[s])], n - s)
     return out
 
 

@@ -130,25 +130,6 @@ class PadicScalar:
         return PadicScalar(self.p, self.valuation + other.valuation,
                            (self.unit * other.unit) % mod, prec)
 
-    def __pow__(self, n: int) -> "PadicScalar":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = PadicScalar.from_unit(self.p, 1, 0, self.precision or DEFAULTS.padic_digits)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def inverse(self) -> "PadicScalar":
-        if self.zero:
-            raise DomainError("inverse of a zero-like scalar")
-        mod = self.p ** self.precision
-        return PadicScalar(self.p, -self.valuation,
-                           pow(self.unit, -1, mod), self.precision)
-
     def __neg__(self) -> "PadicScalar":
         if self.zero:
             return self
@@ -185,9 +166,6 @@ class PadicScalar:
             v_extra += 1
         new_prec = known_to - v0 - v_extra
         return PadicScalar(self.p, v0 + v_extra, total, new_prec)
-
-    def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        return self + (-other)
 
 
 def teichmuller(p: int, c: int, digits: int = DEFAULTS.padic_digits) -> PadicScalar:

@@ -3,14 +3,15 @@
 The one pull-back step is ``preimages(f, w)``: the d solutions of f(z) = w
 for a target ball w, each as a ball that holds exactly one solution of
 f(z) = w' for every w' in w, or None where that solution is not certified.
-Chaining it from an exact value gives every point of an iterated preimage
-f^(-n)(t): the orbit level sets (``orbits``) and the equipotential traces
-(``green``).  A monic quadratic step is the quadratic formula in ball
-arithmetic; any other degree approximates the solutions numerically
-(mpmath), polishes them by plain Newton steps and certifies each by one
-interval-Newton step (R. E. Moore, *Interval Analysis*, 1966): for a ball B
-around an approximation z0, if ``N = z0 - (p(z0) - t)/p'(B)`` is contained
-in B, then B (hence N) contains exactly one solution.
+``pull_back(f, balls, depth)`` is the one loop that chains it, keeping the
+certified solutions only: from an exact value it gives every point of an
+iterated preimage f^(-n)(t), for the orbit level sets (``orbits``) and the
+equipotential traces (``green``).  A monic quadratic step is the quadratic
+formula in ball arithmetic; any other degree approximates the solutions
+numerically (mpmath), polishes them by plain Newton steps and certifies each
+by one interval-Newton step (R. E. Moore, *Interval Analysis*, 1966): for a
+ball B around an approximation z0, if ``N = z0 - (p(z0) - t)/p'(B)`` is
+contained in B, then B (hence N) contains exactly one solution.
 
 ``certified_roots`` certifies all roots of one squarefree polynomial the
 same way and checks that its balls are pairwise disjoint; the level sets use
@@ -117,6 +118,18 @@ def preimages(f: Poly, w: CBall, df: Optional[Poly] = None) -> list[Optional[CBa
     df = f.derivative() if df is None else df
     return [certify_solution(f, CBall.from_complex(approx), w, df)
             for approx in approximate_solutions(f, w)]
+
+
+def pull_back(f: Poly, balls, depth: int) -> list[CBall]:
+    """The certified solutions ``depth`` steps of ``preimages`` below
+    ``balls``: a None solution is dropped, and with it every solution below
+    it, so a failed step shows as a shortfall of the d^depth balls each ball
+    would have."""
+    # f' once per call, and only where a step certifies by interval Newton
+    df = None if f.degree == 2 and f.lead == 1 else f.derivative()
+    for _ in range(depth):
+        balls = [z for w in balls for z in preimages(f, w, df) if z is not None]
+    return list(balls)
 
 
 def certified_roots(p: Poly) -> list[CBall]:

@@ -274,6 +274,8 @@ def test_height_prints_the_parsed_alpha():
     ["curve", "nu", "--poly", "[-1,0,1]", "--curve", '[[1,0,"1"],[0,1,"-1"]]',
      "--p", "3", "--phi", "3", "--k1", "1", "--k2", "-1", "--zeta1", "teich:x"],
     ["green", "trace", "--poly", "[-1,0,1]", "--r", "1", "--n", "0"],
+    ["curve", "special", "--poly", "[-1,0,1]", "--curve", '[[1,0,"1"],[0,1,"-1"]]',
+     "--alpha", "1/3", "--nmax", "-1"],
 ])
 def test_malformed_values_give_error_json(argv):
     code, out, err = run_cli(argv)
@@ -354,3 +356,84 @@ def test_mersenne_prime_2_61_is_tested_quickly(argv, key):
         _code, out, _err = run_cli(argv)
     out = json.loads(out)
     assert key in out and "error" not in out
+
+
+def test_nu_of_a_curve_whose_terms_all_cancel_is_a_domain_error():
+    # X - Y with k1 = k2 = 1: every term of the window cancels to a small
+    # p-adic scalar, so no term is kept
+    code, out, err = run_cli(["curve", "nu", "--poly", "[-1,0,1]",
+                              "--curve", '[[1,0,"1"],[0,1,"-1"]]', "--p", "3",
+                              "--phi", "3", "--k1", "1", "--k2", "1"])
+    assert code == 1 and "Traceback" not in err
+    error = json.loads(out)["error"]
+    assert error["code"] == "domain"
+    assert error["message"].startswith("window is zero: possibly the zero function")
+
+
+def test_negative_nu_window_is_refused():
+    # refused as such, not taken for an empty window ("window is zero")
+    argv = ["curve", "nu", "--poly", "[-1,0,1]",
+            "--curve", '[[1,0,"1"],[0,1,"-1"],[0,0,"-1"]]',
+            "--p", "3", "--phi", "3", "--k1", "2", "--k2", "-1"]
+    code, out, _ = run_cli(argv + ["--window", "-1"])
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "domain",
+                                        "message": "window must be >= 0"}
+    code, out, _ = run_cli(argv + ["--window", "0"])
+    assert code == 0 and json.loads(out)["terms"] == [{"exp": 0, "valuation": 0}]
+
+
+@pytest.mark.parametrize("lemma", ["boom", "rootsof1"])
+def test_combinat_verify_other_lemmas(lemma):
+    code, out, _ = run_cli(["combinat", "verify", "--lemma", lemma, "--nmax", "17"])
+    data = json.loads(out)
+    assert code == 0 and data["pass"] and (data["lemma"], data["cases"]) == (lemma, 288)
+
+
+def test_combinat_verify_random_tail():
+    # N = 17..60 exhaustively (59832 cosets), then 500 random cosets with
+    # 61 <= N <= 70
+    code, out, _ = run_cli(["combinat", "verify", "--lemma", "box1", "--nmax", "70"])
+    data = json.loads(out)
+    assert code == 0 and data["pass"] and data["cases"] == 59832 + 500
+
+
+def test_dynamics_classify_preperiodic_alpha():
+    code, out, _ = run_cli(["dynamics", "classify", "--poly", "[-1,0,1]",
+                            "--alpha", "0"])
+    data = json.loads(out)
+    assert code == 0 and "good_reduction_escape" not in data
+    assert data["orbit"] == {"type": "preperiodic", "preperiod": 0, "period": 2}
+
+
+def test_dynamics_classify_prints_the_monic_scale():
+    code, out, _ = run_cli(["dynamics", "classify", "--poly", "[0,0,2]"])
+    assert code == 0 and json.loads(out) == {
+        "poly": ["0", "0", "1"], "monic_conjugacy_scale": "2",
+        "exceptional": {"kind": "power", "over_extension": False}}
+
+
+def test_csv_out_path_writes_the_trace(tmp_path):
+    target = tmp_path / "t.csv"
+    argv = ["green", "trace", "--poly", "[-1,0,1]", "--r", "1", "--n", "4"]
+    code, out, _ = run_cli(argv + ["--out", str(target)])
+    assert code == 0
+    assert json.loads(out) == {"written": str(target), "points": 4, "dropped": 0}
+    code, printed, _ = run_cli(argv + ["--out", "csv"])
+    assert code == 0 and target.read_text() == printed
+
+
+def test_config_comments_and_blank_lines(tmp_path):
+    cfg = tmp_path / "of.cfg"
+    cfg.write_text("# settings\n\nseries_order = 10  # low\n   \n")
+    code, out, _ = run_cli(["--config", str(cfg), "boettcher", "--poly", "[-1,0,1]"])
+    assert code == 0 and json.loads(out)["order"] == 10
+
+
+def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "of.cfg"
+    cfg.write_text("series_order 10\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "boettcher", "--poly", "[-1,0,1]"])
+    assert exc.value.code == 2
+    assert "bad config line" in capsys.readouterr().err

@@ -173,9 +173,9 @@ def test_trace_pullback_counts_uncertified_roots(monkeypatch):
     # X^2 - 6 at r = 1/5 is traced at k = 3 (8 sheets x 2 angles here); the
     # first pull-back step fails, so the d^(k-1) = 4 sheets below it are
     # dropped and counted: points + dropped = d^k * n_base
-    import orbitforge.green as green_mod
+    import orbitforge.rootcert as rootcert_mod
 
-    preimages = green_mod.preimages
+    preimages = rootcert_mod.preimages
     calls = []
 
     def first_fails(*args, **kwargs):
@@ -183,7 +183,7 @@ def test_trace_pullback_counts_uncertified_roots(monkeypatch):
         solutions = preimages(*args, **kwargs)
         return [None] + solutions[1:] if len(calls) == 1 else solutions
 
-    monkeypatch.setattr(green_mod, "preimages", first_fails)
+    monkeypatch.setattr(rootcert_mod, "preimages", first_fails)
     curve = equipotential_trace(DS6, F(1, 5), n_points=16, tol=F(1, 10**6))
     assert not curve.closed
     assert curve.dropped == 4 and len(curve.points) == 12
@@ -222,16 +222,16 @@ def test_trace_stepwise_matches_one_shot_pullback():
 
 def test_trace_pullback_solves_only_degree_d_equations(monkeypatch):
     # every pull-back step is one solve of f(z) = w, never f^k(z) = w
-    import orbitforge.green as green_mod
+    import orbitforge.rootcert as rootcert_mod
 
-    preimages = green_mod.preimages
+    preimages = rootcert_mod.preimages
     degrees = []
 
     def recording(p, target, dp=None):
         degrees.append(p.degree)
         return preimages(p, target, dp)
 
-    monkeypatch.setattr(green_mod, "preimages", recording)
+    monkeypatch.setattr(rootcert_mod, "preimages", recording)
     for ds, r in ((DS6, F(1, 5)), (DS1, F(1, 20)), (PolyDS(Poly([0, -3, 0, 1])), F(1, 5))):
         degrees.clear()
         curve = equipotential_trace(ds, r, n_points=8, tol=F(1, 10**6))

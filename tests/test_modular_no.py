@@ -18,6 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+import test_special_golden
 from conftest import time_limit
 from test_special_golden import _cases, _iterate_difference_factors, _maps
 
@@ -53,9 +54,21 @@ def _integral_at(prime, f, alpha=F(0), lead=1):
 
 
 @pytest.fixture(scope="module")
-def golden():
-    """The special-curve golden corpus with its verdicts at the default prime."""
-    cases = list(_cases())
+def difference_factors():
+    """The factors of f^n(X) - f^n(Y), n < 3, for each map of the special
+    golden corpus, by map and n: sympy factors each once."""
+    return {(f, n): _iterate_difference_factors(f, n)
+            for f in _maps(random.Random(20261019)) for n in range(3)}
+
+
+@pytest.fixture(scope="module")
+def golden(difference_factors):
+    """The special-curve golden corpus with its verdicts at the default
+    prime; its iterate-difference factors are ``difference_factors``."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(test_special_golden, "_iterate_difference_factors",
+                            lambda f, n: difference_factors[f, n])
+        cases = list(_cases())
     return cases, [is_special_curve(curve, ds, ALPHA, nmax)
                    for _f, curve, ds, nmax in cases]
 
@@ -106,6 +119,24 @@ def _pair_decisions():
             for P in PAIR_CURVES for ds, alpha, cap, _roots in PAIR_SYSTEMS]
 
 
+def _forbid_exact_resultant(monkeypatch):
+    import orbitforge.exact as exact_mod
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the exact resultant was called")
+
+    monkeypatch.setattr(exact_mod, "poly_resultant", forbidden)
+
+
+@pytest.fixture(scope="module")
+def pair_decisions():
+    """``_pair_decisions()`` at the default prime, made once with the exact
+    resultant forbidden."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _forbid_exact_resultant(monkeypatch)
+        return _pair_decisions()
+
+
 _RESULTANTS: dict = {}
 
 
@@ -124,11 +155,11 @@ def _divides_resultant(P, fx, fy):
 
 # -- soundness -------------------------------------------------------------------
 
-def test_iterate_difference_factors_pass_the_walk_at_their_level():
+def test_iterate_difference_factors_pass_the_walk_at_their_level(difference_factors):
     seen = walked = 0
     for f in _maps(random.Random(20261019)):
         for n in range(3):
-            for curve in _iterate_difference_factors(f, n):
+            for curve in difference_factors[f, n]:
                 rows = curve.poly.coeffs_in("y")
                 assert len(rows) > 1 and rows[-1].degree == 0
                 for prime in (P61,) + SMALL:
@@ -198,19 +229,13 @@ def test_partner_count_answers_the_exact_resultant():
     assert (pairs, zeros) == (779, 4)
 
 
-def test_no_library_path_calls_the_exact_resultant(monkeypatch):
-    import orbitforge.exact as exact_mod
-
-    def forbidden(*_args, **_kwargs):
-        raise AssertionError("the exact resultant was called")
-
-    monkeypatch.setattr(exact_mod, "poly_resultant", forbidden)
+def test_no_library_path_calls_the_exact_resultant(monkeypatch, pair_decisions):
+    _forbid_exact_resultant(monkeypatch)
     rep = intersect_small_orbit(PlaneCurve.from_bipoly(X_MINUS_Y), DS1, ALPHA, 4)
     assert rep.count() == 16 and rep.undecided == []
 
-    expected = _pair_decisions()
     _exact_only(monkeypatch)
-    assert _pair_decisions() == expected
+    assert _pair_decisions() == pair_decisions
 
 
 # -- the exact tests still decide every "yes" ---------------------------------------
@@ -233,10 +258,10 @@ def test_small_prime_false_passes_are_refused_exactly(monkeypatch, golden, prime
 
 
 @pytest.mark.parametrize("prime", [3, 5, 7])
-def test_small_prime_pair_passes_are_refused_exactly(monkeypatch, prime):
-    expected = _pair_decisions()
+def test_small_prime_pair_passes_are_refused_exactly(monkeypatch, pair_decisions,
+                                                    prime):
     monkeypatch.setattr(curves, "_PRIME", prime)
-    assert _pair_decisions() == expected
+    assert _pair_decisions() == pair_decisions
     # the corpus holds a false pass with a rational y, at the prime chosen
     # for its system, which only the exact partner count refuses
     assert any(not _apart_mod(_resultant_mod(P, _min_poly(y), prime), _min_poly(x), prime)

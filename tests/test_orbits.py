@@ -89,6 +89,24 @@ def test_bad_reduction_prime_contribution():
     assert abs(float(h1.value.re_mid) - 2 * float(h2.value.re_mid)) <= 2e-9
 
 
+def test_height_bounded_at_a_bad_prime_takes_the_enclosure():
+    # orbit height --poly '["1/9","1/3","1"]' --alpha 4/3: alpha escapes at
+    # infinity (f(4/3) = 7/3 > R = 13/9) but its orbit stays 3-adically
+    # bounded, so the local term at 3 is the one-sided enclosure [0, hi]
+    from orbitforge.orbits import _padic_local_height
+
+    ds = PolyDS(Poly([F(1, 9), F(1, 3), 1]))
+    tol = ds.settings.tolerance
+    assert ds.padic_escape(F(4, 3), 3, 16) is None
+    local = _padic_local_height(ds, F(4, 3), 3, tol)
+    assert local.re_mid == local.rad > 0
+    h1 = canonical_height(ds, F(4, 3))
+    h2 = canonical_height(ds, ds.apply(F(4, 3)))
+    assert ds.apply(F(4, 3)) == F(7, 3) and h1.method == h2.method == "limit"
+    assert max(float(h1.value.rad), float(h2.value.rad)) <= float(tol)
+    assert abs(float(h2.value.re_mid - 2 * h1.value.re_mid)) <= 2 * float(tol)
+
+
 def test_preperiodic_vs_wandering_on_quadratic_corpus():
     for c in range(-2, 3):
         ds = PolyDS(Poly([c, 0, 1]))
@@ -152,6 +170,26 @@ def test_grand_orbit_examples():
 
     g3 = grand_orbit_points(DS1, F(1, 3), 0, 2)
     assert g3.rational_values() == [DS1.iterate(2)(F(1, 3))]
+
+
+def test_grand_level_with_rational_and_nonlinear_factors(monkeypatch):
+    # orbit grand --poly "[-1,0,1]" --alpha 8 --n 2 --m 0: the level
+    # X^4 - 2X^2 - 8 = (X - 2)(X + 2)(X^2 + 2) is certified from its
+    # pulled-back balls alone, each of -2 and 2 taking the one ball that
+    # holds it exactly
+    import orbitforge.orbits as orbits_mod
+
+    def refused(p):
+        raise AssertionError(f"{p!r} was certified on its own")
+
+    monkeypatch.setattr(orbits_mod, "certified_roots", refused)
+    lvl = grand_orbit_points(DS1, F(8), 2, 0)
+    assert lvl.rational_roots == ((F(-2), 1), (F(2), 1))
+    (batch,) = lvl.algebraic
+    assert (batch.factor, batch.multiplicity) == (Poly([2, 0, 1]), 1)
+    a, b = batch.roots
+    assert not (a - b).contains_zero()
+    assert all(eval_poly_ball(batch.factor, z).contains_zero() for z in (a, b))
 
 
 X2M1, X2M2, X2M34 = Poly([-1, 0, 1]), Poly([-2, 0, 1]), Poly([F(-3, 4), 0, 1])

@@ -32,8 +32,6 @@ def test_scalar_arithmetic_tracks_valuations():
     assert (a + b).valuation == 0          # unit dominates
     cancel = a + (-a)
     assert cancel.is_small                 # zero within tracked digits
-    assert (a ** 4).valuation == 4
-    assert a.inverse().valuation == -1
 
 
 @pytest.mark.parametrize("digits", [0, -1])
