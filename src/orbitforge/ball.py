@@ -116,6 +116,13 @@ def _rational(re, im, prec, rnd, eps):
     return parts[0], parts[1], mpf_mul(eps, mpf_add(size, fone, prec, rnd), prec, rnd)
 
 
+def _exact(x: mpf) -> Fraction:
+    """The value of an mpf as an exact Fraction."""
+    sign, man, exp, _bits = x._mpf_
+    man = -man if sign else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
 def _ball(t) -> "CBall":
     make = mpmath.mp.make_mpf
     return CBall(make(t[0]), make(t[1]), make(t[2]))
@@ -174,8 +181,10 @@ class CBall:
         gap = mpmath.hypot(self.re_mid - other.re_mid, self.im_mid - other.im_mid)
         return gap * (1 + _eps()) + other.rad <= self.rad
 
-    def contains_value(self, re: Fraction, im: Fraction = Fraction(0)) -> bool:
-        return self.contains(CBall.from_rational(re, im))
+    def contains_value(self, q: Fraction) -> bool:
+        """The rational q lies in the ball, decided exactly."""
+        re, im, rad = _exact(self.re_mid) - q, _exact(self.im_mid), _exact(self.rad)
+        return re * re + im * im <= rad * rad
 
     def __repr__(self) -> str:
         return f"CBall({mpmath.nstr(self.mid, 12)} +/- {mpmath.nstr(self.rad, 4)})"

@@ -23,7 +23,7 @@ from . import __version__
 from .ball import CBall  # eager: ball sets mp.prec on import, before main's workprec
 from .config import DEFAULTS, Settings, load_settings
 from .errors import DomainError, OrbitforgeError
-from .exact import BiPoly, Poly, rat, rat_str
+from .exact import _MINUS_VARIANTS, BiPoly, Poly, rat, rat_str
 from .dynamics import (PolyDS, Preperiodic, classify_orbit,
                        detect_exceptional, find_place_of_good_reduction_escape,
                        normalize_monic)
@@ -57,7 +57,7 @@ def emit(data) -> None:
 def _parse_json_list(text: str, what: str) -> list:
     """A JSON array argument; malformed input is a DomainError."""
     cleaned = text
-    for ch in ("−", "–"):
+    for ch in _MINUS_VARIANTS:
         cleaned = cleaned.replace(ch, "-")
     try:
         data = json.loads(cleaned)

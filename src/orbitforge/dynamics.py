@@ -8,6 +8,7 @@ places of good reduction witnessing escape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
@@ -15,7 +16,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from .ball import CBall
 from .config import DEFAULTS, Settings
 from .errors import DomainError, PrecisionError, ResourceError, UndecidedError
-from .exact import Poly, _prime_factors, _v_p, integer_kth_root, rat
+from .exact import Poly, _prime_factors, _v_p, integer_kth_root, rat, rat_str
 from .rootcert import certified_roots
 
 if TYPE_CHECKING:
@@ -192,40 +193,24 @@ def normalize_monic(g: Poly, settings: Settings = DEFAULTS) -> tuple[PolyDS, Opt
     """Monic model of g by the conjugation L(x) = c*x with c^(d-1) = lead(g),
     with the scale c, or None when no rational c exists.
 
-    The conjugate L o g o L^{-1} has coefficients a_i * c^i / lead(g); a
-    rational c is preferred: the positive one for odd d, the only one for
-    even d, as (-c)^(d-1) = -lead(g).  When no rational c exists the conjugate is
-    returned only if its coefficients happen to be rational anyway (each
-    needed power c^i is a rational root).
+    The model L o g o L^{-1} has coefficient a_(d-i) * c^i / lead(g) at
+    X^(d-i).  With G = gcd(d - 1, every i with a_(d-i) != 0), each c^i it
+    needs is a power of r = c^G, and r^((d-1)/G) = lead(g); so a model over
+    Q exists exactly when lead(g) has a rational ((d-1)/G)-th root r, taken
+    real, and positive for an even order.  Then r = c^G for the rational c
+    (the positive one for odd d) whenever there is one.
     """
     if g.degree < 2:
         raise DomainError("normalization requires degree >= 2")
-    d = g.degree
-    a0 = g.lead
-    if a0 == 1:
-        return PolyDS(g, settings), Fraction(1)
-    c = _rational_kth_root(a0, d - 1)
-    if c is not None:
-        # ascending: coefficient of X^j in the conjugate is a_{d-j} c^{d-j} / a0
-        coeffs = [g.coeffs[j] * c ** (d - j) / a0 for j in range(d + 1)]
-        return PolyDS(Poly(coeffs), settings), c
-    # No rational c.  Coefficient i needs c^i = a0^(i/(d-1)) to be rational.
-    coeffs_desc = []
-    for i in range(0, d + 1):
-        a_i = g.coeffs[d - i]
-        if i == 0:
-            coeffs_desc.append(Fraction(1))
-            continue
-        if a_i == 0:
-            coeffs_desc.append(Fraction(0))
-            continue
-        power = _rational_kth_root(a0**i, d - 1)
-        if power is None:
-            raise DomainError(
-                "no monic conjugate with rational coefficients exists "
-                f"(coefficient of X^{d - i} needs an irrational scaling)")
-        coeffs_desc.append(a_i * power / a0)
-    return PolyDS(Poly(list(reversed(coeffs_desc))), settings), None
+    d, lead = g.degree, g.lead
+    step = math.gcd(d - 1, *(d - j for j, a in enumerate(g.coeffs) if a))
+    order = (d - 1) // step
+    r = _rational_kth_root(lead, order)
+    if r is None:
+        raise DomainError("no monic conjugate with rational coefficients exists: "
+                          f"{rat_str(lead)} has no rational root of order {order}")
+    coeffs = [a * r ** ((d - j) // step) / lead for j, a in enumerate(g.coeffs)]
+    return PolyDS(Poly(coeffs), settings), _rational_kth_root(lead, d - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -165,11 +165,9 @@ def rat_str(q: Fraction) -> str:
 
 
 class Poly:
-    """Dense univariate polynomial over Q; immutable and hashable.  The hash
-    is computed on first use and kept: polynomials key memos, and hashing
-    a tuple of large Fractions is not cheap."""
+    """Dense univariate polynomial over Q; immutable and hashable."""
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):  # ascending degree
         cs = [rat(c) for c in coeffs]
@@ -221,12 +219,7 @@ class Poly:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self.coeffs)
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -435,19 +428,13 @@ class BiPoly:
         return out
 
     def content_primitive(self) -> tuple[Fraction, "BiPoly"]:
-        from math import gcd, lcm
+        """(content, primitive part), the part's last term (largest key) positive."""
         if self.is_zero:
             return Fraction(0), self
-        den = 1
-        for _, c in self.terms:
-            den = lcm(den, c.denominator)
-        nums = {k: int(c * den) for k, c in self.terms}
-        g = 0
-        for n in nums.values():
-            g = gcd(g, n)
-        if nums[max(nums)] < 0:
-            g = -g
-        return Fraction(g, den), BiPoly({k: Fraction(n, g) for k, n in nums.items()})
+        nums, den = _over_common([c for _, c in self.terms])
+        g = math.gcd(*nums) * (1 if nums[-1] > 0 else -1)
+        return Fraction(g, den), BiPoly(
+            {k: Fraction(n, g) for (k, _), n in zip(self.terms, nums)})
 
     def to_json(self) -> list:
         return [[i, j, rat_str(c)] for (i, j), c in self.terms]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, islice, product
 
-from .exact import BiPoly, Poly, _is_prime
+from .exact import BiPoly, Poly, _is_prime, _over_common
 
 # primes tried: by the square-free test, and whose modular factor counts
 # are compared to pick the prime to lift from
@@ -68,8 +68,7 @@ def _square_free(p: Poly) -> list[tuple[list[int], int]]:
 
 def _primitive(p: Poly) -> list[int]:
     """p times a rational: integer coefficients with gcd 1."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    ints, _ = _over_common(p.coeffs)
     g = math.gcd(*ints)
     return [c // g for c in ints]
 

@@ -20,9 +20,9 @@ from typing import Optional
 import mpmath
 from mpmath import mpf
 
-from .ball import CBall, coeff_balls, horner_ball, rball
+from .ball import CBall, _exact, coeff_balls, horner_ball, rball
 from .dynamics import PolyDS, Preperiodic, classify_orbit
-from .errors import DomainError, ResourceError, UndecidedError
+from .errors import DomainError, PrecisionError, ResourceError, UndecidedError
 from .exact import Poly, _prime_factors, _v_p, rat
 from .factor import factor_rational
 from .green import green_eval
@@ -69,7 +69,8 @@ def _padic_local_height(ds: PolyDS, alpha: Fraction, p: int,
 
 def canonical_height(ds: PolyDS, alpha, tol: Optional[Fraction] = None) -> HeightValue:
     """hhat(alpha) = lim h(f^n(alpha)) / d^n, as a certified ball of radius <= tol
-    (by default the map's ``settings.tolerance``).
+    (by default the map's ``settings.tolerance``); a wider ball, as when tol
+    is below what the working precision reaches, raises PrecisionError.
 
     When the ball holds 0 and ``classify_orbit`` proves alpha preperiodic,
     hhat = 0 exactly."""
@@ -77,6 +78,13 @@ def canonical_height(ds: PolyDS, alpha, tol: Optional[Fraction] = None) -> Heigh
     tol = ds.settings.tolerance if tol is None else tol
     if tol <= 0:
         raise DomainError("tol must be positive")
+    height = _height(ds, alpha, tol)
+    if _exact(height.value.rad) > tol:
+        raise PrecisionError(f"the height's radius exceeds tol at {mpmath.mp.prec} bits")
+    return height
+
+
+def _height(ds: PolyDS, alpha: Fraction, tol: Fraction) -> HeightValue:
     if ds.f == Poly.monomial(ds.d):
         # power map: hhat equals the Weil height exactly
         num, den = abs(alpha.numerator), alpha.denominator
@@ -194,18 +202,6 @@ def level_factors(ds: PolyDS, alpha: Fraction, n: int,
             for i, g in enumerate(polys)]
 
 
-def _exact(x: mpf) -> Fraction:
-    sign, man, exp, _bits = x._mpf_
-    man = -man if sign else man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def _holds(ball: CBall, q: Fraction) -> bool:
-    """The rational q lies in the ball, decided exactly."""
-    re, im, rad = _exact(ball.re_mid) - q, _exact(ball.im_mid), _exact(ball.rad)
-    return re * re + im * im <= rad * rad
-
-
 def _pull_back_tree(ds: PolyDS, alpha: Fraction, n: int, m: int,
                     levels) -> list[Optional[list[CBall]]]:
     """Balls of the solutions of f^n(X) = f^m(alpha) by entry of
@@ -233,7 +229,7 @@ def _pull_back_tree(ds: PolyDS, alpha: Fraction, n: int, m: int,
     out: list[Optional[list[CBall]]] = [None] * (s + 1)
     for j in range(1, s + 1):
         kids = pull_back(f, [CBall.from_rational(path[j - 1])], 1)
-        on_path = [z for z in kids if _holds(z, path[j])]
+        on_path = [z for z in kids if z.contains_value(path[j])]
         if len(on_path) != 1:
             return out                            # entries <= s - j + 1 fail
         if wanted[s - j + 1]:
@@ -263,7 +259,7 @@ def _by_count(factors, balls) -> Optional[tuple]:
     for fac, _mult in factors:
         if fac.degree == 1:
             root = -fac.coeff(0)
-            hits = [i for i, b in enumerate(rest) if _holds(b, root)]
+            hits = [i for i, b in enumerate(rest) if b.contains_value(root)]
             if len(hits) != 1:
                 return None
             del rest[hits[0]]

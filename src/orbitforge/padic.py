@@ -130,13 +130,6 @@ class PadicScalar:
         return PadicScalar(self.p, self.valuation + other.valuation,
                            (self.unit * other.unit) % mod, prec)
 
-    def __neg__(self) -> "PadicScalar":
-        if self.zero:
-            return self
-        mod = self.p ** self.precision
-        return PadicScalar(self.p, self.valuation, (-self.unit) % mod,
-                           self.precision)
-
     def __add__(self, other: "PadicScalar") -> "PadicScalar":
         self._require_same_p(other)
         if self.is_exact_zero:

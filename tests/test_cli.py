@@ -38,6 +38,32 @@ def test_unicode_minus_accepted():
     assert [r["root"] for r in data["rational_roots"]] == ["-1/3", "1/3"]
 
 
+def test_em_dash_minus_gives_the_same_stdout():
+    argv = ["dynamics", "classify", "--poly", "[-1,0,1]", "--alpha", "1/3"]
+    want = run_cli(argv)[:2]
+    argv[3] = "[—1,0,1]"
+    assert run_cli(argv)[:2] == want
+
+
+def test_classify_prints_the_true_monic_conjugate():
+    # -X^3 + 3X is conjugate to X^3 + 3X by c = i, not to X^3 - 3X
+    code, out, _ = run_cli(["dynamics", "classify", "--poly", "[0,3,0,-1]"])
+    data = json.loads(out)
+    assert code == 0 and data["poly"] == ["0", "3", "0", "1"]
+    assert data["exceptional"]["kind"] == "neg-chebyshev"
+    assert "monic_conjugacy_scale" not in data          # c is irrational
+    code, out, _ = run_cli(["dynamics", "classify", "--poly", "[0,1,0,-4]"])
+    assert code == 0 and json.loads(out)["poly"] == ["0", "1", "0", "1"]
+    code, out, _ = run_cli(["dynamics", "classify", "--poly", "[0,0,0,1,0,-16]"])
+    assert code == 1 and json.loads(out)["error"]["code"] == "domain"
+
+
+def test_height_tol_below_the_working_precision_is_refused():
+    code, out, _ = run_cli(["orbit", "height", "--poly", "[-1,0,1]", "--alpha", "1/3",
+                            "--tol", "1/1" + "0" * 100])
+    assert code == 1 and json.loads(out)["error"]["code"] == "precision"
+
+
 def test_orbit_small_level2_payload():
     code, out, _ = run_cli(["orbit", "small", "--poly", "[-1,0,1]",
                             "--alpha", "1/3", "--level", "2"])

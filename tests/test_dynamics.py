@@ -1,5 +1,6 @@
 """Dynamical systems: normalization, exceptional maps, escape, preperiodicity."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -52,6 +53,37 @@ def test_normalize_conjugation_commutes_with_iteration():
         lhs = ds.iterate(n)
         rhs = L.compose(_iterate(g2, n)).compose(Linv)
         assert lhs == rhs
+
+
+def test_negative_lead_with_odd_degree_takes_the_true_conjugate():
+    # c^2 = lead(g) < 0, so c is imaginary, and c * g(X / c) keeps a_1
+    ds, scale = normalize_monic(Poly([0, 1, 0, -4]))
+    assert ds.f == Poly([0, 1, 0, 1]) and scale is None
+    with pytest.raises(DomainError, match="no rational root of order 2"):
+        normalize_monic(Poly([0, 0, 0, 1, 0, -16]))   # c^2 = +-4i
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scaled_monic_maps_normalize_back(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        d = rng.randint(2, 6)
+        h = Poly([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)] + [1])
+        t = F(rng.randint(1, 12), rng.randint(1, 12))
+        g = Poly([c / t for c in h.compose(Poly([0, t])).coeffs])   # h(t X) / t
+        ds, scale = normalize_monic(g)
+        assert ds.f == h and scale == t
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_odd_cubics_at_an_imaginary_scale_normalize_back(seed):
+    # h(i t X) / (i t) = -t^2 X^3 + a X for h = X^3 + a X
+    rng = random.Random(seed)
+    for _ in range(20):
+        a = F(rng.randint(-9, 9), rng.randint(1, 4))
+        t = F(rng.randint(1, 12), rng.randint(1, 12))
+        ds, scale = normalize_monic(Poly([0, a, 0, -t * t]))
+        assert ds.f == Poly([0, a, 0, 1]) and scale is None
 
 
 def test_kth_root_is_exact_beyond_float_range():

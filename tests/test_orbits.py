@@ -14,7 +14,7 @@ from conftest import time_limit
 from orbitforge.ball import eval_poly_ball
 from orbitforge.cli import main
 from orbitforge.dynamics import PolyDS, Preperiodic, classify_orbit
-from orbitforge.errors import DomainError, ResourceError
+from orbitforge.errors import DomainError, PrecisionError, ResourceError
 from orbitforge.exact import Poly
 from orbitforge.factor import factor_rational
 from orbitforge.orbits import (canonical_height, grand_orbit_points,
@@ -301,3 +301,12 @@ def test_grand_target_is_f_applied_m_times():
     # the size of f^m(alpha) still keeps m to the iterate cap
     with pytest.raises(ResourceError, match=r"iterate degree 2\^17 exceeds cap 65536"):
         level_polynomial(DS1, F(1, 3), 0, 17)
+
+
+def test_height_radius_above_tol_raises_on_every_path():
+    tiny = F(1, 10**100)               # below what 160 bits reach
+    for f, alpha in ((Poly([-1, 0, 1]), F(1, 3)), (Poly([0, 0, 1]), F(3))):
+        with pytest.raises(PrecisionError):
+            canonical_height(PolyDS(f), alpha, tiny)
+    h = canonical_height(PolyDS(Poly([-1, 0, 1])), F(0), tiny)
+    assert h.method == "preperiodic" and h.value.rad == 0

@@ -11,10 +11,12 @@ changed only their printed ``rad``; the CSV trace: after Psi's tail was
 bounded by the area theorem, whose narrower start balls changed only the
 printed ``g_residual``, 7.91511e-16 to 7.9151e-16, every midpoint equal).
 The CSV trace is scaled down to ``--n 16``, as the full README command
-takes seconds.
+takes seconds.  Every leaf subcommand of ``cli.build_parser()`` has a line in
+the README's CLI block and an example here, so none ships without a golden.
 ``python tests/test_readme_golden.py`` prints the current digests.
 """
 
+import argparse
 import hashlib
 import io
 import os
@@ -23,7 +25,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from orbitforge.cli import main
+from orbitforge.cli import build_parser, main
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 EXAMPLES = {
     "classify": ["dynamics", "classify", "--poly", "[-1,0,1]", "--alpha", "1/3"],
@@ -37,6 +41,8 @@ EXAMPLES = {
               "--pj", "--r1", "1/9", "--r", "1"],
     "small": ["orbit", "small", "--poly", "[-1,0,1]", "--alpha", "1/3",
               "--level", "2"],
+    "grand": ["orbit", "grand", "--poly", "[-1,0,1]", "--alpha", "1/3",
+              "--n", "2", "--m", "1"],
     "height": ["orbit", "height", "--poly", "[-1,0,1]", "--alpha", "1/3",
                "--tol", "1/10000000000"],
     "special": ["curve", "special", "--poly", "[-1,0,1]",
@@ -55,6 +61,7 @@ DIGESTS = {
     "boettcher": "8c4d20a8ae6f73d91031f2843153ce5ac1705817dee180c9a0f6432a95c95976",
     "classify": "24c7cc18a21c77d0a374b67814e5a2088a5bb90a84596dc0eef48e21af12bd80",
     "combinat": "bb5c7a6ed4ca7ca639b6ddca6df2f6e666afea784e3a53e249659e914820abdf",
+    "grand": "cd88e85cd2cfd810dc6c645f84cddccda56c59e28076ab79cf64158668d7e1c7",
     "height": "4116cddc99d29204d899b6873bc9d9989c9b399e62d48752930878166f352932",
     "intersect": "cf94ef03026bcc8a65fd265705db8bca421efa1d469ff44fc4803ffdb1337fe0",
     "nu": "0f08088f89ec40ceb873966f0c564a919adb1cdf992b87c8eefd0894dfd16f48",
@@ -81,6 +88,26 @@ def _digest(argv) -> str:
 def test_readme_example_stdout_unchanged(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _digest(EXAMPLES[name]) == DIGESTS[name]
+
+
+def _leaf_commands(parser, path=()):
+    """The word paths of the parser's leaf subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [path]
+    return [leaf for name, child in subs[0].choices.items()
+            for leaf in _leaf_commands(child, path + (name,))]
+
+
+def test_every_subcommand_has_a_readme_example_and_a_golden():
+    with open(README, encoding="utf-8") as fh:
+        commands = [line for line in fh if line.startswith("orbitforge ")]
+    leaves = _leaf_commands(build_parser())
+    assert len(leaves) >= 10
+    for path in leaves:
+        assert any(line.startswith(f"orbitforge {' '.join(path)} ")
+                   for line in commands), path
+        assert any(argv[:len(path)] == list(path) for argv in EXAMPLES.values()), path
 
 
 if __name__ == "__main__":     # pragma: no cover

@@ -11,7 +11,7 @@ import orbitforge.rootcert as rootcert
 from orbitforge.ball import CBall, eval_poly_ball
 from orbitforge.errors import PrecisionError
 from orbitforge.exact import Poly
-from orbitforge.orbits import _exact           # an mpf as an exact Fraction
+from orbitforge.ball import _exact             # an mpf as an exact Fraction
 
 X2_MINUS_2 = Poly([-2, 0, 1])
 
