@@ -10,7 +10,12 @@ budget, which keeps those bits; ``STOPPED_DIGESTS`` pin the same cases at
 the default tol.  ``PSI_DIGESTS`` pin ``evaluate_psi`` at order 48, complex
 points and Psi's large-denominator coefficients included, each against a
 fixed Boettcher radius built from an exact rational, so that they do not
-depend on how that radius is computed.  ``python tests/test_green_golden.py``
+depend on how that radius is computed.  ``TRACE_DIGESTS`` pin whole
+equipotential traces (every point's raw tuples, residual and sheet, and the
+curve's ``dropped`` and ``closed``, or the error a trace raises), each on a
+fresh map; the "reuse" case runs one map through Green values, escape steps
+and traces at both precisions in turn, so a value kept on the map shows if
+it is read back at the wrong precision.  ``python tests/test_green_golden.py``
 prints the current digests.
 """
 
@@ -26,7 +31,8 @@ from orbitforge.ball import CBall, eval_poly_ball
 from orbitforge.boettcher import evaluate_psi
 from orbitforge.dynamics import PolyDS
 from orbitforge.exact import Poly
-from orbitforge.green import green_eval
+from orbitforge.errors import DomainError, PrecisionError
+from orbitforge.green import equipotential_trace, escape_step, green_eval
 from orbitforge.orbits import canonical_height
 
 DS1 = PolyDS(Poly([-1, 0, 1]))            # X^2 - 1
@@ -76,6 +82,16 @@ PSI_CASES = {
 }
 PSI_ORDER = 48
 PSI_ANGLES = (0.0, 0.125, 0.3)       # theta: x = e^-1 exp(2 pi i theta)
+
+# name -> (coefficients, level r): the benchmark's four quadratic maps at
+# r = 1 and 2 (k = 0) and at r = 1/5 (pulled back, k > 0), and a cubic; each
+# trace takes 8 points at tol 1/10^8 on a fresh map
+TRACE_CASES = {f"c={c}/r={r}": ([c, 0, 1], r)
+               for c in (F(1, 4), F(-1), F(-3, 4), F(1, 2))
+               for r in (F(1), F(2), F(1, 5))}
+TRACE_CASES["cubic/r=1"] = ([1, -1, 0, 1], F(1))
+TRACE_POINTS = 8
+TRACE_TOL = F(1, 10**8)
 
 GREEN_DIGESTS = {
     "bounded_real@64": "267fa0be7bcdc5dc36d0991d86fc6ce47d56de58ddcbf5e7c4fef625c21e5011",
@@ -135,6 +151,38 @@ PSI_DIGESTS = {
 }
 
 
+TRACE_DIGESTS = {
+    "c=-1/r=1@64": "8b6cfb3834bcf41b048037952bca6153924fb7b0e598edfbc2b0986c44ebec00",
+    "c=-1/r=1@160": "0ac92e903de9752d45caf27b21901f23603d7a21e2c339ad7bc08c03c8177d8d",
+    "c=-1/r=1/5@64": "af4fc079a60f1fb31e0ef75de5fc8d1a9a16af814880f209e11f4a770ea1cbb6",
+    "c=-1/r=1/5@160": "8e7025249813ccc433e5a4b819cc15b285d154048227564b18f0140636eff170",
+    "c=-1/r=2@64": "dd126e8c417b88c02db290718538ddcfe56a97605f872676f6d5a589f8c71a9e",
+    "c=-1/r=2@160": "0492fa04fdeab1c03bbcc662fe394e8bb309ce62a161410ad709d3dbef5496f8",
+    "c=-3/4/r=1@64": "708b835a7bc5b7a559afaf81301ecc3a2831abfcd7b3c0ca315a14dfcbabf8a2",
+    "c=-3/4/r=1@160": "11fbca0b6770af8d4bd9fb39ad1e92e97d1cd595aa6204c84a91bd3b2c99e3dd",
+    "c=-3/4/r=1/5@64": "614c4f05311037417bf58c8c39d117b67f043d151c72a36ae66e766c5ea3e626",
+    "c=-3/4/r=1/5@160": "a1380052ea000c968842831d0f93227065d9737eff5915281cf4eff12ae0b985",
+    "c=-3/4/r=2@64": "8b6dc1ceedcf429c1c9f88e8c0925c5a74a74f5f69eb48a3dcbb0c252d002fb4",
+    "c=-3/4/r=2@160": "4205a6b3ded2a76b77b5af878de248f299f21b2966d634f229695b8999580287",
+    "c=1/2/r=1@64": "b2f904e06368f3be012e560ea8f0ab6269e5478d16339095ab40f10d646b634a",
+    "c=1/2/r=1@160": "4c1e0b77c6f7561231cf0145ec1bb5ddc5199490210a5090ad47d0ef7b94d007",
+    "c=1/2/r=1/5@64": "3224654cc05d2055e453e4d8dfe9f9bd9338dc6a931abd3a0c3a5a56788d30d3",
+    "c=1/2/r=1/5@160": "6f6eef26640c3e24d865142538e2b6393985dc6708740a757192034f60ea6682",
+    "c=1/2/r=2@64": "20ed7d9445eab029f00a6e41e404001d52068954fd83294350e74e80369288a2",
+    "c=1/2/r=2@160": "ca224897e66f70b8fe207eb827afc6294bfaba33955eec7225f76b6d72b3ce50",
+    "c=1/4/r=1@64": "07990428d962cc36ed24d6b5844a50d1d04cf100999f8f1c228f157c18ca618c",
+    "c=1/4/r=1@160": "dd16c438f44a40bba10297995ce96d38bddad4f397f1dce7607993794f2fd1ec",
+    "c=1/4/r=1/5@64": "e35f3159882c0cde5740b63bc4ebbbc8a1c30f010d2b66cb6fc3903593367899",
+    "c=1/4/r=1/5@160": "0d6df5f1517ce1fb9476675ce4c0f75bca96fc07c7e29f624f7dc6205714a2bc",
+    "c=1/4/r=2@64": "c2295eaad742ccf47f7aa70dc2dbf4667b700f8612252f822da89cca9eb9c237",
+    "c=1/4/r=2@160": "5c8cc55d9782bce82a318532b8966eb8a798af2655aa1db6f078424ae052a6df",
+    "cubic/r=1@64": "cdba47fb180d8863b835d5e401d2fcd8122b6ba761e972f56fcdb9c7f3e0daa2",
+    "cubic/r=1@160": "bd132bf6f07454696a591ac0203175e9604c4618eb93d03779b14030ab70402d",
+}
+
+REUSE_DIGEST = "f5d97d59dea127a2cf5d3aaf357b00b969fef991b4e84a37d56452615d43e421"
+
+
 def _mpf_key(x):
     sign, man, exp, bc = x._mpf_
     return (sign, int(man), exp, bc)
@@ -180,6 +228,46 @@ def _psi_digest(name: str, prec: int) -> str:
     return hashlib.sha256(repr(balls).encode()).hexdigest()
 
 
+def _trace_key(ds, r):
+    try:
+        curve = equipotential_trace(ds, r, TRACE_POINTS, TRACE_TOL)
+    except (DomainError, PrecisionError) as exc:
+        return type(exc).__name__
+    points = [(_mpf_key(tp.point.re_mid), _mpf_key(tp.point.im_mid),
+               _mpf_key(tp.point.rad), tp.g_residual, tp.sheet, tp.theta)
+              for tp in curve.points]
+    return points, curve.dropped, curve.closed
+
+
+def _trace_digest(name: str, prec: int) -> str:
+    coeffs, r = TRACE_CASES[name]
+    with mpmath.workprec(prec):
+        key = _trace_key(PolyDS(Poly(coeffs)), r)
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+def _green_key(g):
+    return (_mpf_key(g.value.re_mid), _mpf_key(g.value.rad), g.iterations_used,
+            g.escaped)
+
+
+def _reuse_digest() -> str:
+    """One map, X^2 - 3/4, through Green values, escape steps and traces,
+    switching between 160 and 64 bits."""
+    ds = PolyDS(Poly([F(-3, 4), 0, 1]))
+    keys = []
+    for prec in (160, 64, 160, 64):
+        with mpmath.workprec(prec):
+            for z in (F(3), (F(1, 3), F(2, 5)), F(1, 7)):
+                point = CBall.from_rational(*z) if isinstance(z, tuple) else z
+                keys.append(_green_key(green_eval(ds, point, F(1, 10**10))))
+            keys.append(escape_step(ds, F(7, 4)))
+            keys.append(escape_step(ds, CBall.from_rational(F(3, 2), F(3, 2))))
+            for r in (F(1), F(1, 5), F(2)):
+                keys.append(_trace_key(ds, r))
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
 def _height_digest(name: str) -> str:
     ds, alpha = HEIGHT_CASES[name]
     h = canonical_height(ds, alpha)
@@ -212,6 +300,16 @@ def test_psi_value_bits_unchanged(name, prec):
     assert _psi_digest(name, prec) == PSI_DIGESTS[f"{name}@{prec}"]
 
 
+@pytest.mark.parametrize("prec", PRECISIONS)
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_trace_bits_unchanged(name, prec):
+    assert _trace_digest(name, prec) == TRACE_DIGESTS[f"{name}@{prec}"]
+
+
+def test_reused_map_bits_unchanged():
+    assert _reuse_digest() == REUSE_DIGEST
+
+
 @pytest.mark.parametrize("name", sorted(HEIGHT_CASES))
 def test_height_value_bits_unchanged(name):
     assert _height_digest(name) == HEIGHT_DIGESTS[name]
@@ -238,4 +336,8 @@ if __name__ == "__main__":     # pragma: no cover
     for name in sorted(PSI_CASES):
         for prec in PRECISIONS:
             print(f'    "{name}@{prec}": "{_psi_digest(name, prec)}",')
-    print("}", file=sys.stdout)
+    print("}\n\nTRACE_DIGESTS = {")
+    for name in sorted(TRACE_CASES):
+        for prec in PRECISIONS:
+            print(f'    "{name}@{prec}": "{_trace_digest(name, prec)}",')
+    print("}\n\n" f'REUSE_DIGEST = "{_reuse_digest()}"', file=sys.stdout)
