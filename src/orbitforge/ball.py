@@ -27,9 +27,13 @@ give; the triples only skip the Python objects around each call.
 Coefficient triples come straight from Fractions (``_rational``), with
 numerator and denominator each rounded before the division, as
 ``mpf(num) / mpf(den)`` rounds them.  A loop that evaluates the same
-polynomial many times builds them once with ``coeff_balls``.  A Laurent
-block goes through the same loop over its dense coefficients, times one
-power z^low.
+polynomial many times builds them once with ``coeff_balls``, and a value
+evaluated over and over (f in the Green walk, Psi in every trace) keeps
+them on its map.  So ``horner_ball(cballs, z)`` and
+``eval_block_ball(cballs, low, z)`` take prebuilt triples: a Laurent block
+goes through the same loop over its dense coefficients, times one power
+z^low.  The |z| bounds of a ball exist once, on triples (``_abs_bounds``),
+and ``CBall.abs_bounds`` unpacks into them as ``*`` unpacks into ``_mul``.
 """
 
 from __future__ import annotations
@@ -116,6 +120,16 @@ def _rational(re, im, prec, rnd, eps):
     return parts[0], parts[1], mpf_mul(eps, mpf_add(size, fone, prec, rnd), prec, rnd)
 
 
+def _abs_bounds(x, prec, rnd, eps):
+    """(lower, upper) bounds of |z| over the ball triple x, from one |mid|:
+    |mid| (1 - eps) - rad, clipped at 0, and |mid| (1 + eps) + rad."""
+    re, im, rad = x
+    mid = mpf_hypot(re, im, prec, rnd)                # hypot(x, 0) is |x|
+    lo = mpf_sub(mpf_mul(mid, mpf_sub(fone, eps, prec, rnd), prec, rnd), rad, prec, rnd)
+    hi = mpf_add(mpf_mul(mid, mpf_add(eps, fone, prec, rnd), prec, rnd), rad, prec, rnd)
+    return (lo if mpf_gt(lo, fzero) else fzero), hi
+
+
 def _exact(x: mpf) -> Fraction:
     """The value of an mpf as an exact Fraction."""
     sign, man, exp, _bits = x._mpf_
@@ -159,14 +173,10 @@ class CBall:
                                             prec, rnd))
 
     def abs_bounds(self) -> tuple[mpf, mpf]:
-        """(lower, upper) bounds of |z| over the ball, from one |mid|:
-        |mid| (1 - eps) - rad, clipped at 0, and |mid| (1 + eps) + rad."""
-        prec, rnd, eps = _working()
-        mid, rad = self.abs_mid()._mpf_, self.rad._mpf_
-        lo = mpf_sub(mpf_mul(mid, mpf_sub(fone, eps, prec, rnd), prec, rnd), rad, prec, rnd)
-        hi = mpf_add(mpf_mul(mid, mpf_add(eps, fone, prec, rnd), prec, rnd), rad, prec, rnd)
+        """(lower, upper) bounds of |z| over the ball (``_abs_bounds``)."""
+        lo, hi = _abs_bounds(self._triple(), *_working())
         make = mpmath.mp.make_mpf
-        return make(lo if mpf_gt(lo, fzero) else fzero), make(hi)
+        return make(lo), make(hi)
 
     def abs_upper(self) -> mpf:
         return self.abs_bounds()[1]
@@ -296,8 +306,9 @@ def eval_poly_ball(p, z: CBall) -> CBall:
     return horner_ball(coeff_balls(p), z)
 
 
-def eval_block_ball(block, z: CBall) -> CBall:
-    """Evaluate a Laurent block's known terms at a ball (no tail estimate):
-    one Horner pass over its dense coefficients, times z^low."""
-    val = horner_ball(coeff_balls(block), z)
-    return val * z.pow_int(block.low) if block.low else val
+def eval_block_ball(cballs, low: int, z: CBall) -> CBall:
+    """Evaluate the Laurent block sum c_j z^(low + j) with coefficient
+    triples ``cballs`` (as ``coeff_balls`` builds them from the block) at a
+    ball, without a tail estimate: one Horner pass, times z^low."""
+    val = horner_ball(cballs, z)
+    return val * z.pow_int(low) if low else val

@@ -45,7 +45,7 @@ import mpmath
 from mpmath.libmp import (fone, from_int, from_rational, fzero, mpf_add, mpf_div,
                           mpf_mul, mpf_pow_int, mpf_sqrt, mpf_sub)
 
-from .ball import CBall, eval_block_ball, rball
+from .ball import CBall, coeff_balls, eval_block_ball, rball
 from .dynamics import PolyDS, escaping_critical_points
 from .errors import DomainError
 from .exact import LaurentBlock, Poly, _convolve, evaluate_series_at_block
@@ -202,28 +202,42 @@ def evaluate_psi(ds: PolyDS, order: int, x: CBall, radius: CBall) -> CBall:
     s = x.abs_upper()
     if not s < r_lo:
         raise DomainError("Psi is certified only inside its disc |x| < R")
-    psi = psi_series(ds, order)
+    cballs, r2, area = _psi_balls(ds, order, r_lo._mpf_)
     # on raw mpf tuples, each operation rounded to the safe side ("d" toward
     # 0, "u" away from it, on positive numbers): this runs on every call
     prec = mpmath.mp.prec
-    r2 = mpf_mul(r_lo._mpf_, r_lo._mpf_, prec, "d")
     t = mpf_div(s._mpf_, r_lo._mpf_, prec, "u")
     q = mpf_mul(t, t, prec, "u")
-    # A / R_lo^2 = sum n u_(n+1)^2 R_lo^(2n), by Horner's rule
-    area = fzero
-    for n in range(order - 1, 0, -1):
-        u = psi.coefficient(n)                                 # u_(n+1)
-        if u:
-            term = from_rational(n * u.numerator ** 2, u.denominator ** 2, prec, "d")
-            area = mpf_add(area, term, prec, "d")
-        area = mpf_mul(area, r2, prec, "d")
-    area = mpf_mul(area, r2, prec, "d")
     num = mpf_mul(mpf_sub(fone, area, prec, "u"), mpf_pow_int(q, order, prec, "u"),
                   prec, "u")
     den = mpf_mul(mpf_mul(from_int(order), r2, prec, "d"), mpf_sub(fone, q, prec, "d"),
                   prec, "d")
     tail = mpmath.mpf(mpf_sqrt(mpf_div(num, den, prec, "u"), prec, "u"))
-    return eval_block_ball(psi, x).widen(tail)
+    return eval_block_ball(cballs, -1, x).widen(tail)
+
+
+def _psi_balls(ds: PolyDS, order: int, r_lo: tuple) -> tuple:
+    """(Psi's coefficient triples, R_lo^2 rounded down, A rounded down) for
+    ``evaluate_psi`` at this order and R_lo (a raw mpf tuple): the map's
+    ``_psi_balls`` memo, keyed by the working precision, the order and R_lo,
+    and rebuilt when one of them changes."""
+    prec = mpmath.mp.prec
+    key = (prec, order, r_lo)
+    memo = ds._psi_balls
+    if memo is None or memo[0] != key:
+        psi = psi_series(ds, order)
+        r2 = mpf_mul(r_lo, r_lo, prec, "d")
+        # A / R_lo^2 = sum n u_(n+1)^2 R_lo^(2n), by Horner's rule
+        area = fzero
+        for n in range(order - 1, 0, -1):
+            u = psi.coefficient(n)                                 # u_(n+1)
+            if u:
+                term = from_rational(n * u.numerator ** 2, u.denominator ** 2, prec, "d")
+                area = mpf_add(area, term, prec, "d")
+            area = mpf_mul(area, r2, prec, "d")
+        area = mpf_mul(area, r2, prec, "d")
+        memo = ds._psi_balls = (key, coeff_balls(psi), r2, area)
+    return memo[1:]
 
 
 def radius_archimedean(ds: PolyDS) -> CBall:

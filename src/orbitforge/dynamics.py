@@ -28,8 +28,14 @@ _MAX_PADIC_DIGITS = 4096   # the p-adic escape walk gives up beyond this
 class PolyDS:
     """A monic polynomial map of degree >= 2 with cached iterates.
 
-    The iterate, critical-point and Boettcher memos are the only mutable
-    state; ``boettcher`` alone uses the last two.
+    The memos are the only mutable state: the iterates and critical points,
+    the exact Psi and Phi series (written by ``boettcher`` alone), and two
+    memos of balls at the working precision.  ``_green`` holds f's
+    coefficient triples and the escape constants (written by ``green``
+    alone), keyed by ``mpmath.mp.prec``; ``_psi_balls`` holds Psi's
+    coefficient triples and the area sum A of ``boettcher.evaluate_psi``
+    (written by ``boettcher`` alone), keyed by the precision, the order and
+    R_lo.  A changed key replaces a memo, so neither grows.
     """
 
     def __init__(self, f: Poly, settings: Settings = DEFAULTS):
@@ -44,6 +50,12 @@ class PolyDS:
         self._crit: Optional[list["CriticalPoint"]] = None
         self._psi = None          # highest-order Psi so far, with its g^j numerators
         self._phi = None          # highest-order Phi so far
+        self._green = None        # (prec, f's triples, escape constants)
+        self._psi_balls = None    # ((prec, order, R_lo), Psi's triples, R_lo^2, A)
+        self.coeff_abs_sum = sum((abs(c) for c in f.coeffs[:-1]), Fraction(0))
+        # any |z| > R strictly escapes: R = 1 + sum_i |a_i|, and then
+        # |f(z)| >= |z|^d / R > |z|
+        self.escape_radius = 1 + self.coeff_abs_sum
 
     def __repr__(self) -> str:
         return f"PolyDS({self.f!r})"
@@ -68,19 +80,6 @@ class PolyDS:
         return self.f(x)
 
     # -- standard constants ---------------------------------------------------
-    @property
-    def coeff_abs_sum(self) -> Fraction:
-        """Sum of |a_i| over the non-leading coefficients."""
-        return sum((abs(c) for c in self.f.coeffs[:-1]), Fraction(0))
-
-    @property
-    def escape_radius(self) -> Fraction:
-        """Certified archimedean escape bound: any |z| > R strictly escapes.
-
-        R = 1 + sum_i |a_i|; then |f(z)| >= |z|^d / R > |z| for |z| > R.
-        """
-        return 1 + self.coeff_abs_sum
-
     def good_reduction(self, p: int) -> bool:
         """Good reduction at p: every non-leading coefficient is p-integral."""
         return all(c == 0 or _v_p(c, p) >= 0 for c in self.f.coeffs[:-1])

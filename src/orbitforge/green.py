@@ -4,7 +4,12 @@ equipotential level-curve tracing.
 g(z) = lim log+|f^n(z)| / d^n.  One forward ball walk (``_walk``) serves
 ``green_eval``, ``escape_step`` and the trace polish: z_n = f^n(z) by
 ``horner_ball``, certified past the escape radius R = 1 + sum|a_i| once
-|z_n| > R (1 + 2^-50), and cut where a radius passes 10^200.  Once an orbit
+|z_n| > R (1 + 2^-50), and cut where a radius passes 10^200.  The walk
+yields the |z_n| bounds as raw ``mpmath.libmp`` tuples, and ``green_eval``
+runs its loop on them with the libmp calls of the mpf operators, so it
+keeps every bit of the mpf arithmetic without building mpf objects at each
+step.  f's coefficient triples and the escape constants are built once per
+map and precision and kept on the map (``_constants``).  Once an orbit
 crosses R, the partial value log|f^k(z)|/d^k encloses g within an explicit
 geometric tail bound.  An orbit not shown to escape yields the one-sided
 enclosure [0, log(2 max(|z_n|, R))/d^n], valid after any n steps; it stops at
@@ -22,8 +27,11 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import (finf, from_int, fzero, mpf_add, mpf_div, mpf_ge, mpf_gt, mpf_le,
+                          mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_pow_int)
 
-from .ball import CBall, as_ball, coeff_balls, eval_poly_ball, horner_ball
+from .ball import (CBall, _abs_bounds, _working, as_ball, coeff_balls, eval_poly_ball,
+                   horner_ball)
 from .errors import DomainError, PrecisionError
 from .exact import rat
 from .rootcert import certify_solution, pull_back
@@ -62,22 +70,38 @@ def _clip_nonneg(ball: CBall) -> CBall:
     return CBall(hi / 2, mpf(0), hi / 2)
 
 
-def _escape_bound(ds: PolyDS) -> mpf:
-    """R (1 + 2^-50), R = 1 + sum|a_i|: |z| above it certifies escape."""
-    r = ds.escape_radius
-    return mpf(r.numerator) / mpf(r.denominator) * (1 + mpf(2) ** -50)
+def _constants(ds: PolyDS):
+    """(prec, f's coefficient triples, R (1 + 2^-50), s (1 + 2^-50),
+    log(2 R (1 + 2^-50))) with R = 1 + s and s = sum|a_i|, the last three as
+    raw mpf tuples, at the working precision: the map's ``_green`` memo,
+    rebuilt when the precision changes.  |z| above R (1 + 2^-50) certifies
+    escape."""
+    prec, rnd = mpmath.mp._prec_rounding
+    memo = ds._green
+    if memo is None or memo[0] != prec:
+        slack = mpf_add(mpf_pow_int(from_int(2, prec, rnd), -50, prec, rnd), from_int(1),
+                        prec, rnd)
+        r_up, s_up = (mpf_mul(mpf_div(from_int(q.numerator, prec, rnd),
+                                      from_int(q.denominator, prec, rnd), prec, rnd),
+                              slack, prec, rnd)
+                      for q in (ds.escape_radius, ds.coeff_abs_sum))
+        log_2r = mpf_log(mpf_mul_int(r_up, 2, prec, rnd), prec, rnd)
+        memo = ds._green = (prec, coeff_balls(ds.f), r_up, s_up, log_2r)
+    return memo
 
 
-def _walk(ds: PolyDS, z: CBall) -> Iterator[tuple[CBall, mpf, mpf]]:
-    """(z_n, lo, hi) with z_n = f^n(z) and lo <= |z_n| <= hi, n = 0, 1, ...;
-    it ends before the first z_n of radius above 10^200.  Callers cap n."""
-    f_balls = coeff_balls(ds.f)
-    blow_up = mpf(10) ** 200
+def _walk(ds: PolyDS, z: CBall) -> Iterator[tuple[CBall, tuple, tuple]]:
+    """(z_n, lo, hi) with z_n = f^n(z) and lo <= |z_n| <= hi as raw mpf
+    tuples (``ball._abs_bounds`` on z_n's triple), n = 0, 1, ...; it ends
+    before the first z_n of radius above 10^200.  Callers cap n."""
+    f_balls = _constants(ds)[1]
+    prec, rnd, eps = _working()
+    blow_up = mpf_pow_int(from_int(10, prec, rnd), 200, prec, rnd)
     while True:
-        lo, hi = z.abs_bounds()
+        lo, hi = _abs_bounds(z._triple(), prec, rnd, eps)
         yield z, lo, hi
         z = horner_ball(f_balls, z)
-        if z.rad > blow_up:
+        if mpf_gt(z.rad._mpf_, blow_up):
             return
 
 
@@ -87,9 +111,9 @@ def escape_step(ds: PolyDS, z) -> Optional[int]:
     escaper still gets its step (X^2 + 2509/10000 at 0: 102).  The
     archimedean ``escape_iterate`` of ``find_place_of_good_reduction_escape``
     when the exact |z| > R does not already hold at step 0."""
-    r_up = _escape_bound(ds)
+    r_up = _constants(ds)[2]
     steps = zip(range(ds.settings.max_iterations + 1), _walk(ds, as_ball(z)))
-    return next((n for n, (_z, lo, _hi) in steps if lo > r_up), None)
+    return next((n for n, (_z, lo, _hi) in steps if mpf_gt(lo, r_up)), None)
 
 
 def green_eval(ds: PolyDS, z, tol: Optional[Fraction] = None) -> GreenValue:
@@ -103,6 +127,11 @@ def green_eval(ds: PolyDS, z, tol: Optional[Fraction] = None) -> GreenValue:
     bounds g(z), a point with g(z) > 2 tol is never returned as bounded.
     The step budget is ``settings.max_iterations`` and tol defaults to
     ``settings.tolerance``, both the map's.
+
+    The loop runs on raw mpf tuples with the libmp calls of the mpf
+    operators it stands for (``mpf(d) ** n`` is ``mpf_pow_int``, ``2 * x``
+    is ``mpf_mul_int``), each rounded to nearest at the working precision,
+    so every bit is that of the same loop on mpf objects.
     """
     tol = ds.settings.tolerance if tol is None else tol
     if tol <= 0:
@@ -110,31 +139,42 @@ def green_eval(ds: PolyDS, z, tol: Optional[Fraction] = None) -> GreenValue:
     max_iter = ds.settings.max_iterations
     if max_iter < 0:
         raise DomainError("max_iter must be >= 0")
-    s = ds.coeff_abs_sum
-    s_up = mpf(s.numerator) / mpf(s.denominator) * (1 + mpf(2) ** -50)
-    r_up = _escape_bound(ds)
-    tol_f = mpmath.fdiv(tol.numerator, tol.denominator, rounding="d")
-    log_2r = mpmath.log(2 * r_up)
+    _prec, _f_balls, r_up, s_up, log_2r = _constants(ds)
+    prec, rnd = mpmath.mp._prec_rounding
+    tol_f = mpf_div(from_int(tol.numerator), from_int(tol.denominator), prec, "d")
+    tol_2 = mpf_mul_int(tol_f, 2, prec, rnd)
+    r_2 = mpf_mul_int(r_up, 2, prec, rnd)
+    s_4 = mpf_mul_int(s_up, 4, prec, rnd) if ds.coeff_abs_sum != 0 else None
+    d = from_int(ds.d, prec, rnd)
 
-    upper = mpf("inf")          # running upper bound until escape is certified
+    upper = finf                # running upper bound until escape is certified
     escaped = False
     n = 0
     for cur, lo, hi in _walk(ds, as_ball(z)):
-        d_n = mpf(ds.d) ** n
-        escaped = escaped or lo > r_up
+        d_n = mpf_pow_int(d, n, prec, rnd)
+        escaped = escaped or mpf_gt(lo, r_up)
         if not escaped:
             # one-sided bound g(z) = g(z_n)/d^n <= log(2 max(|z_n|, R)) / d^n
-            upper = min(upper, (mpmath.log(2 * hi) if hi > r_up else log_2r) / d_n)
-            if n == max_iter or upper <= 2 * tol_f:
+            log_hi = (mpf_log(mpf_mul_int(hi, 2, prec, rnd), prec, rnd)
+                      if mpf_gt(hi, r_up) else log_2r)
+            bound = mpf_div(log_hi, d_n, prec, rnd)
+            if mpf_lt(bound, upper):
+                upper = bound
+            if n == max_iter or mpf_le(upper, tol_2):
                 break
-        elif lo >= 2 * r_up:
+        elif mpf_ge(lo, r_2):
             # shrink the tail: valid once |z_k| >= 2R (then |z_{j+1}| >= 2|z_j|)
-            tail = 4 * s_up / (mpf(ds.d) ** (n + 1) * lo) if s != 0 else mpf(0)
-            if tail <= tol_f:           # else total_rad >= tail exceeds tol
+            tail = (fzero if s_4 is None else
+                    mpf_div(s_4, mpf_mul(mpf_pow_int(d, n + 1, prec, rnd), lo, prec, rnd),
+                            prec, rnd))
+            if mpf_le(tail, tol_f):     # else total_rad >= tail exceeds tol
                 logball = cur.log_abs()
-                total_rad = tail + logball.rad / d_n
-                if total_rad <= tol_f:
-                    val = CBall(logball.re_mid / d_n, mpf(0), total_rad)
+                total_rad = mpf_add(tail, mpf_div(logball.rad._mpf_, d_n, prec, rnd),
+                                    prec, rnd)
+                if mpf_le(total_rad, tol_f):
+                    make = mpmath.mp.make_mpf
+                    val = CBall(make(mpf_div(logball.re_mid._mpf_, d_n, prec, rnd)),
+                                mpf(0), make(total_rad))
                     return GreenValue(_clip_nonneg(val), n, True)
         if n == max_iter + 200:
             break
@@ -142,7 +182,8 @@ def green_eval(ds: PolyDS, z, tol: Optional[Fraction] = None) -> GreenValue:
     if escaped:
         raise PrecisionError("escape certified but the tail did not reach tol; "
                              "raise precision or max_iter")
-    return GreenValue(CBall(upper / 2, mpf(0), upper / 2), n, False)
+    half = mpmath.mp.make_mpf(upper) / 2
+    return GreenValue(CBall(half, mpf(0), half), n, False)
 
 
 def green_functional_check(ds: PolyDS, z, tol: Optional[Fraction] = None) -> CBall:

@@ -17,7 +17,7 @@ import pytest
 from mpmath import mpf
 
 from orbitforge import ball
-from orbitforge.ball import CBall, coeff_balls, eval_block_ball, horner_ball
+from orbitforge.ball import CBall, _exact, coeff_balls, eval_block_ball, horner_ball
 from orbitforge.boettcher import psi_series
 from orbitforge.dynamics import PolyDS
 from orbitforge.exact import LaurentBlock, Poly
@@ -213,11 +213,6 @@ def _block_cases(rng):
     return blocks
 
 
-def _exact(x) -> F:
-    sign, man, exp, _ = x._mpf_
-    return (-1) ** sign * F(man) * F(2) ** exp
-
-
 def _exact_block_value(block, re: F, im: F) -> tuple[F, F]:
     """sum c x^e for x = re + i im, in exact complex Fraction arithmetic."""
     def mul(a, b):
@@ -245,7 +240,8 @@ def test_block_value_contains_the_exact_sum(prec):
     with mpmath.workprec(prec):
         for block in _block_cases(rng):
             for re, im in points:
-                ball = eval_block_ball(block, CBall.from_rational(re, im))
+                ball = eval_block_ball(coeff_balls(block), block.low,
+                                       CBall.from_rational(re, im))
                 want_re, want_im = _exact_block_value(block, re, im)
                 gap_re = _exact(ball.re_mid) - want_re
                 gap_im = _exact(ball.im_mid) - want_im
@@ -268,6 +264,6 @@ def test_block_value_takes_one_horner_pass(monkeypatch):
               LaurentBlock(2, list(range(1, 41)))]
     for block in blocks:
         products.clear()
-        eval_block_ball(block, z)
+        eval_block_ball(coeff_balls(block), block.low, z)
         # one product per coefficient, plus z^low by repeated squaring
         assert len(products) <= len(block.coeffs) + 2 * abs(block.low).bit_length()

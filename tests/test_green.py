@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbitforge.ball import CBall, eval_poly_ball
+from orbitforge.ball import CBall, _exact, eval_poly_ball
 from orbitforge.config import DEFAULTS
 from orbitforge.dynamics import PolyDS
 from orbitforge.errors import DomainError, PrecisionError
@@ -39,11 +39,6 @@ def test_interior_point_is_zero():
     g = green_eval(SQ, F(1, 2), F(1, 2 * 10**20))
     assert not g.escaped
     assert float(g.value.re_mid + g.value.rad) < 1e-20
-
-
-def _exact(x) -> F:
-    sign, man, exp, _ = x._mpf_
-    return (-1) ** sign * F(man) * F(2) ** exp
 
 
 def _bounded_cases():
