@@ -89,7 +89,7 @@ def _height(ds: PolyDS, alpha: Fraction, tol: Fraction) -> HeightValue:
         # power map: hhat equals the Weil height exactly
         num, den = abs(alpha.numerator), alpha.denominator
         h = max(num, den)
-        return HeightValue(_log_ball_int(h) if h > 1 else rball(0),
+        return HeightValue(_log_ball_int(h) if h > 1 else CBall.exact_int(0),
                            "exact-power-map")
     bad = set(ds.bad_reduction_primes())
     total = rball(0)

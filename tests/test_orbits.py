@@ -33,6 +33,30 @@ def test_power_map_height_is_exact_weil_height():
     assert abs(float(h.value.re_mid) - math.log(2)) < 1e-15
 
 
+@pytest.mark.parametrize("alpha", [F(0), F(1), F(-1)])
+def test_power_map_height_zero_is_exact(alpha):
+    # hhat = 0 exactly on X^2 at 0 and the roots of unity: no radius, so
+    # even a tol far below the working precision is met
+    h = canonical_height(PolyDS(Poly.monomial(2)), alpha, F(1, 10**100))
+    assert h.method == "exact-power-map"
+    assert h.value.re_mid == 0 and h.value.rad == 0
+
+
+def test_power_map_height_of_a_non_integer_is_not_exact():
+    # log 3 is not exact, so its ball is wider than 1/10^100 at 160 bits
+    with pytest.raises(PrecisionError):
+        canonical_height(PolyDS(Poly.monomial(2)), F(1, 3), F(1, 10**100))
+
+
+def test_power_map_height_zero_prints_radius_zero():
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["orbit", "height", "--poly", "[0,0,1]", "--alpha", "1"])
+    doc = json.loads(out.getvalue())
+    assert code == 0 and doc["method"] == "exact-power-map"
+    assert doc["value"] == {"im": "0", "rad": "0", "re": "0"}
+
+
 def test_preperiodic_height_contains_zero():
     h = canonical_height(DS1, F(0))
     assert h.contains_zero()
