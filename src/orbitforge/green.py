@@ -71,7 +71,7 @@ def _clip_nonneg(ball: CBall) -> CBall:
 
 
 def _constants(ds: PolyDS):
-    """(prec, f's coefficient triples, R (1 + 2^-50), s (1 + 2^-50),
+    """(f's coefficient triples, R (1 + 2^-50), s (1 + 2^-50),
     log(2 R (1 + 2^-50))) with R = 1 + s and s = sum|a_i|, the last three as
     raw mpf tuples, at the working precision: the map's ``_green`` memo,
     rebuilt when the precision changes.  |z| above R (1 + 2^-50) certifies
@@ -87,14 +87,14 @@ def _constants(ds: PolyDS):
                       for q in (ds.escape_radius, ds.coeff_abs_sum))
         log_2r = mpf_log(mpf_mul_int(r_up, 2, prec, rnd), prec, rnd)
         memo = ds._green = (prec, coeff_balls(ds.f), r_up, s_up, log_2r)
-    return memo
+    return memo[1:]
 
 
 def _walk(ds: PolyDS, z: CBall) -> Iterator[tuple[CBall, tuple, tuple]]:
     """(z_n, lo, hi) with z_n = f^n(z) and lo <= |z_n| <= hi as raw mpf
     tuples (``ball._abs_bounds`` on z_n's triple), n = 0, 1, ...; it ends
     before the first z_n of radius above 10^200.  Callers cap n."""
-    f_balls = _constants(ds)[1]
+    f_balls = _constants(ds)[0]
     prec, rnd, eps = _working()
     blow_up = mpf_pow_int(from_int(10, prec, rnd), 200, prec, rnd)
     while True:
@@ -111,7 +111,7 @@ def escape_step(ds: PolyDS, z) -> Optional[int]:
     escaper still gets its step (X^2 + 2509/10000 at 0: 102).  The
     archimedean ``escape_iterate`` of ``find_place_of_good_reduction_escape``
     when the exact |z| > R does not already hold at step 0."""
-    r_up = _constants(ds)[2]
+    r_up = _constants(ds)[1]
     steps = zip(range(ds.settings.max_iterations + 1), _walk(ds, as_ball(z)))
     return next((n for n, (_z, lo, _hi) in steps if mpf_gt(lo, r_up)), None)
 
@@ -139,7 +139,7 @@ def green_eval(ds: PolyDS, z, tol: Optional[Fraction] = None) -> GreenValue:
     max_iter = ds.settings.max_iterations
     if max_iter < 0:
         raise DomainError("max_iter must be >= 0")
-    _prec, _f_balls, r_up, s_up, log_2r = _constants(ds)
+    r_up, s_up, log_2r = _constants(ds)[1:]
     prec, rnd = mpmath.mp._prec_rounding
     tol_f = mpf_div(from_int(tol.numerator), from_int(tol.denominator), prec, "d")
     tol_2 = mpf_mul_int(tol_f, 2, prec, rnd)
